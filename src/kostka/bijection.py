@@ -17,6 +17,7 @@ step, while untouched strings keep their riggings verbatim.
 from __future__ import annotations
 
 from .crystal import CrystalSpec, Path, RectTableau
+from .errors import InvariantError
 from .rc import RiggedConfiguration, empty_rc, spec_vacancy
 
 
@@ -195,7 +196,7 @@ def merge_column_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
     parts = rc.partitions
     for l, x in rc.strings[r - 1]:
         if l < w + 1 and x == spec_vacancy(rc.spec, parts, r, l):
-            raise RuntimeError(
+            raise InvariantError(
                 f'cannot merge: singular string of length {l} in component {r}')
     spec = CrystalSpec(rc.n, ((r, w + 1),) + factors[2:])
     return RiggedConfiguration(spec, rc.weight, rc.strings)
@@ -220,7 +221,8 @@ def peel_box_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
     spec = CrystalSpec(rc.n, ((1, 1), (r - 1, 1)) + rc.spec.factors[1:])
     out = RiggedConfiguration(spec, rc.weight,
                               tuple(tuple(comp) for comp in working))
-    assert all(out.vacancy(a, 1) == riggings[a - 1] for a in range(1, r))
+    if any(out.vacancy(a, 1) != riggings[a - 1] for a in range(1, r)):
+        raise InvariantError(f'splitting a box moved a length-1 vacancy of {rc}')
     return out
 
 
@@ -239,7 +241,7 @@ def merge_box_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
     for a in range(1, r + 1):
         target = (1, spec_vacancy(rc.spec, parts, a, 1))
         if target not in working[a - 1]:
-            raise RuntimeError(
+            raise InvariantError(
                 f'cannot merge: no singular length-1 string in component {a}')
         working[a - 1].remove(target)
     spec = CrystalSpec(rc.n, ((r + 1, 1),) + factors[2:])
@@ -271,8 +273,8 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
                 rc = merge_box_rc(rc)
             if c < s - 1:
                 rc = merge_column_rc(rc)
-    assert rc.spec == path.spec
-    assert rc.weight == path.weight()
+    if rc.spec != path.spec or rc.weight != path.weight():
+        raise InvariantError(f'image of {path} has the wrong spec or weight')
     return rc
 
 
@@ -293,10 +295,10 @@ def rc_to_path(rc: RiggedConfiguration) -> Path:
                 work, letter = extract_letter(work)
                 letters.append(letter)
             if any(x <= y for x, y in zip(letters, letters[1:])):
-                raise RuntimeError(f'extracted letters {letters} do not decrease')
+                raise InvariantError(f'extracted letters {letters} do not decrease')
             columns.append(tuple(reversed(letters)))
         rows = tuple(zip(*columns))
         tableaux.append(RectTableau(rows, n))
     if work.spec.factors or any(work.strings) or any(work.weight):
-        raise RuntimeError('configuration not exhausted')
+        raise InvariantError('configuration not exhausted')
     return Path(rc.spec, tuple(tableaux))

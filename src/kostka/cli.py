@@ -8,7 +8,8 @@ operator to either kind of element, and `check` drives the randomized
 and exhaustive property suite.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
-fails, 2 on bad input.
+fails or an internal invariant breaks (reported as `internal error`),
+2 on bad input.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from . import rccrystal
 from .bijection import extract_letter, insert_letter, path_to_rc, rc_to_path
 from .crystal import CrystalSpec, Path
-from .paths import enumerate_all_paths, enumerate_paths
+from .errors import InvariantError
+from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
 from .rc import (DEFAULT_BOUND_CAP, RiggedConfiguration, enumerate_rcs,
@@ -104,20 +107,13 @@ def cmd_rcs(args) -> int:
     return OK
 
 
-def _x_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
-    result = QPolynomial.zero()
-    for p in enumerate_paths(spec, weight):
-        result = result + QPolynomial.monomial(tail_energy(p))
-    return result
-
-
 def cmd_poly(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
     names = ['paths', 'rc-enum', 'fermionic'] if args.method == 'all' else [args.method]
     values: dict[str, QPolynomial] = {}
     for name in names:
         if name == 'paths':
-            values[name] = _x_polynomial(spec, weight)
+            values[name] = path_polynomial(spec, weight)
         elif name == 'rc-enum':
             values[name] = rc_polynomial(spec, weight, args.lb_cap)
         else:
@@ -261,9 +257,11 @@ def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
     n = spec.n
     all_paths = enumerate_all_paths(spec)
     images: dict[Path, RiggedConfiguration] = {}
+    energies: dict[Path, int] = {}
     by_weight: dict[tuple[int, ...], list[Path]] = {}
     for p in all_paths:
         images[p] = path_to_rc(p)
+        energies[p] = tail_energy(p)
         by_weight.setdefault(p.weight(), []).append(p)
 
     if len(set(images.values())) != len(all_paths):
@@ -271,8 +269,8 @@ def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
     for p, rc in images.items():
         if rc_to_path(rc) != p:
             return f'inverse map failed on {p}'
-        if tail_energy(p) != rc.cocharge():
-            return f'energy {tail_energy(p)} != cocharge {rc.cocharge()} on {p}'
+        if energies[p] != rc.cocharge():
+            return f'energy {energies[p]} != cocharge {rc.cocharge()} on {p}'
 
     class_poly: dict[tuple[int, ...], tuple[tuple[int, ...], QPolynomial]] = {}
     for weight in _compositions(spec.total_boxes(), n):
@@ -280,10 +278,8 @@ def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
         rcs = enumerate_rcs(spec, weight, cap)
         if {images[p] for p in group} != set(rcs):
             return f'image mismatch at weight {weight}'
-        x = QPolynomial.zero()
-        for p in group:
-            x = x + QPolynomial.monomial(tail_energy(p))
-        m_enum = rc_polynomial(spec, weight, cap)
+        x = QPolynomial(Counter(energies[p] for p in group))
+        m_enum = QPolynomial(Counter(rc.cocharge() for rc in rcs))
         m_ferm = fermionic_polynomial(spec, weight, cap)
         if not (x == m_enum == m_ferm):
             return (f'polynomials disagree at weight {weight}: '
@@ -431,6 +427,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return INPUT_ERROR
+    except InvariantError as exc:
+        print(f'internal error: {exc}', file=sys.stderr)
+        return PROPERTY_FAILURE
     except (ValueError, RuntimeError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return INPUT_ERROR

@@ -3,6 +3,9 @@ generate, graded by the tail energy."""
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
+
 from .crystal import CrystalSpec, Path, enumerate_crystal
 from .plactic import tail_energy
 from .qpoly import QPolynomial
@@ -43,26 +46,10 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
 
 def enumerate_all_paths(spec: CrystalSpec) -> list[Path]:
     """Every element of the tensor product, regardless of weight."""
-    out: list[Path] = []
-    chosen = []
-
-    def extend(idx):
-        if idx == len(spec.factors):
-            out.append(Path(spec, tuple(chosen)))
-            return
-        r, s = spec.factors[idx]
-        for t in enumerate_crystal(r, s, spec.n):
-            chosen.append(t)
-            extend(idx + 1)
-            chosen.pop()
-
-    extend(0)
-    return out
+    crystals = [enumerate_crystal(r, s, spec.n) for r, s in spec.factors]
+    return [Path(spec, tableaux) for tableaux in product(*crystals)]
 
 
 def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     """Sum of q^(tail energy) over all paths of the given weight."""
-    result = QPolynomial.zero()
-    for b in enumerate_paths(spec, weight):
-        result = result + QPolynomial.monomial(tail_energy(b))
-    return result
+    return QPolynomial(Counter(tail_energy(b) for b in enumerate_paths(spec, weight)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .crystal import Path, RectTableau, enumerate_crystal
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _rmatrix_table(r: int, s: int, r2: int, s2: int, n: int):
         for right in enumerate_crystal(r, s, n):
             key = product(left, right)
             if key in table:
-                raise RuntimeError(
+                raise InvariantError(
                     f'plactic product not injective on B^{r2},{s2} x B^{r},{s}')
             table[key] = (left, right)
     return table
@@ -113,7 +114,7 @@ def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
     try:
         return table[key]
     except KeyError:
-        raise RuntimeError('no R-matrix image found; enumeration bug') from None
+        raise InvariantError('no R-matrix image found; enumeration bug') from None
 
 
 def local_energy(b: RectTableau, b2: RectTableau) -> int:

@@ -14,12 +14,14 @@ enumeration and the alternating bound-tableau sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
 from .crystal import CrystalSpec
+from .errors import InvariantError
 from .qpoly import QPolynomial, qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
@@ -96,6 +98,22 @@ def stable_vacancy(partitions, L: dict[tuple[int, int], int], n: int, a: int) ->
         if b == a:
             horizon = max(horizon, j)
     return vacancy_number(partitions, L, n, a, horizon)
+
+
+def _config_cocharge(partitions, n: int) -> int:
+    """Cocharge of the unrigged configuration: half the Cartan-paired
+    overlap sum of all component pairs."""
+    double = 0
+    for a in range(1, n):
+        for b in range(1, n):
+            pairing = cartan(a, b)
+            if pairing == 0:
+                continue
+            double += pairing * sum(min(x, y)
+                                    for x in partitions[a - 1] for y in partitions[b - 1])
+    if double % 2:
+        raise InvariantError(f'odd doubled cocharge {double} on {partitions}')
+    return double // 2
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +282,8 @@ class RiggedConfiguration:
         return stable_vacancy(self.partitions, self.multiplicities(), self.n, a)
 
     def cocharge(self) -> int:
-        parts = self.partitions
-        double = 0
-        for a in range(1, self.n):
-            for b in range(1, self.n):
-                pairing = cartan(a, b)
-                if pairing == 0:
-                    continue
-                double += pairing * sum(min(x, y)
-                                        for x in parts[a - 1] for y in parts[b - 1])
-        assert double % 2 == 0
-        return double // 2 + sum(x for comp in self.strings for _, x in comp)
+        return (_config_cocharge(self.partitions, self.n)
+                + sum(x for comp in self.strings for _, x in comp))
 
     def admissibility_witness(self, cap: int = DEFAULT_BOUND_CAP):
         """A witness tableau validating every rigging, or None.
@@ -320,11 +329,7 @@ class RiggedConfiguration:
 
     @classmethod
     def from_json(cls, data) -> 'RiggedConfiguration':
-        spec = CrystalSpec(int(data['n']),
-                           tuple((int(r), int(s)) for r, s in data['factors']))
-        strings = tuple(tuple((int(l), int(x)) for l, x in comp)
-                        for comp in data['nu'])
-        return cls(spec, tuple(int(x) for x in data['weight']), strings)
+        return cls(CrystalSpec.from_json(data), data['weight'], data['nu'])
 
     def __str__(self):
         if not any(self.strings):
@@ -385,6 +390,24 @@ def _string_support(partitions):
     return support
 
 
+def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
+    """Per configuration: its partitions, string support, vacancy
+    numbers on the support, and the distinct witness bound profiles.
+
+    A profile lists bound(a, l) of one witness tableau for every
+    support entry (a, l, multiplicity), in support order.
+    """
+    tableaux = None
+    for parts in enumerate_configurations(spec, weight):
+        if tableaux is None:
+            # enforces the cap before bound_column reads the tableaux
+            tableaux = bound_tableaux(weight, cap)
+        support = _string_support(parts)
+        vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
+        cols = [bound_column(weight, a, l) for a, l, _ in support]
+        yield parts, support, vacancies, set(zip(*cols)) if cols else {()}
+
+
 def enumerate_rcs(spec: CrystalSpec, weight,
                   cap: int = DEFAULT_BOUND_CAP) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
@@ -396,14 +419,7 @@ def enumerate_rcs(spec: CrystalSpec, weight,
     """
     weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
-    tableaux = None
-    for parts in enumerate_configurations(spec, weight):
-        if tableaux is None:
-            tableaux = bound_tableaux(weight, cap)
-        support = _string_support(parts)
-        vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
-        cols = [bound_column(weight, a, l) for a, l, _ in support]
-        profiles = set(zip(*cols)) if cols else {()}
+    for _parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
         assignments = set()
         for profile in profiles:
             per_string = []
@@ -431,23 +447,7 @@ def enumerate_rcs(spec: CrystalSpec, weight,
 def rc_polynomial(spec: CrystalSpec, weight,
                   cap: int = DEFAULT_BOUND_CAP) -> QPolynomial:
     """Sum of q^cocharge over all rigged configurations."""
-    result = QPolynomial.zero()
-    for rc in enumerate_rcs(spec, weight, cap):
-        result = result + QPolynomial.monomial(rc.cocharge())
-    return result
-
-
-def _config_cocharge(partitions, n: int) -> int:
-    double = 0
-    for a in range(1, n):
-        for b in range(1, n):
-            pairing = cartan(a, b)
-            if pairing == 0:
-                continue
-            double += pairing * sum(min(x, y)
-                                    for x in partitions[a - 1] for y in partitions[b - 1])
-    assert double % 2 == 0
-    return double // 2
+    return QPolynomial(Counter(rc.cocharge() for rc in enumerate_rcs(spec, weight, cap)))
 
 
 def fermionic_polynomial(spec: CrystalSpec, weight,
@@ -464,14 +464,7 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
     """
     weight = tuple(int(x) for x in weight)
     result = QPolynomial.zero()
-    tableaux = None
-    for parts in enumerate_configurations(spec, weight):
-        if tableaux is None:
-            tableaux = bound_tableaux(weight, cap)
-        support = _string_support(parts)
-        vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
-        cols = [bound_column(weight, a, l) for a, l, _ in support]
-        profiles = set(zip(*cols)) if cols else {()}
+    for parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
         signed: dict[tuple[int, ...], int] = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}

@@ -10,6 +10,7 @@ vacancy number and rigging.
 
 from __future__ import annotations
 
+from .errors import InvariantError
 from .rc import RiggedConfiguration, spec_vacancy, stable_vacancy
 
 
@@ -89,9 +90,11 @@ def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     new_weight = list(rc.weight)
     new_weight[a - 1] += 1
     new_weight[a] -= 1
-    assert new_weight[a] >= 0
+    if new_weight[a] < 0:
+        raise InvariantError(f'raising at {a} empties letter {a + 1} of {rc}')
     out = _rebuild(rc, a, idx, new_sel, new_weight)
-    assert out.is_admissible()
+    if not out.is_admissible():
+        raise InvariantError(f'raising at {a} left {rc} inadmissible')
     return out
 
 
@@ -110,10 +113,8 @@ def phi(rc: RiggedConfiguration, a: int) -> int:
 
 
 def epsilon(rc: RiggedConfiguration, a: int) -> int:
-    """Number of raising steps available on component a."""
-    count = 0
-    current = e(rc, a)
-    while current is not None:
-        count += 1
-        current = e(current, a)
-    return count
+    """Number of raising steps available on component a.
+
+    Closed form: phi minus the weight gap mu_a - mu_{a+1}.
+    """
+    return phi(rc, a) - (rc.weight[a - 1] - rc.weight[a])

@@ -13,6 +13,7 @@ from kostka.bijection import (insert_letter, merge_box_rc, merge_column_rc,
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import bound_tableaux, empty_rc
+from kostka.rccrystal import e
 
 
 def naive_residue(word, i):
@@ -139,6 +140,17 @@ def oracle_vacancy(partitions, L, n, a, i):
         pairing = 2 if b == a else (-1 if abs(b - a) == 1 else 0)
         total -= pairing * sum(min(i, y) for y in partitions[b - 1])
     return total
+
+
+def iterated_epsilon(rc, a):
+    """Raising steps available on component a, by applying e until it
+    is undefined."""
+    count = 0
+    current = e(rc, a)
+    while current is not None:
+        count += 1
+        current = e(current, a)
+    return count
 
 
 def oracle_config_cc(partitions, n):

@@ -4,7 +4,7 @@ import random
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
 from kostka.rc import RiggedConfiguration
-from kostka import rccrystal
+from kostka import bijection, rccrystal
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
 TWO_BOX = {'n': 2, 'factors': [[1, 1], [1, 1]], 'weight': [1, 1]}
@@ -129,6 +129,18 @@ def test_map_phi_inv(tmp_path, capsys):
                                 write(tmp_path, 'rc.json', EXB_RC_JSON)])
     assert code == 0
     assert Path.from_json(json.loads(out)) == Path.from_json(EXB_PATH_JSON)
+
+
+def test_internal_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # Box removal that always reports letter 1 makes the letters of a
+    # height-2 column fail to decrease inside rc_to_path.
+    real = bijection.extract_letter
+    monkeypatch.setattr(bijection, 'extract_letter', lambda rc: (real(rc)[0], 1))
+    code, out, err = run(capsys, ['map', 'phi-inv', '--spec',
+                                  write(tmp_path, 'rc.json', EXB_RC_JSON)])
+    assert code == 1
+    assert out == ''
+    assert err.startswith('internal error: extracted letters')
 
 
 def test_map_text_format(tmp_path, capsys):

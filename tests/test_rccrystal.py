@@ -6,6 +6,8 @@ from kostka.paths import enumerate_all_paths
 from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
 from kostka.rccrystal import e, epsilon, f, phi
 
+from oracles import iterated_epsilon
+
 SPEC44 = CrystalSpec(4, ((1, 3), (3, 2), (2, 1)))
 RC44 = RiggedConfiguration(SPEC44, (1, 4, 3, 3), (
     ((4, -3), (1, -1)),
@@ -76,9 +78,13 @@ def test_operators_invert_each_other():
 
 
 def test_phi_minus_epsilon_is_the_weight_gap():
+    # epsilon is computed as phi minus the gap; the raising steps are
+    # counted independently, by iterating e.
     for rc in enumerate_rcs(CrystalSpec(4, ((2, 2), (2, 1))), (2, 2, 1, 1)):
         for a in range(1, 4):
-            assert phi(rc, a) - epsilon(rc, a) == rc.weight[a - 1] - rc.weight[a]
+            steps = iterated_epsilon(rc, a)
+            assert epsilon(rc, a) == steps
+            assert phi(rc, a) - steps == rc.weight[a - 1] - rc.weight[a]
 
 
 def test_phi_counts_lowering_steps():
