@@ -4,7 +4,11 @@ and the local and tail energy statistics.
 The R-matrix on a pair of rectangle crystals is pinned down by plactic
 equivalence: swapping the two factors must preserve the Schensted
 product.  That characterization is turned into a lookup table per pair
-of shapes, built once and cached.
+of shapes, built once and cached.  `rmatrix` and `local_energy` are
+memoized per ordered pair of tableaux, so each runs one Schensted product
+per distinct pair for the life of the process.  Like the tables, the
+memos hold at most sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of
+shapes met.
 """
 
 from __future__ import annotations
@@ -56,24 +60,24 @@ class SkewlessTableau:
 EMPTY_TABLEAU = SkewlessTableau(())
 
 
-def row_insert(t: SkewlessTableau, x: int) -> SkewlessTableau:
-    """Classical Schensted row insertion of the letter x."""
+def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
+    """Classical Schensted row insertion of the letters of word in turn."""
     rows = [list(row) for row in t.rows]
-    for row in rows:
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            break
-        row[j], x = x, row[j]
-    else:
-        rows.append([x])
+    for x in word:
+        for row in rows:
+            j = bisect_right(row, x)
+            if j == len(row):
+                row.append(x)
+                break
+            row[j], x = x, row[j]
+        else:
+            rows.append([x])
     return SkewlessTableau(tuple(tuple(row) for row in rows))
 
 
-def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
-    for x in word:
-        t = row_insert(t, x)
-    return t
+def row_insert(t: SkewlessTableau, x: int) -> SkewlessTableau:
+    """Classical Schensted row insertion of the letter x."""
+    return insert_word(t, (x,))
 
 
 def product(b: RectTableau, b2: RectTableau) -> SkewlessTableau:
@@ -99,6 +103,7 @@ def _rmatrix_table(r: int, s: int, r2: int, s2: int, n: int):
     return table
 
 
+@cache
 def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
     """The combinatorial R-matrix applied to b (x) b2.
 
@@ -117,6 +122,7 @@ def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
         raise InvariantError('no R-matrix image found; enumeration bug') from None
 
 
+@cache
 def local_energy(b: RectTableau, b2: RectTableau) -> int:
     """Cells of the product shape outside the rowwise concatenation.
 
@@ -140,20 +146,20 @@ def tail_energy(path: Path) -> int:
     term for a pair i < j is H_{j-1} R_{j-2} ... R_i applied to the
     path, where R_m swaps positions m and m+1 and H_m evaluates the
     local energy of the adjacent pair (position m+1 tensor position m).
+
+    R_i, ..., R_{j-2} only carry the factor at position i leftward past
+    the original factors b_{i+1}, ..., b_{j-1}.  So for each i the carried
+    factor c starts as b_i and moves one position at a time: the term for
+    j is local_energy(b_j, c), after which c becomes rmatrix(b_j, c)[0].
+    The R-matrix is the identity on equal shapes, so there c becomes b_j
+    without an R-matrix call.  This makes O(k^2) R applications in all.
     """
-    tabs = list(path.tableaux)          # left to right
-    k = len(tabs)
+    tabs = path.tableaux                # left to right: b_k, ..., b_1
     total = 0
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            work = list(tabs)
-            for m in range(i, j - 1):
-                # R_m swaps positions m and m+1; position p sits at
-                # list index k - p.
-                left_idx = k - (m + 1)
-                new_left, new_right = rmatrix(work[left_idx], work[left_idx + 1])
-                work[left_idx], work[left_idx + 1] = new_left, new_right
-            m = j - 1
-            left_idx = k - (m + 1)
-            total += local_energy(work[left_idx], work[left_idx + 1])
+    for i in range(1, len(tabs)):
+        c = tabs[i]
+        for b in tabs[i - 1:0:-1]:
+            total += local_energy(b, c)
+            c = b if b.shape == c.shape else rmatrix(b, c)[0]
+        total += local_energy(tabs[0], c)
     return total

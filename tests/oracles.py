@@ -11,6 +11,7 @@ from itertools import combinations, product as iproduct
 from kostka.bijection import (insert_letter, merge_box_rc, merge_column_rc,
                               peel_box, peel_column, pop_letter)
 from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import bound_tableaux, empty_rc
 from kostka.rccrystal import e
@@ -161,7 +162,8 @@ def oracle_config_cc(partitions, n):
             double += pairing * sum(min(x, y)
                                     for x in partitions[a - 1]
                                     for y in partitions[b - 1])
-    assert double % 2 == 0
+    if double % 2:
+        raise AssertionError(f'odd doubled cocharge {double} for {partitions}')
     return double // 2
 
 
@@ -270,3 +272,29 @@ def brute_rcs(spec, weight):
             found.add(RiggedConfiguration(
                 spec, weight, tuple(tuple(c) for c in comps)))
     return found
+
+
+def oracle_tail_energy(path):
+    """Tail energy with the R-matrix chain rebuilt for every pair (i, j).
+
+    Factor positions are numbered 1..k from the rightmost factor.  The
+    term for a pair i < j is H_{j-1} R_{j-2} ... R_i applied to the
+    path, where R_m swaps positions m and m+1 and H_m evaluates the
+    local energy of the adjacent pair (position m+1 tensor position m).
+    """
+    tabs = list(path.tableaux)          # left to right
+    k = len(tabs)
+    total = 0
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            work = list(tabs)
+            for m in range(i, j - 1):
+                # R_m swaps positions m and m+1; position p sits at
+                # list index k - p.
+                left_idx = k - (m + 1)
+                new_left, new_right = rmatrix(work[left_idx], work[left_idx + 1])
+                work[left_idx], work[left_idx + 1] = new_left, new_right
+            m = j - 1
+            left_idx = k - (m + 1)
+            total += local_energy(work[left_idx], work[left_idx + 1])
+    return total

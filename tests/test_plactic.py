@@ -4,10 +4,13 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
+import kostka.plactic
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
+from kostka.paths import enumerate_all_paths
 from kostka.plactic import (EMPTY_TABLEAU, SkewlessTableau, insert_word,
                             local_energy, product, rmatrix, row_insert,
                             tail_energy)
+from oracles import oracle_tail_energy
 
 
 def test_skewless_validation():
@@ -118,6 +121,63 @@ def test_tail_energy_two_factors_is_local():
 
 def test_tail_energy_empty_path():
     assert tail_energy(Path(CrystalSpec(3, ()), ())) == 0
+
+
+# Mixed specs put equal and distinct shapes next to each other, with a
+# factor left of the equal pair, so a factor carried across it is used.
+ENERGY_SPECS = [
+    CrystalSpec(3, ((2, 2), (1, 2), (1, 2), (2, 1))),
+    CrystalSpec(4, ((1, 1), (2, 1), (2, 1), (1, 2))),
+    CrystalSpec(3, ((1, 1),) * 6),
+]
+
+
+@pytest.mark.parametrize('spec', ENERGY_SPECS, ids=str)
+def test_tail_energy_matches_oracle_on_every_path(spec):
+    for p in enumerate_all_paths(spec):
+        assert tail_energy(p) == oracle_tail_energy(p), p
+
+
+@st.composite
+def random_paths(draw):
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, 2)),
+                           max_size=5))
+    tableaux = tuple(draw(st.sampled_from(enumerate_crystal(r, s, n)))
+                     for r, s in shapes)
+    return Path(CrystalSpec(n, tuple(shapes)), tableaux)
+
+
+@given(random_paths())
+def test_tail_energy_matches_oracle(p):
+    assert tail_energy(p) == oracle_tail_energy(p)
+
+
+def test_tail_energy_never_transports_across_equal_shapes(monkeypatch):
+    seen = []
+
+    def recorder(b, b2):
+        seen.append((b.shape, b2.shape))
+        return rmatrix(b, b2)
+
+    monkeypatch.setattr(kostka.plactic, 'rmatrix', recorder)
+    for spec in ENERGY_SPECS[:2]:
+        for p in enumerate_all_paths(spec):
+            tail_energy(p)
+    assert seen and all(shape != shape2 for shape, shape2 in seen)
+
+
+def test_energy_memos_stay_within_the_table_sizes():
+    spec = ENERGY_SPECS[0]
+    sizes = {shape: len(enumerate_crystal(*shape, spec.n)) for shape in spec.factors}
+    rmatrix.cache_clear()
+    local_energy.cache_clear()
+    for p in enumerate_all_paths(spec):
+        tail_energy(p)
+    cells = {(a, b): sizes[a] * sizes[b] for a in sizes for b in sizes}
+    distinct = sum(size for (a, b), size in cells.items() if a != b)
+    assert 0 < rmatrix.cache_info().currsize <= distinct
+    assert 0 < local_energy.cache_info().currsize <= sum(cells.values())
 
 
 words = st.lists(st.integers(1, 4), max_size=10)
