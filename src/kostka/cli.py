@@ -9,7 +9,7 @@ and exhaustive property suite.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
-2 on bad input.
+2 on bad input or when the witness-tableau cap (`--lb-cap`) is hit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 from . import rccrystal
 from .bijection import extract_letter, insert_letter, path_to_rc, rc_to_path
 from .crystal import CrystalSpec, Path
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
@@ -160,11 +160,15 @@ def cmd_map(args) -> int:
 def cmd_op(args) -> int:
     element = _parse_element(_load(args.spec))
     a = args.residue
-    if isinstance(element, Path):
+    is_path = isinstance(element, Path)
+    if not is_path and not element.is_admissible(args.lb_cap):
+        raise InputError('configuration is not admissible')
+    if not 1 <= a <= element.spec.n - 1:
+        name = 'operator index' if is_path else 'component'
+        raise InputError(f'{name} {a} outside 1..{element.spec.n - 1}')
+    if is_path:
         result = element.f(a) if args.operator == 'f' else element.e(a)
     else:
-        if not element.is_admissible(args.lb_cap):
-            raise InputError('configuration is not admissible')
         result = (rccrystal.f if args.operator == 'f' else rccrystal.e)(element, a)
     _emit_element(result, args.format)
     return OK
@@ -424,15 +428,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, BudgetError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return INPUT_ERROR
     except InvariantError as exc:
         print(f'internal error: {exc}', file=sys.stderr)
         return PROPERTY_FAILURE
-    except (ValueError, RuntimeError) as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return INPUT_ERROR
 
 
 if __name__ == '__main__':

@@ -17,11 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import (combinations, combinations_with_replacement,
+                       product as iproduct, repeat)
 from math import comb
 
 from .crystal import CrystalSpec
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .qpoly import QPolynomial, qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
@@ -118,6 +119,10 @@ def _config_cocharge(partitions, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # witness tableaux for the rigging lower bounds
+#
+# The witness set is the free product of its columns: column k ranges
+# over every c_k-subset of 1..c_{k-1}, independently of the others.
+# _witness_bounds is its one capped reader.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ class LowerBoundTableau:
 
     Column k (1-indexed) has height c_k = weight[k] + ... + weight[n-1]
     (0-indexed weight) and entries from {1..c_{k-1}}, with c_0 = c_1.
-    Rows are then weakly decreasing automatically; the constructor
-    checks it anyway.
+    Rows are then weakly decreasing automatically.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -151,10 +155,6 @@ class LowerBoundTableau:
                     raise ValueError(f'column {k} entry {x} outside 1..{bound}')
             if any(x <= y for x, y in zip(col, col[1:])):
                 raise ValueError('columns must strictly decrease')
-        for k in range(len(cols) - 1):
-            left, right = cols[k], cols[k + 1]
-            if any(left[j] < right[j] for j in range(len(right))):
-                raise ValueError('rows must weakly decrease')
 
     def bound(self, a: int, i: int) -> int:
         """Lower bound for riggings of length-i strings in component a."""
@@ -195,22 +195,17 @@ def count_bound_tableaux(weight) -> int:
 
 @cache
 def _bound_tableaux(weight: tuple[int, ...]) -> tuple[LowerBoundTableau, ...]:
+    # Subsets of a decreasing range come out decreasing, in decreasing
+    # lexicographic order.
     heights = column_heights(weight)
-    per_column = []
-    for k in range(1, len(heights)):
-        options = [tuple(sorted(c, reverse=True))
-                   for c in combinations(range(1, heights[k - 1] + 1), heights[k])]
-        per_column.append(sorted(options, reverse=True))
+    per_column = [combinations(range(heights[k - 1], 0, -1), heights[k])
+                  for k in range(1, len(heights))]
     return tuple(LowerBoundTableau(cols, weight) for cols in iproduct(*per_column))
 
 
 @cache
 def bound_column(weight: tuple[int, ...], a: int, i: int) -> tuple[int, ...]:
-    """bound(a, i) across all witness tableaux, in enumeration order.
-
-    Callers must have materialized bound_tableaux(weight, cap) first so
-    the cap check is not bypassed.
-    """
+    """bound(a, i) across all witness tableaux, in enumeration order."""
     return tuple(t.bound(a, i) for t in _bound_tableaux(weight))
 
 
@@ -223,10 +218,22 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
     weight = tuple(int(x) for x in weight)
     count = count_bound_tableaux(weight)
     if count > cap:
-        raise RuntimeError(
+        raise BudgetError(
             f'{count} bound tableaux exceed the cap of {cap}; '
             f'raise the cap explicitly to proceed')
     return _bound_tableaux(weight)
+
+
+def _witness_bounds(weight: tuple[int, ...], keys, cap: int):
+    """The witness tableaux of a weight, in enumeration order, and an
+    iterator over their rows of bound(a, l) for the (a, l) in keys.
+
+    The one reader of the witness set: the cap is applied before any
+    bound column is read.
+    """
+    tableaux = bound_tableaux(weight, cap)
+    cols = [bound_column(weight, a, l) for a, l in keys]
+    return tableaux, zip(*cols) if cols else repeat((), len(tableaux))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +295,9 @@ class RiggedConfiguration:
     def admissibility_witness(self, cap: int = DEFAULT_BOUND_CAP):
         """A witness tableau validating every rigging, or None.
 
-        None means the configuration sizes are wrong, some rigging
-        exceeds its vacancy number, or no single tableau bounds all
-        riggings from below.
+        The witness is the first that fits, in enumeration order.  None
+        means the sizes are wrong, a rigging exceeds its vacancy number,
+        or no single tableau bounds all riggings from below.
         """
         parts = self.partitions
         if sum(self.weight) != self.spec.total_boxes():
@@ -298,23 +305,18 @@ class RiggedConfiguration:
         sizes = forced_sizes(self.multiplicities(), self.weight, self.n)
         if [sum(p) for p in parts] != sizes:
             return None
-        needed = []
+        lowest: dict[tuple[int, int], int] = {}
         for a in range(1, self.n):
-            by_len: dict[int, int] = {}
             for l, x in self.strings[a - 1]:
-                by_len[l] = min(x, by_len.get(l, x))
-            for l, low in by_len.items():
-                if low > spec_vacancy(self.spec, parts, a, l):
-                    return None
-                needed.append((a, l, low))
-        tableaux = bound_tableaux(self.weight, cap)
-        survivors = list(range(len(tableaux)))
-        for a, l, low in needed:
-            col = bound_column(self.weight, a, l)
-            survivors = [k for k in survivors if col[k] <= low]
-            if not survivors:
+                lowest[a, l] = min(x, lowest.get((a, l), x))
+        for (a, l), low in lowest.items():
+            if low > spec_vacancy(self.spec, parts, a, l):
                 return None
-        return tableaux[survivors[0]]
+        tableaux, rows = _witness_bounds(self.weight, lowest, cap)
+        for tableau, row in zip(tableaux, rows):
+            if all(b <= low for b, low in zip(row, lowest.values())):
+                return tableau
+        return None
 
     def is_admissible(self, cap: int = DEFAULT_BOUND_CAP) -> bool:
         return self.admissibility_witness(cap) is not None
@@ -397,15 +399,11 @@ def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
     A profile lists bound(a, l) of one witness tableau for every
     support entry (a, l, multiplicity), in support order.
     """
-    tableaux = None
     for parts in enumerate_configurations(spec, weight):
-        if tableaux is None:
-            # enforces the cap before bound_column reads the tableaux
-            tableaux = bound_tableaux(weight, cap)
         support = _string_support(parts)
         vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
-        cols = [bound_column(weight, a, l) for a, l, _ in support]
-        yield parts, support, vacancies, set(zip(*cols)) if cols else {()}
+        _tableaux, rows = _witness_bounds(weight, [(a, l) for a, l, _ in support], cap)
+        yield parts, support, vacancies, set(rows)
 
 
 def enumerate_rcs(spec: CrystalSpec, weight,
@@ -420,21 +418,17 @@ def enumerate_rcs(spec: CrystalSpec, weight,
     weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
+        # Each multiset of riggings comes out once, in string order, so the
+        # set merges assignments that several profiles share.  A profile
+        # with a bound above its vacancy number has no assignment; skipping
+        # it up front saves building the ranges of its other strings.
         assignments = set()
         for profile in profiles:
-            per_string = []
-            feasible = True
-            for (a, l, m), low, p in zip(support, profile, vacancies):
-                if p < low:
-                    feasible = False
-                    break
-                per_string.append([tuple(sorted(c, reverse=True))
-                                   for c in combinations_with_replacement(
-                                       range(low, p + 1), m)])
-            if not feasible:
-                continue
-            assignments.update(iproduct(*per_string))
-        for assignment in sorted(assignments):
+            if all(low <= p for low, p in zip(profile, vacancies)):
+                assignments.update(iproduct(*[
+                    combinations_with_replacement(range(p, low - 1, -1), m)
+                    for (_a, _l, m), low, p in zip(support, profile, vacancies)]))
+        for assignment in assignments:
             comps: list[list[tuple[int, int]]] = [[] for _ in range(spec.n - 1)]
             for (a, l, _m), riggings in zip(support, assignment):
                 comps[a - 1].extend((l, x) for x in riggings)

@@ -6,6 +6,10 @@ riggings are positive), raising removes a box from the string with the
 smallest negative rigging.  The changed string is re-rigged by an
 absolute shift; every other string keeps its colabel, the gap between
 vacancy number and rigging.
+
+On an admissible configuration, f at a is defined exactly when
+phi_a > 0, and f reads that off the closed form.  e checks that its
+result is admissible, as an internal invariant.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     string is started.  The target gains a box and its rigging drops
     by one more.
     """
-    n = rc.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f'component {a} outside 1..{n - 1}')
+    if phi(rc, a) == 0:
+        return None
     comp = rc.strings[a - 1]
     nonpos = [(x, -l, idx) for idx, (l, x) in enumerate(comp) if x <= 0]
     if nonpos:
@@ -63,12 +66,7 @@ def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     new_weight = list(rc.weight)
     new_weight[a - 1] -= 1
     new_weight[a] += 1
-    if new_weight[a - 1] < 0:
-        return None
-    out = _rebuild(rc, a, sel_index, new_sel, new_weight)
-    if not out.is_admissible():
-        return None
-    return out
+    return _rebuild(rc, a, sel_index, new_sel, new_weight)
 
 
 def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:

@@ -14,7 +14,7 @@ from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import bound_tableaux, empty_rc
-from kostka.rccrystal import e
+from kostka.rccrystal import _rebuild, e
 
 
 def naive_residue(word, i):
@@ -152,6 +152,30 @@ def iterated_epsilon(rc, a):
         count += 1
         current = e(current, a)
     return count
+
+
+def admissible_f(rc, a):
+    """Lowering by building the candidate and testing its admissibility,
+    instead of reading the answer off phi."""
+    n = rc.n
+    if not 1 <= a <= n - 1:
+        raise ValueError(f'component {a} outside 1..{n - 1}')
+    comp = rc.strings[a - 1]
+    nonpos = [(x, -l, idx) for idx, (l, x) in enumerate(comp) if x <= 0]
+    if nonpos:
+        x, neg_l, idx = min(nonpos)
+        sel_index, new_sel = idx, (-neg_l + 1, x - 1)
+    else:
+        sel_index, new_sel = None, (1, -1)
+    new_weight = list(rc.weight)
+    new_weight[a - 1] -= 1
+    new_weight[a] += 1
+    if new_weight[a - 1] < 0:
+        return None
+    out = _rebuild(rc, a, sel_index, new_sel, new_weight)
+    if not out.is_admissible():
+        return None
+    return out
 
 
 def oracle_config_cc(partitions, n):

@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
 from kostka.rc import RiggedConfiguration
@@ -141,6 +144,14 @@ def test_internal_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ''
     assert err.startswith('internal error: extracted letters')
+
+
+def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
+    def broken(path):
+        raise ValueError('broken internal step')
+    monkeypatch.setattr(cli, 'path_to_rc', broken)
+    with pytest.raises(ValueError, match='broken internal step'):
+        main(['map', 'phi', '--spec', write(tmp_path, 'b.json', EXB_PATH_JSON)])
 
 
 def test_map_text_format(tmp_path, capsys):

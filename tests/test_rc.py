@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from kostka.crystal import CrystalSpec
+from kostka.errors import BudgetError
 from kostka.qpoly import QPolynomial
 from kostka.rc import (LowerBoundTableau, RiggedConfiguration, bound_tableaux,
                        column_heights, count_bound_tableaux, empty_rc,
@@ -75,6 +77,22 @@ def test_bound_tableau_validation():
         LowerBoundTableau(((3, 2, 1), (3, 2), (3,)), (0, 1, 1, 1))
 
 
+@given(st.data())
+def test_bound_tableau_rows_decrease_automatically(data):
+    # Column k is any c_k-subset of 1..c_{k-1}; the rows then weakly
+    # decrease without the constructor checking it.
+    n = data.draw(st.integers(2, 5))
+    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    heights = column_heights(weight)
+    columns = []
+    for k in range(1, n):
+        shuffled = data.draw(st.permutations(range(1, heights[k - 1] + 1)))
+        columns.append(tuple(sorted(shuffled[:heights[k]], reverse=True)))
+    tableau = LowerBoundTableau(columns, weight)
+    for row in tableau.rows():
+        assert all(x >= y for x, y in zip(row, row[1:]))
+
+
 def test_witness_set_for_hook_weight():
     ts = bound_tableaux((0, 1, 1, 1))
     assert len(ts) == count_bound_tableaux((0, 1, 1, 1)) == 6
@@ -95,7 +113,7 @@ def test_column_heights():
 
 
 def test_bound_cap_is_enforced():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(BudgetError):
         bound_tableaux((2, 2, 1, 1), cap=3)
 
 

@@ -1,12 +1,15 @@
+from itertools import product
+
 import pytest
 
 from kostka.bijection import path_to_rc
+from kostka.cli import sweep_specs
 from kostka.crystal import CrystalSpec
 from kostka.paths import enumerate_all_paths
 from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
 from kostka.rccrystal import e, epsilon, f, phi
 
-from oracles import iterated_epsilon
+from oracles import admissible_f, iterated_epsilon
 
 SPEC44 = CrystalSpec(4, ((1, 3), (3, 2), (2, 1)))
 RC44 = RiggedConfiguration(SPEC44, (1, 4, 3, 3), (
@@ -119,3 +122,16 @@ def test_operators_match_path_operators():
                     assert e(rc, a) is None
                 else:
                     assert e(rc, a) == path_to_rc(up)
+
+
+def test_lowering_is_defined_exactly_where_the_result_is_admissible():
+    specs = sweep_specs(4, 4) + [CrystalSpec(5, ((2, 1), (1, 2), (1, 1))),
+                                 CrystalSpec(5, ((2, 1), (2, 2)))]
+    for spec in specs:
+        total = spec.total_boxes()
+        for weight in product(range(total + 1), repeat=spec.n):
+            if sum(weight) != total:
+                continue
+            for rc in enumerate_rcs(spec, weight):
+                for a in range(1, spec.n):
+                    assert f(rc, a) == admissible_f(rc, a)

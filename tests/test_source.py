@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kostka
@@ -16,4 +17,21 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(source.read_text(), filename=str(source))
         found += [f'{source.name}:{node.lineno}'
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies.
+    found = []
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f'{source.name}:{node.lineno} {name}' for name in names
+                      if name.split('.')[0] not in sys.stdlib_module_names]
     assert found == []
