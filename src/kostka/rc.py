@@ -224,16 +224,21 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
     return _bound_tableaux(weight)
 
 
-def _witness_bounds(weight: tuple[int, ...], keys, cap: int):
-    """The witness tableaux of a weight, in enumeration order, and an
-    iterator over their rows of bound(a, l) for the (a, l) in keys.
+def _witness_bounds(weight: tuple[int, ...], cap: int):
+    """The witness tableaux of a weight, in enumeration order, and a
+    function taking keys (a, l) to an iterator over the tableaux' rows
+    of bound(a, l) for those keys.
 
     The one reader of the witness set: the cap is applied before any
     bound column is read.
     """
     tableaux = bound_tableaux(weight, cap)
-    cols = [bound_column(weight, a, l) for a, l in keys]
-    return tableaux, zip(*cols) if cols else repeat((), len(tableaux))
+
+    def rows(keys):
+        cols = [bound_column(weight, a, l) for a, l in keys]
+        return zip(*cols) if cols else repeat((), len(tableaux))
+
+    return tableaux, rows
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +317,8 @@ class RiggedConfiguration:
         for (a, l), low in lowest.items():
             if low > spec_vacancy(self.spec, parts, a, l):
                 return None
-        tableaux, rows = _witness_bounds(self.weight, lowest, cap)
-        for tableau, row in zip(tableaux, rows):
+        tableaux, rows = _witness_bounds(self.weight, cap)
+        for tableau, row in zip(tableaux, rows(lowest)):
             if all(b <= low for b, low in zip(row, lowest.values())):
                 return tableau
         return None
@@ -394,16 +399,24 @@ def _string_support(partitions):
 
 def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
     """Per configuration: its partitions, string support, vacancy
-    numbers on the support, and the distinct witness bound profiles.
+    numbers on the support, and the distinct riggable witness profiles.
 
     A profile lists bound(a, l) of one witness tableau for every
-    support entry (a, l, multiplicity), in support order.
+    support entry (a, l, multiplicity), in support order.  It is
+    riggable when no bound exceeds the vacancy number of its entry;
+    every other profile is dropped here.
     """
+    rows = None
     for parts in enumerate_configurations(spec, weight):
+        if rows is None:
+            # The cap is checked once per weight, and only once a
+            # configuration exists to need the witnesses.
+            _tableaux, rows = _witness_bounds(weight, cap)
         support = _string_support(parts)
         vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
-        _tableaux, rows = _witness_bounds(weight, [(a, l) for a, l, _ in support], cap)
-        yield parts, support, vacancies, set(rows)
+        yield parts, support, vacancies, {
+            profile for profile in set(rows([(a, l) for a, l, _ in support]))
+            if all(low <= p for low, p in zip(profile, vacancies))}
 
 
 def enumerate_rcs(spec: CrystalSpec, weight,
@@ -419,15 +432,13 @@ def enumerate_rcs(spec: CrystalSpec, weight,
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
         # Each multiset of riggings comes out once, in string order, so the
-        # set merges assignments that several profiles share.  A profile
-        # with a bound above its vacancy number has no assignment; skipping
-        # it up front saves building the ranges of its other strings.
+        # set merges assignments that several profiles share.  Every
+        # profile is riggable, so each yields at least one assignment.
         assignments = set()
         for profile in profiles:
-            if all(low <= p for low, p in zip(profile, vacancies)):
-                assignments.update(iproduct(*[
-                    combinations_with_replacement(range(p, low - 1, -1), m)
-                    for (_a, _l, m), low, p in zip(support, profile, vacancies)]))
+            assignments.update(iproduct(*[
+                combinations_with_replacement(range(p, low - 1, -1), m)
+                for (_a, _l, m), low, p in zip(support, profile, vacancies)]))
         for assignment in assignments:
             comps: list[list[tuple[int, int]]] = [[] for _ in range(spec.n - 1)]
             for (a, l, _m), riggings in zip(support, assignment):
@@ -455,10 +466,18 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
     which is evaluated by dynamic programming on pointwise maxima:
     processing profiles one at a time, a map from max-vector to signed
     count absorbs each new profile v via D[max(u,v)] -= D[u], D[v] += 1.
+
+    Only riggable profiles (no bound above its vacancy number) enter.
+    This is exact: if a subset holds a profile with some bound low > p,
+    its pointwise maximum keeps a bound above p on that entry, so its
+    term carries the factor qbinom(m, p - low) = 0.  A configuration
+    without a riggable profile contributes nothing.
     """
     weight = tuple(int(x) for x in weight)
     result = QPolynomial.zero()
     for parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
+        if not profiles:
+            continue
         signed: dict[tuple[int, ...], int] = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}
@@ -474,7 +493,5 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
                 count)
             for (a, l, m), low, p in zip(support, bounds, vacancies):
                 term = term * qbinom(m, p - low)
-                if not term:
-                    break
             result = result + term
     return result

@@ -260,6 +260,41 @@ def subset_fermionic(spec, weight):
     return result
 
 
+def unfiltered_fermionic(spec, weight):
+    """The signed max-DP over every distinct witness profile of each
+    configuration, with no riggability filter: a profile with a bound
+    above its vacancy number enters the DP and its terms vanish through
+    qbinom.
+    """
+    weight = tuple(weight)
+    n = spec.n
+    L = oracle_multiplicities(spec)
+    result = QPolynomial.zero()
+    for parts in _configs(spec, weight):
+        triples = _strings_by_length(parts)
+        profiles = {tuple(t.bound(a, length) for a, length, _m in triples)
+                    for t in bound_tableaux(weight)}
+        signed = {}
+        for v in profiles:
+            updates = {v: signed.get(v, 0) + 1}
+            for u, c in signed.items():
+                w = tuple(max(x, y) for x, y in zip(u, v))
+                updates[w] = updates.get(w, signed.get(w, 0)) - c
+            signed.update(updates)
+            signed = {u: c for u, c in signed.items() if c != 0}
+        # The signs of the nonempty subsets of a nonempty set sum to 1.
+        if sum(signed.values()) != 1:
+            raise AssertionError(f'signed counts {signed} do not sum to 1 on {parts}')
+        base = oracle_config_cc(parts, n)
+        for bounds, count in signed.items():
+            term = QPolynomial.monomial(base, count)
+            for (a, length, m), low in zip(triples, bounds):
+                p = oracle_vacancy(parts, L, n, a, length)
+                term = term * qbinom(m, p - low).shift(m * low)
+            result = result + term
+    return result
+
+
 def brute_rcs(spec, weight):
     """Every admissible rigged configuration, by exhaustive filtering."""
     from kostka.rc import RiggedConfiguration

@@ -1,16 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
+from kostka.paths import path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import (LowerBoundTableau, RiggedConfiguration, bound_tableaux,
-                       column_heights, count_bound_tableaux, empty_rc,
-                       enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       multiplicity_array, rc_polynomial, stable_vacancy,
-                       vacancy_number)
+from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
+                       _bound_profiles, bound_tableaux, column_heights,
+                       count_bound_tableaux, empty_rc, enumerate_rcs,
+                       fermionic_polynomial, forced_sizes, multiplicity_array,
+                       rc_polynomial, stable_vacancy, vacancy_number)
 
-from oracles import brute_rcs, subset_fermionic
+from oracles import (brute_rcs, oracle_multiplicities, oracle_vacancy,
+                     subset_fermionic, unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
 SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
@@ -117,6 +120,19 @@ def test_bound_cap_is_enforced():
         bound_tableaux((2, 2, 1, 1), cap=3)
 
 
+@pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
+def test_bound_cap_is_enforced_through_both_consumers(consumer):
+    with pytest.raises(BudgetError, match='bound tableaux exceed the cap of 3'):
+        consumer(SIX_BOXES, (2, 2, 1, 1), cap=3)
+
+
+@pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
+def test_bound_cap_is_lazy_without_configurations(consumer):
+    # Five letters on four boxes: no configuration, 12 witness tableaux.
+    assert count_bound_tableaux((1, 1, 1, 2)) == 12
+    assert not consumer(CrystalSpec(4, ((1, 1),) * 4), (1, 1, 1, 2), cap=1)
+
+
 def test_admissibility_golden():
     assert SIX_RC.is_admissible()
     witness = SIX_RC.admissibility_witness()
@@ -214,6 +230,56 @@ def test_fermionic_matches_literal_subset_sum():
     ]
     for spec, weight in cases:
         assert fermionic_polynomial(spec, weight) == subset_fermionic(spec, weight)
+
+
+def test_bound_profiles_are_the_riggable_ones():
+    # Exactly the distinct profiles with no bound above its vacancy
+    # number: none above it, and none dropped that meets it.
+    meets = 0
+    for spec in sweep_specs(4, 4):
+        if spec.n != 4:
+            continue
+        L = oracle_multiplicities(spec)
+        for weight in _compositions(spec.total_boxes(), 4):
+            tableaux = bound_tableaux(weight)
+            configs = _bound_profiles(spec, weight, DEFAULT_BOUND_CAP)
+            for parts, support, _vac, profiles in configs:
+                vacancies = [oracle_vacancy(parts, L, 4, a, l) for a, l, _m in support]
+                every = {tuple(t.bound(a, l) for a, l, _m in support) for t in tableaux}
+                assert profiles == {v for v in every
+                                    if all(low <= p for low, p in zip(v, vacancies))}
+                meets += sum(any(low == p for low, p in zip(v, vacancies))
+                             for v in profiles)
+    assert meets > 0
+
+
+def test_fermionic_matches_unfiltered_dp():
+    cases = [(spec, weight) for spec in sweep_specs(4, 4)
+             for weight in _compositions(spec.total_boxes(), spec.n)]
+    cases += [
+        (CrystalSpec(5, ((2, 1), (1, 2), (1, 1))), (1, 1, 1, 1, 1)),
+        (CrystalSpec(5, ((2, 1), (1, 2), (1, 1))), (0, 1, 2, 0, 2)),
+        (CrystalSpec(5, ((2, 2), (1, 1), (1, 1))), (2, 1, 1, 1, 1)),
+        (CrystalSpec(5, ((3, 1), (1, 2), (1, 1))), (1, 0, 2, 1, 2)),
+        (CrystalSpec(5, ((2, 2), (2, 1), (1, 1), (1, 1))), (2, 2, 2, 1, 1)),
+        (CrystalSpec(5, ((3, 1), (1, 2), (1, 1), (2, 1))), (1, 2, 2, 1, 2)),
+    ]
+    for spec, weight in cases:
+        assert fermionic_polynomial(spec, weight) == unfiltered_fermionic(spec, weight), \
+            (spec, weight)
+
+
+@pytest.mark.parametrize('spec, weight', [
+    (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
+    (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
+])
+def test_three_methods_agree_at_n5(spec, weight):
+    # Past the rc-poly benchmark catalog: 2,520 witness tableaux, and a
+    # weight that is not a partition.
+    target = path_polynomial(spec, weight)
+    assert target
+    assert fermionic_polynomial(spec, weight) == target
+    assert rc_polynomial(spec, weight) == target
 
 
 def test_fermionic_empty_weight_mismatch():
