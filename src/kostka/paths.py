@@ -15,7 +15,8 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
     """All elements of the tensor product with the given letter counts.
 
     Backtracks over factors left to right, pruning any prefix whose
-    letter usage already exceeds the target weight.
+    letter usage already exceeds the target weight.  Each crystal
+    element is paired with its weight once per call.
     """
     weight = tuple(int(x) for x in weight)
     if len(weight) != spec.n:
@@ -25,19 +26,20 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
     if spec.total_boxes() != sum(weight):
         return []
 
+    weighted = {shape: [(t, t.weight()) for t in enumerate_crystal(*shape, spec.n)]
+                for shape in set(spec.factors)}
+    factors = [weighted[shape] for shape in spec.factors]
     out: list[Path] = []
     chosen = []
 
     def extend(idx, remaining):
-        if idx == len(spec.factors):
+        if idx == len(factors):
             out.append(Path(spec, tuple(chosen)))
             return
-        r, s = spec.factors[idx]
-        for t in enumerate_crystal(r, s, spec.n):
-            w = t.weight()
-            if all(w[a] <= remaining[a] for a in range(spec.n)):
+        for t, w in factors[idx]:
+            if all(x <= y for x, y in zip(w, remaining)):
                 chosen.append(t)
-                extend(idx + 1, tuple(remaining[a] - w[a] for a in range(spec.n)))
+                extend(idx + 1, tuple([y - x for x, y in zip(w, remaining)]))
                 chosen.pop()
 
     extend(0, weight)

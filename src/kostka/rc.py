@@ -52,11 +52,8 @@ def forced_sizes(L: dict[tuple[int, int], int], weight, n: int) -> list[int]:
     Entry a-1 holds sum(weight[a:]) minus the boxes the factors place
     above level a.
     """
-    sizes = []
-    for a in range(1, n):
-        used = sum(cnt * i * max(b - a, 0) for (b, i), cnt in L.items())
-        sizes.append(sum(weight[a:]) - used)
-    return sizes
+    return [sum(weight[a:]) - sum([cnt * i * (b - a) for (b, i), cnt in L.items() if b > a])
+            for a in range(1, n)]
 
 
 def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i: int) -> int:
@@ -305,10 +302,7 @@ class RiggedConfiguration:
         or no single tableau bounds all riggings from below.
         """
         parts = self.partitions
-        if sum(self.weight) != self.spec.total_boxes():
-            return None
-        sizes = forced_sizes(self.multiplicities(), self.weight, self.n)
-        if [sum(p) for p in parts] != sizes:
+        if [sum(p) for p in parts] != _config_sizes(self.spec, self.weight):
             return None
         lowest: dict[tuple[int, int], int] = {}
         for a in range(1, self.n):
@@ -356,64 +350,136 @@ def empty_rc(n: int) -> RiggedConfiguration:
 # ---------------------------------------------------------------------------
 
 def _partitions_of(total: int):
-    """All partitions of total as weakly decreasing tuples."""
-    if total == 0:
-        yield ()
-        return
+    """All partitions of total, in decreasing lexicographic order.
 
+    Each comes as (parts, groups): the weakly decreasing parts, and the
+    pairs (length, multiplicity) of its distinct parts, longest first.
+    """
     def rec(remaining, largest):
         if remaining == 0:
-            yield ()
+            yield (), ()
             return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
+        for l in range(min(remaining, largest), 0, -1):
+            for m in range(remaining // l, 0, -1):
+                for parts, groups in rec(remaining - m * l, l - 1):
+                    yield (l,) * m + parts, ((l, m),) + groups
 
     yield from rec(total, total)
 
 
-def enumerate_configurations(spec: CrystalSpec, weight):
-    """All component-partition tuples satisfying the size constraints."""
-    weight = tuple(int(x) for x in weight)
-    L = multiplicity_array(spec)
+def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...]):
+    """forced_sizes of the weight, or None when no configuration has them."""
     if sum(weight) != spec.total_boxes():
-        return
-    sizes = forced_sizes(L, weight, spec.n)
-    if any(sz < 0 for sz in sizes):
-        return
-    for combo in iproduct(*[list(_partitions_of(sz)) for sz in sizes]):
-        yield combo
+        return None
+    sizes = forced_sizes(multiplicity_array(spec), weight, spec.n)
+    return None if any(sz < 0 for sz in sizes) else sizes
 
 
-def _string_support(partitions):
-    """Sorted (component, length) pairs with their multiplicities."""
-    support = []
-    for a, parts in enumerate(partitions, start=1):
-        seen: dict[int, int] = {}
-        for p in parts:
-            seen[p] = seen.get(p, 0) + 1
-        for length in sorted(seen, reverse=True):
-            support.append((a, length, seen[length]))
-    return support
+def _witness_floor(heights, a: int, l: int) -> int:
+    """min(t.bound(a, l)) over the witness tableaux t of a weight, read
+    off its column_heights.
+
+    The columns are independent: column a holds at most min(l, c_a)
+    entries <= l, and column a+1, a c_{a+1}-subset of 1..c_a, at least
+    c_{a+1} - max(c_a - l, 0) of them.
+    """
+    below = heights[a + 1] if a + 1 < len(heights) else 0
+    return max(0, below - max(heights[a] - l, 0)) - min(l, heights[a])
+
+
+def enumerate_configurations(spec: CrystalSpec, weight):
+    """The configurations that clear the witness floor, each with its
+    string support and vacancy numbers.
+
+    Yields (partitions, support, vacancies): support lists the triples
+    (a, l, multiplicity) of each component in turn, lengths decreasing,
+    and vacancies the vacancy number of each triple.  Configurations
+    come in the order of the product of the component partitions, each
+    in decreasing lexicographic order.
+
+    Components are chosen nu^(1), nu^(2), ... in order.  The vacancy
+    numbers of component a depend only on nu^(a-1), nu^(a) and
+    nu^(a+1), so they are final once nu^(a+1) is chosen; the prefix is
+    dropped there if one of them lies below its floor, the least
+    bound(a, l) over all witness tableaux (_witness_floor).  The floor is
+    exact, so p >= floor is the sharpest necessary condition on a single
+    entry: a dropped prefix extends to no configuration with a riggable
+    profile, and none of its extensions is built.  It is not sufficient,
+    since one tableau must serve every entry at once.  A prefix is also
+    dropped early when even the largest overlap nu^(a+1) can add leaves
+    a vacancy number below its floor.
+    """
+    weight = tuple(int(x) for x in weight)
+    sizes = _config_sizes(spec, weight)
+    if sizes is None:
+        return
+    L = multiplicity_array(spec)
+    heights = column_heights(weight)
+    # Each surviving prefix nu^(1..k) with the support entries and vacancy
+    # numbers of nu^(1..k-1), and the entries of nu^(k) with their
+    # floors and their vacancy numbers short of the overlap with nu^(k+1).
+    level = [((), [], [])]
+    for a, size in enumerate(sizes, start=1):
+        # The overlap of nu^(a+1) with any length is at most its size.
+        room = sizes[a] if a < len(sizes) else 0
+        widths = [(j, cnt) for (b, j), cnt in L.items() if b == a]
+        options = []
+        for parts, groups in _partitions_of(size):
+            entries = []
+            count = covered = 0         # parts of length >= l, and their sum
+            for l, m in groups:
+                count += m
+                covered += l * m
+                # The factors' term less twice the overlap of nu^(a) with l.
+                own = -2 * (l * count + size - covered)
+                for j, cnt in widths:
+                    own += cnt * min(l, j)
+                entries.append(((a, l, m), own, _witness_floor(heights, a, l)))
+            options.append((parts, entries))
+        extended = []
+        for prefix, finished, pending in level:
+            left = prefix[-1] if prefix else ()
+            for parts, entries in options:
+                done = []
+                for key, partial, floor in pending:
+                    p = partial + sum([min(key[1], x) for x in parts])
+                    if p < floor:
+                        break
+                    done.append((key, p))
+                else:
+                    started = []
+                    for key, own, floor in entries:
+                        partial = own + sum([min(key[1], x) for x in left])
+                        if partial + room < floor:
+                            break
+                        started.append((key, partial, floor))
+                    else:
+                        extended.append((prefix + (parts,), finished + done, started))
+        level = extended
+    for prefix, finished, pending in level:
+        finished += [(key, partial) for key, partial, _floor in pending]
+        yield prefix, [key for key, _p in finished], [p for _key, p in finished]
 
 
 def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
-    """Per configuration: its partitions, string support, vacancy
-    numbers on the support, and the distinct riggable witness profiles.
+    """Per configuration of enumerate_configurations: its partitions,
+    string support, vacancy numbers on the support, and the distinct
+    riggable witness profiles.
 
     A profile lists bound(a, l) of one witness tableau for every
     support entry (a, l, multiplicity), in support order.  It is
     riggable when no bound exceeds the vacancy number of its entry;
-    every other profile is dropped here.
+    every other profile is dropped here.  Configurations with an entry
+    below its witness floor are never built, so they have no profile
+    set; one that clears every floor may still have an empty one.
+
+    The witness cap is checked once per weight, as soon as the sizes
+    admit a configuration, even if every configuration is then pruned.
     """
-    rows = None
-    for parts in enumerate_configurations(spec, weight):
-        if rows is None:
-            # The cap is checked once per weight, and only once a
-            # configuration exists to need the witnesses.
-            _tableaux, rows = _witness_bounds(weight, cap)
-        support = _string_support(parts)
-        vacancies = [spec_vacancy(spec, parts, a, l) for a, l, _ in support]
+    if _config_sizes(spec, weight) is None:
+        return
+    _tableaux, rows = _witness_bounds(weight, cap)
+    for parts, support, vacancies in enumerate_configurations(spec, weight):
         yield parts, support, vacancies, {
             profile for profile in set(rows([(a, l) for a, l, _ in support]))
             if all(low <= p for low, p in zip(profile, vacancies))}
@@ -426,7 +492,9 @@ def enumerate_rcs(spec: CrystalSpec, weight,
     For each configuration, rigging assignments are enumerated per
     witness tableau inside the box [bound, vacancy] and deduplicated
     across tableaux (distinct tableaux often induce the same bounds, so
-    duplicate bound profiles are skipped outright).
+    duplicate bound profiles are skipped outright).  Configurations
+    with a vacancy number below its witness floor, and every extension
+    of such a prefix, are never built: they admit no rigging.
     """
     weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
@@ -471,7 +539,10 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
     This is exact: if a subset holds a profile with some bound low > p,
     its pointwise maximum keeps a bound above p on that entry, so its
     term carries the factor qbinom(m, p - low) = 0.  A configuration
-    without a riggable profile contributes nothing.
+    without a riggable profile contributes nothing, and one with a
+    vacancy number below the least bound over all witness tableaux has
+    none: such configurations, and every extension of such a prefix,
+    are never built.
     """
     weight = tuple(int(x) for x in weight)
     result = QPolynomial.zero()

@@ -216,7 +216,9 @@ def oracle_sizes(spec, weight):
     return sizes
 
 
-def _configs(spec, weight):
+def full_configurations(spec, weight):
+    """Every tuple of component partitions of the forced sizes: the
+    full product, with no pruning."""
     if sum(weight) != spec.total_boxes():
         return
     sizes = oracle_sizes(spec, weight)
@@ -225,7 +227,7 @@ def _configs(spec, weight):
     yield from iproduct(*[list(partitions_of(sz)) for sz in sizes])
 
 
-def _strings_by_length(parts):
+def strings_by_length(parts):
     """(component, length, multiplicity) triples for one configuration."""
     out = []
     for a, comp in enumerate(parts, start=1):
@@ -250,9 +252,9 @@ def subset_fermionic(spec, weight):
     for size in range(1, len(tableaux) + 1):
         sign = 1 if size % 2 == 1 else -1
         for subset in combinations(tableaux, size):
-            for parts in _configs(spec, weight):
+            for parts in full_configurations(spec, weight):
                 term = QPolynomial.monomial(oracle_config_cc(parts, n))
-                for a, length, m in _strings_by_length(parts):
+                for a, length, m in strings_by_length(parts):
                     low = max(t.bound(a, length) for t in subset)
                     p = oracle_vacancy(parts, L, n, a, length)
                     term = term * qbinom(m, p - low).shift(m * low)
@@ -270,8 +272,8 @@ def unfiltered_fermionic(spec, weight):
     n = spec.n
     L = oracle_multiplicities(spec)
     result = QPolynomial.zero()
-    for parts in _configs(spec, weight):
-        triples = _strings_by_length(parts)
+    for parts in full_configurations(spec, weight):
+        triples = strings_by_length(parts)
         profiles = {tuple(t.bound(a, length) for a, length, _m in triples)
                     for t in bound_tableaux(weight)}
         signed = {}
@@ -304,8 +306,8 @@ def brute_rcs(spec, weight):
     L = oracle_multiplicities(spec)
     tableaux = bound_tableaux(weight)
     found = set()
-    for parts in _configs(spec, weight):
-        triples = _strings_by_length(parts)
+    for parts in full_configurations(spec, weight):
+        triples = strings_by_length(parts)
         ranges = []
         feasible = True
         for a, length, m in triples:

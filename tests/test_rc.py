@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
@@ -7,13 +7,14 @@ from kostka.errors import BudgetError
 from kostka.paths import path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _bound_profiles, bound_tableaux, column_heights,
-                       count_bound_tableaux, empty_rc, enumerate_rcs,
-                       fermionic_polynomial, forced_sizes, multiplicity_array,
-                       rc_polynomial, stable_vacancy, vacancy_number)
+                       _bound_profiles, _witness_floor, bound_tableaux, column_heights,
+                       count_bound_tableaux, empty_rc, enumerate_configurations,
+                       enumerate_rcs, fermionic_polynomial, forced_sizes,
+                       multiplicity_array, rc_polynomial, stable_vacancy, vacancy_number)
 
-from oracles import (brute_rcs, oracle_multiplicities, oracle_vacancy,
-                     subset_fermionic, unfiltered_fermionic)
+from oracles import (brute_rcs, full_configurations, oracle_multiplicities,
+                     oracle_vacancy, strings_by_length, subset_fermionic,
+                     unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
 SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
@@ -131,6 +132,29 @@ def test_bound_cap_is_lazy_without_configurations(consumer):
     # Five letters on four boxes: no configuration, 12 witness tableaux.
     assert count_bound_tableaux((1, 1, 1, 2)) == 12
     assert not consumer(CrystalSpec(4, ((1, 1),) * 4), (1, 1, 1, 2), cap=1)
+
+
+@pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
+def test_bound_cap_is_enforced_when_every_configuration_is_pruned(consumer):
+    # Six configurations have the forced sizes, none clears the witness
+    # floor, and the weight has four witness tableaux.
+    spec, weight = CrystalSpec(3, ((2, 2),)), (0, 1, 3)
+    assert count_bound_tableaux(weight) == 4
+    assert len(list(full_configurations(spec, weight))) == 6
+    assert not list(enumerate_configurations(spec, weight))
+    with pytest.raises(BudgetError, match='bound tableaux exceed the cap of 1'):
+        consumer(spec, weight, cap=1)
+
+
+@given(st.data())
+def test_witness_floor_is_the_least_bound(data):
+    n = data.draw(st.integers(2, 5))
+    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    assume(count_bound_tableaux(weight) <= 2000)
+    heights = column_heights(weight)
+    a = data.draw(st.integers(1, n - 1))
+    l = data.draw(st.integers(1, heights[1] + 1))
+    assert _witness_floor(heights, a, l) == min(t.bound(a, l) for t in bound_tableaux(weight))
 
 
 def test_admissibility_golden():
@@ -253,6 +277,42 @@ def test_bound_profiles_are_the_riggable_ones():
     assert meets > 0
 
 
+N5_SPECS = [
+    (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
+    (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
+]
+
+
+def test_pruned_enumeration_keeps_every_riggable_configuration():
+    # The configurations with a riggable profile, with their supports
+    # and vacancy numbers, are those of the full product where some
+    # witness tableau bounds no entry above its vacancy number.
+    cases = [(spec, weight) for spec in sweep_specs(4, 4)
+             for weight in _compositions(spec.total_boxes(), spec.n)] + N5_SPECS
+    kept = 0
+    for spec, weight in cases:
+        L = oracle_multiplicities(spec)
+        tableaux = bound_tableaux(weight)
+        bounds = {}
+        expected = []
+        for parts in full_configurations(spec, weight):
+            support = strings_by_length(parts)
+            vacancies = [oracle_vacancy(parts, L, spec.n, a, l) for a, l, _m in support]
+            for a, l, _m in support:
+                if (a, l) not in bounds:
+                    bounds[a, l] = [t.bound(a, l) for t in tableaux]
+            cols = [bounds[a, l] for a, l, _m in support]
+            profiles = set(zip(*cols)) if cols else {()}
+            if any(all(low <= p for low, p in zip(v, vacancies)) for v in profiles):
+                expected.append((parts, support, vacancies))
+        found = [(parts, list(support), list(vacancies))
+                 for parts, support, vacancies, profiles
+                 in _bound_profiles(spec, weight, DEFAULT_BOUND_CAP) if profiles]
+        assert found == expected, (spec, weight)
+        kept += len(found)
+    assert kept > 0
+
+
 def test_fermionic_matches_unfiltered_dp():
     cases = [(spec, weight) for spec in sweep_specs(4, 4)
              for weight in _compositions(spec.total_boxes(), spec.n)]
@@ -269,15 +329,21 @@ def test_fermionic_matches_unfiltered_dp():
             (spec, weight)
 
 
-@pytest.mark.parametrize('spec, weight', [
-    (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
-    (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
-])
+@pytest.mark.parametrize('spec, weight', N5_SPECS)
 def test_three_methods_agree_at_n5(spec, weight):
     # Past the rc-poly benchmark catalog: 2,520 witness tableaux, and a
     # weight that is not a partition.
     target = path_polynomial(spec, weight)
     assert target
+    assert fermionic_polynomial(spec, weight) == target
+    assert rc_polynomial(spec, weight) == target
+
+
+def test_three_methods_agree_at_n6():
+    # Rectangles with r, s >= 2 at n = 6, and 113,400 witness tableaux.
+    spec, weight = CrystalSpec(6, ((3, 2), (3, 2), (1, 1))), (3, 2, 2, 2, 2, 2)
+    target = path_polynomial(spec, weight)
+    assert target(1) == 935
     assert fermionic_polynomial(spec, weight) == target
     assert rc_polynomial(spec, weight) == target
 
