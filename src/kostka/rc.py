@@ -14,27 +14,18 @@ enumeration and the alternating bound-tableau sum.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import (combinations, combinations_with_replacement,
-                       product as iproduct, repeat)
+from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
 from .crystal import CrystalSpec
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
-
-
-def cartan(a: int, b: int) -> int:
-    """Type A Cartan pairing of simple roots: 2, -1 adjacent, else 0."""
-    if a == b:
-        return 2
-    if abs(a - b) == 1:
-        return -1
-    return 0
 
 
 @cache
@@ -67,9 +58,9 @@ def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i:
     if i < 1:
         raise ValueError('part length must be positive')
     total = sum(cnt * min(i, j) for (b, j), cnt in L.items() if b == a)
-    for b in (a - 1, a, a + 1):
+    # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
+    for b, pairing in ((a - 1, -1), (a, 2), (a + 1, -1)):
         if 1 <= b <= n - 1:
-            pairing = cartan(a, b)
             total -= pairing * sum(min(i, part) for part in partitions[b - 1])
     return total
 
@@ -87,39 +78,30 @@ def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
 def stable_vacancy(partitions, L: dict[tuple[int, int], int], n: int, a: int) -> int:
     """Vacancy number of component a for part lengths beyond every part
     and every factor width (the large-length limit)."""
-    horizon = 1
-    for b in (a - 1, a, a + 1):
-        if 1 <= b <= n - 1:
-            for part in partitions[b - 1]:
-                horizon = max(horizon, part)
-    for (b, j) in L:
-        if b == a:
-            horizon = max(horizon, j)
+    horizon = max([1, *(j for _b, j in L), *(x for parts in partitions for x in parts)])
     return vacancy_number(partitions, L, n, a, horizon)
 
 
-def _config_cocharge(partitions, n: int) -> int:
-    """Cocharge of the unrigged configuration: half the Cartan-paired
-    overlap sum of all component pairs."""
-    double = 0
-    for a in range(1, n):
-        for b in range(1, n):
-            pairing = cartan(a, b)
-            if pairing == 0:
-                continue
-            double += pairing * sum(min(x, y)
-                                    for x in partitions[a - 1] for y in partitions[b - 1])
-    if double % 2:
-        raise InvariantError(f'odd doubled cocharge {double} on {partitions}')
-    return double // 2
+def _overlap(lam, kappa) -> int:
+    """Q(lam, kappa): the sum of min(x, y) over parts x of lam, y of kappa."""
+    return sum(min(x, y) for x in lam for y in kappa)
+
+
+def _config_cocharge(partitions) -> int:
+    """Cocharge of the unrigged configuration: the sum over a of
+    Q(nu^a, nu^a) less that of Q(nu^a, nu^(a+1))."""
+    return (sum(_overlap(p, p) for p in partitions)
+            - sum(_overlap(p, q) for p, q in zip(partitions, partitions[1:])))
 
 
 # ---------------------------------------------------------------------------
 # witness tableaux for the rigging lower bounds
 #
 # The witness set is the free product of its columns: column k ranges
-# over every c_k-subset of 1..c_{k-1}, independently of the others.
-# _witness_bounds is its one capped reader.
+# over every c_k-subset of 1..c_{k-1}, independently of the others, and
+# bound(a, l) reads columns a and a+1 only.  No computation builds the
+# set: _riggable_rows walks it column by column, and bound_tableaux
+# lists it for display and for the tests.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -167,12 +149,8 @@ class LowerBoundTableau:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         height = len(self.columns[0]) if self.columns else 0
-        out = []
-        for j in range(height):
-            row = tuple(col[j] for col in self.columns if j < len(col))
-            if row:
-                out.append(row)
-        return tuple(out)
+        return tuple(tuple(col[j] for col in self.columns if j < len(col))
+                     for j in range(height))
 
 
 def column_heights(weight) -> list[int]:
@@ -190,8 +168,22 @@ def count_bound_tableaux(weight) -> int:
     return total
 
 
-@cache
-def _bound_tableaux(weight: tuple[int, ...]) -> tuple[LowerBoundTableau, ...]:
+def _check_cap(weight: tuple[int, ...], cap: int) -> None:
+    """Refuse a weight with more than cap witness tableaux; the count is
+    a product of binomials and explodes quickly."""
+    count = count_bound_tableaux(weight)
+    if count > cap:
+        raise BudgetError(
+            f'{count} bound tableaux exceed the cap of {cap}; '
+            f'raise the cap explicitly to proceed')
+
+
+def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
+    """The full witness set for a weight, at most cap tableaux, in a
+    fixed order: the columns in decreasing lexicographic order, the
+    first column varying slowest."""
+    weight = tuple(int(x) for x in weight)
+    _check_cap(weight, cap)
     # Subsets of a decreasing range come out decreasing, in decreasing
     # lexicographic order.
     heights = column_heights(weight)
@@ -201,41 +193,54 @@ def _bound_tableaux(weight: tuple[int, ...]) -> tuple[LowerBoundTableau, ...]:
 
 
 @cache
-def bound_column(weight: tuple[int, ...], a: int, i: int) -> tuple[int, ...]:
-    """bound(a, i) across all witness tableaux, in enumeration order."""
-    return tuple(t.bound(a, i) for t in _bound_tableaux(weight))
+def _column_counts(top: int, height: int, finishing: tuple[int, ...],
+                   starting: tuple[int, ...]) -> tuple:
+    """How one witness column, a height-subset col of 1..top, enters
+    the bounds: pairs of its counts #{x in col : x <= l} at the
+    finishing lengths and the distinct negated counts at the starting
+    lengths that go with them, over every such col."""
+    out: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for col in combinations(range(1, top + 1), height):
+        added = tuple(bisect_right(col, l) for l in finishing)
+        out.setdefault(added, set()).add(tuple(-bisect_right(col, l) for l in starting))
+    return tuple((added, tuple(starts)) for added, starts in out.items())
 
 
-def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
-    """The full witness set for a weight, in a fixed order.
+def _riggable_rows(heights, keys, limits) -> set[tuple[int, ...]]:
+    """The distinct rows (bound(a, l) for (a, l) in keys) of the witness
+    tableaux that lie at or below limits, entry by entry.
 
-    Refuses to materialize more than cap tableaux; the count is a
-    product of binomials and explodes quickly.
+    heights is the weight's column_heights, and keys come grouped by
+    component in increasing order.  Column k adds to the entries of
+    components k-1 and k only, so the walk over k = 1, ..., n keeps the
+    distinct partial rows: the final entries of the components below
+    k-1 and the pending entries of component k-1.  Column k makes the
+    entries of component k-1 final (column n is empty), and a partial
+    row is dropped as soon as one of them exceeds its limit.
     """
-    weight = tuple(int(x) for x in weight)
-    count = count_bound_tableaux(weight)
-    if count > cap:
-        raise BudgetError(
-            f'{count} bound tableaux exceed the cap of {cap}; '
-            f'raise the cap explicitly to proceed')
-    return _bound_tableaux(weight)
-
-
-def _witness_bounds(weight: tuple[int, ...], cap: int):
-    """The witness tableaux of a weight, in enumeration order, and a
-    function taking keys (a, l) to an iterator over the tableaux' rows
-    of bound(a, l) for those keys.
-
-    The one reader of the witness set: the cap is applied before any
-    bound column is read.
-    """
-    tableaux = bound_tableaux(weight, cap)
-
-    def rows(keys):
-        cols = [bound_column(weight, a, l) for a, l in keys]
-        return zip(*cols) if cols else repeat((), len(tableaux))
-
-    return tableaux, rows
+    n = len(heights)
+    by_component: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (a, l), limit in zip(keys, limits):
+        by_component[a].append((l, limit))
+    partial = {((), ())}
+    for k in range(1, n + 1):
+        finishing = by_component[k - 1]
+        counts = _column_counts(heights[k - 1], heights[k] if k < n else 0,
+                                tuple(l for l, _ in finishing),
+                                tuple(l for l, _ in by_component[k]))
+        grown = set()
+        for done, pending in partial:
+            for added, starts in counts:
+                final = []
+                for p, c, (_l, limit) in zip(pending, added, finishing):
+                    if p + c > limit:
+                        break
+                    final.append(p + c)
+                else:
+                    row = done + tuple(final)
+                    grown.update((row, start) for start in starts)
+        partial = grown
+    return {row for row, _pending in partial}
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +296,24 @@ class RiggedConfiguration:
         return stable_vacancy(self.partitions, self.multiplicities(), self.n, a)
 
     def cocharge(self) -> int:
-        return (_config_cocharge(self.partitions, self.n)
+        return (_config_cocharge(self.partitions)
                 + sum(x for comp in self.strings for _, x in comp))
 
-    def admissibility_witness(self, cap: int = DEFAULT_BOUND_CAP):
-        """A witness tableau validating every rigging, or None.
-
-        The witness is the first that fits, in enumeration order.  None
-        means the sizes are wrong, a rigging exceeds its vacancy number,
-        or no single tableau bounds all riggings from below.
-        """
+    def is_admissible(self, cap: int = DEFAULT_BOUND_CAP) -> bool:
+        """Whether the sizes are forced, no rigging exceeds its vacancy
+        number, and one witness tableau bounds every rigging from below."""
         parts = self.partitions
         if [sum(p) for p in parts] != _config_sizes(self.spec, self.weight):
-            return None
+            return False
         lowest: dict[tuple[int, int], int] = {}
         for a in range(1, self.n):
+            # The strings of one length come by decreasing rigging.
             for l, x in self.strings[a - 1]:
-                lowest[a, l] = min(x, lowest.get((a, l), x))
-        for (a, l), low in lowest.items():
-            if low > spec_vacancy(self.spec, parts, a, l):
-                return None
-        tableaux, rows = _witness_bounds(self.weight, cap)
-        for tableau, row in zip(tableaux, rows(lowest)):
-            if all(b <= low for b, low in zip(row, lowest.values())):
-                return tableau
-        return None
-
-    def is_admissible(self, cap: int = DEFAULT_BOUND_CAP) -> bool:
-        return self.admissibility_witness(cap) is not None
+                if (a, l) not in lowest and x > spec_vacancy(self.spec, parts, a, l):
+                    return False
+                lowest[a, l] = x
+        _check_cap(self.weight, cap)
+        return bool(_riggable_rows(column_heights(self.weight), lowest, lowest.values()))
 
     def to_json(self) -> dict:
         return {
@@ -469,32 +464,34 @@ def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
     A profile lists bound(a, l) of one witness tableau for every
     support entry (a, l, multiplicity), in support order.  It is
     riggable when no bound exceeds the vacancy number of its entry;
-    every other profile is dropped here.  Configurations with an entry
-    below its witness floor are never built, so they have no profile
-    set; one that clears every floor may still have an empty one.
+    _riggable_rows reads only those, column by column.  Configurations
+    with an entry below its witness floor are never built, so they have
+    no profile set; one that clears every floor may still have an empty
+    one.
 
     The witness cap is checked once per weight, as soon as the sizes
     admit a configuration, even if every configuration is then pruned.
     """
     if _config_sizes(spec, weight) is None:
         return
-    _tableaux, rows = _witness_bounds(weight, cap)
+    _check_cap(weight, cap)
+    heights = column_heights(weight)
     for parts, support, vacancies in enumerate_configurations(spec, weight):
-        yield parts, support, vacancies, {
-            profile for profile in set(rows([(a, l) for a, l, _ in support]))
-            if all(low <= p for low, p in zip(profile, vacancies))}
+        yield parts, support, vacancies, _riggable_rows(
+            heights, [(a, l) for a, l, _m in support], vacancies)
 
 
 def enumerate_rcs(spec: CrystalSpec, weight,
                   cap: int = DEFAULT_BOUND_CAP) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
 
-    For each configuration, rigging assignments are enumerated per
-    witness tableau inside the box [bound, vacancy] and deduplicated
-    across tableaux (distinct tableaux often induce the same bounds, so
-    duplicate bound profiles are skipped outright).  Configurations
-    with a vacancy number below its witness floor, and every extension
-    of such a prefix, are never built: they admit no rigging.
+    For each configuration, rigging assignments are enumerated inside
+    the box [bound, vacancy] of each of its distinct riggable witness
+    profiles (_bound_profiles), and deduplicated across profiles.  No
+    witness tableau is built: the profiles come from the column walk of
+    _riggable_rows.  Configurations with a vacancy number below its
+    witness floor, and every extension of such a prefix, are never
+    built: they admit no rigging.
     """
     weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
@@ -557,7 +554,7 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
                 updates[w] = updates.get(w, signed.get(w, 0)) - c
             signed.update(updates)
             signed = {u: c for u, c in signed.items() if c != 0}
-        base = _config_cocharge(parts, spec.n)
+        base = _config_cocharge(parts)
         for bounds, count in signed.items():
             term = QPolynomial.monomial(
                 base + sum(m * low for (_a, _l, m), low in zip(support, bounds)),

@@ -15,7 +15,7 @@ result is admissible, as an internal invariant.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .rc import RiggedConfiguration, spec_vacancy, stable_vacancy
+from .rc import RiggedConfiguration, spec_vacancy
 
 
 def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
@@ -99,20 +99,20 @@ def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
 def phi(rc: RiggedConfiguration, a: int) -> int:
     """Number of lowering steps available on component a.
 
-    Closed form: the limiting vacancy number of the component minus
-    the smallest nonpositive rigging (zero when all are positive).
+    Closed form: the weight gap mu_a - mu_{a+1} (the vacancy number of
+    the component at large lengths, the sizes being forced) plus
+    epsilon.
     """
-    n = rc.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f'component {a} outside 1..{n - 1}')
-    riggings = [x for _, x in rc.strings[a - 1]]
-    smallest = min(0, min(riggings, default=0))
-    return stable_vacancy(rc.partitions, rc.multiplicities(), n, a) - smallest
+    return epsilon(rc, a) + rc.weight[a - 1] - rc.weight[a]
 
 
 def epsilon(rc: RiggedConfiguration, a: int) -> int:
     """Number of raising steps available on component a.
 
-    Closed form: phi minus the weight gap mu_a - mu_{a+1}.
+    Closed form: minus the smallest rigging of the component, zero when
+    none is negative.
     """
-    return phi(rc, a) - (rc.weight[a - 1] - rc.weight[a])
+    n = rc.n
+    if not 1 <= a <= n - 1:
+        raise ValueError(f'component {a} outside 1..{n - 1}')
+    return -min(0, min((x for _, x in rc.strings[a - 1]), default=0))

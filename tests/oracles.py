@@ -6,14 +6,16 @@ by the two-factor recursion, the correspondence by its defining
 recursion, and the alternating sum literally over witness subsets.
 """
 
+from functools import cache
 from itertools import combinations, product as iproduct
 
 from kostka.bijection import (insert_letter, merge_box_rc, merge_column_rc,
                               peel_box, peel_column, pop_letter)
+from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
-from kostka.rc import bound_tableaux, empty_rc
+from kostka.rc import bound_tableaux, empty_rc, enumerate_rcs
 from kostka.rccrystal import _rebuild, e
 
 
@@ -176,6 +178,37 @@ def admissible_f(rc, a):
     if not out.is_admissible():
         return None
     return out
+
+
+@cache
+def _witnesses(weight):
+    return bound_tableaux(weight)
+
+
+@cache
+def _fit_mask(weight, a, l, x):
+    """Bit i set when the i-th witness tableau has bound(a, l) <= x."""
+    return sum(1 << i for i, t in enumerate(_witnesses(weight)) if t.bound(a, l) <= x)
+
+
+def first_witness(rc):
+    """The first witness tableau, in enumeration order, that bounds every
+    rigging from below, or None: every tableau of the witness set is
+    tested on every string, after the size and vacancy checks."""
+    spec, weight, n = rc.spec, rc.weight, rc.n
+    if sum(weight) != spec.total_boxes() or \
+            [sum(p) for p in rc.partitions] != oracle_sizes(spec, weight):
+        return None
+    L = oracle_multiplicities(spec)
+    strings = [(a, l, x) for a in range(1, n) for l, x in rc.strings[a - 1]]
+    vacancies = {(a, l): oracle_vacancy(rc.partitions, L, n, a, l) for a, l, _x in strings}
+    if any(x > vacancies[a, l] for a, l, x in strings):
+        return None
+    tableaux = _witnesses(weight)
+    fits = (1 << len(tableaux)) - 1
+    for a, l, x in strings:
+        fits &= _fit_mask(weight, a, l, x)
+    return tableaux[(fits & -fits).bit_length() - 1] if fits else None
 
 
 def oracle_config_cc(partitions, n):
@@ -359,3 +392,18 @@ def oracle_tail_energy(path):
             left_idx = k - (m + 1)
             total += local_energy(work[left_idx], work[left_idx + 1])
     return total
+
+
+# ---------------------------------------------------------------------------
+# shared case lists
+# ---------------------------------------------------------------------------
+
+@cache
+def sweep_rcs():
+    """Every rigged configuration of every composition weight of
+    sweep_specs(4, 4), (2,1)(1,2)(1,1) and (2,1)(2,2) at n = 5."""
+    specs = sweep_specs(4, 4) + [CrystalSpec(5, ((2, 1), (1, 2), (1, 1))),
+                                 CrystalSpec(5, ((2, 1), (2, 2)))]
+    return tuple(rc for spec in specs
+                 for weight in _compositions(spec.total_boxes(), spec.n)
+                 for rc in enumerate_rcs(spec, weight))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -7,13 +9,15 @@ from kostka.errors import BudgetError
 from kostka.paths import path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _bound_profiles, _witness_floor, bound_tableaux, column_heights,
-                       count_bound_tableaux, empty_rc, enumerate_configurations,
-                       enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       multiplicity_array, rc_polynomial, stable_vacancy, vacancy_number)
+                       _bound_profiles, _riggable_rows, _witness_floor, bound_tableaux,
+                       column_heights, count_bound_tableaux, empty_rc,
+                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
+                       forced_sizes, multiplicity_array, rc_polynomial, stable_vacancy,
+                       vacancy_number)
 
-from oracles import (brute_rcs, full_configurations, oracle_multiplicities,
-                     oracle_vacancy, strings_by_length, subset_fermionic,
+from oracles import (brute_rcs, first_witness, full_configurations, oracle_config_cc,
+                     oracle_multiplicities, oracle_vacancy, partitions_of,
+                     strings_by_length, subset_fermionic, sweep_rcs,
                      unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
@@ -57,6 +61,20 @@ def test_stable_vacancy_is_the_limit():
         limit = stable_vacancy(parts, L, 4, a)
         assert limit == vacancy_number(parts, L, 4, a, 50)
         assert limit == SIX_RC.stable_vacancy(a)
+
+
+def test_stable_vacancy_is_the_weight_gap():
+    # With the forced sizes, the large-length vacancy number of component
+    # a is mu_a - mu_(a+1), the closed form rccrystal.phi reads.
+    for rc in sweep_rcs():
+        for a in range(1, rc.n):
+            assert rc.stable_vacancy(a) == rc.weight[a - 1] - rc.weight[a], (rc, a)
+
+
+def test_cocharge_matches_the_cartan_double_sum():
+    for rc in sweep_rcs():
+        riggings = sum(x for comp in rc.strings for _l, x in comp)
+        assert rc.cocharge() == oracle_config_cc(rc.partitions, rc.n) + riggings, rc
 
 
 def test_bound_tableau_goldens():
@@ -157,9 +175,23 @@ def test_witness_floor_is_the_least_bound(data):
     assert _witness_floor(heights, a, l) == min(t.bound(a, l) for t in bound_tableaux(weight))
 
 
+@given(st.data())
+def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
+    n = data.draw(st.integers(2, 6))
+    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    assume(count_bound_tableaux(weight) <= 2000)
+    heights = column_heights(weight)
+    keys = sorted(data.draw(st.sets(st.tuples(st.integers(1, n - 1),
+                                              st.integers(1, heights[0] + 2)), max_size=6)))
+    limits = data.draw(st.lists(st.integers(-3, 1), min_size=len(keys), max_size=len(keys)))
+    rows = {tuple(t.bound(a, l) for a, l in keys) for t in bound_tableaux(weight)}
+    assert _riggable_rows(heights, keys, limits) == {
+        row for row in rows if all(b <= x for b, x in zip(row, limits))}
+
+
 def test_admissibility_golden():
     assert SIX_RC.is_admissible()
-    witness = SIX_RC.admissibility_witness()
+    witness = first_witness(SIX_RC)
     assert all(witness.bound(a, l) <= x
                for a in range(1, 4) for l, x in SIX_RC.strings[a - 1])
 
@@ -174,6 +206,40 @@ def test_admissibility_rejects_wrong_sizes():
     bad = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
                               (((3, 0),), ((2, 0),), ((1, -1),)))
     assert not bad.is_admissible()
+
+
+def test_admissibility_matches_the_first_fit_scan():
+    # Every configuration of sweep_specs(4, 4) and of N5_SPECS, and each
+    # with one rigging shifted by -2, -1 or +1.
+    rcs = [rc for rc in sweep_rcs() if rc.n <= 4]
+    for spec, weight in N5_SPECS:
+        rcs += enumerate_rcs(spec, weight)
+    verdicts = Counter()
+    for rc in rcs:
+        variants = [rc]
+        for a, comp in enumerate(rc.strings, start=1):
+            for idx, (l, x) in enumerate(comp):
+                for shift in (-2, -1, 1):
+                    strings = list(rc.strings)
+                    strings[a - 1] = comp[:idx] + ((l, x + shift),) + comp[idx + 1:]
+                    variants.append(RiggedConfiguration(rc.spec, rc.weight, strings))
+        for variant in variants:
+            expected = first_witness(variant) is not None
+            assert variant.is_admissible() == expected, variant
+            verdicts[expected] += 1
+    assert verdicts[True] > len(rcs) and verdicts[False] > 0
+
+
+def test_no_computing_path_builds_the_witness_set(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError('the witness set was built')
+
+    monkeypatch.setattr('kostka.rc.bound_tableaux', refuse)
+    spec, weight = N6_SPEC, (3, 2, 2, 2, 2, 2)
+    rcs = enumerate_rcs(spec, weight)
+    assert len(rcs) == 935
+    assert fermionic_polynomial(spec, weight)(1) == 935
+    assert all(rc.is_admissible() for rc in rcs)
 
 
 def test_canonical_string_order_and_json():
@@ -281,6 +347,7 @@ N5_SPECS = [
     (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
     (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
 ]
+N6_SPEC = CrystalSpec(6, ((3, 2), (3, 2), (1, 1)))
 
 
 def test_pruned_enumeration_keeps_every_riggable_configuration():
@@ -340,12 +407,15 @@ def test_three_methods_agree_at_n5(spec, weight):
 
 
 def test_three_methods_agree_at_n6():
-    # Rectangles with r, s >= 2 at n = 6, and 113,400 witness tableaux.
-    spec, weight = CrystalSpec(6, ((3, 2), (3, 2), (1, 1))), (3, 2, 2, 2, 2, 2)
-    target = path_polynomial(spec, weight)
-    assert target(1) == 935
-    assert fermionic_polynomial(spec, weight) == target
-    assert rc_polynomial(spec, weight) == target
+    # Rectangles with r, s >= 2 at n = 6, at every partition weight: up to
+    # 113,400 witness tableaux, at (3, 2, 2, 2, 2, 2).
+    weights = [mu + (0,) * (6 - len(mu)) for mu in partitions_of(13) if len(mu) <= 6]
+    assert len(weights) == 71
+    for weight in weights:
+        target = path_polynomial(N6_SPEC, weight)
+        assert fermionic_polynomial(N6_SPEC, weight) == target, weight
+        assert rc_polynomial(N6_SPEC, weight) == target, weight
+    assert path_polynomial(N6_SPEC, (3, 2, 2, 2, 2, 2))(1) == 935
 
 
 def test_fermionic_empty_weight_mismatch():
