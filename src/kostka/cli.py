@@ -9,7 +9,8 @@ and exhaustive property suite.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
-2 on bad input or when the witness-tableau cap (`--lb-cap`) is hit.
+2 on bad input.  No subcommand builds the witness-tableau set, so none
+takes a budget for it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from collections import Counter
 from . import rccrystal
 from .bijection import extract_letter, insert_letter, path_to_rc, rc_to_path
 from .crystal import CrystalSpec, Path
-from .errors import BudgetError, InvariantError
+from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
-from .rc import (DEFAULT_BOUND_CAP, RiggedConfiguration, enumerate_rcs,
-                 fermionic_polynomial, rc_polynomial, spec_vacancy)
+from .rc import (RiggedConfiguration, enumerate_rcs, fermionic_polynomial,
+                 rc_polynomial, spec_vacancy)
 
 OK = 0
 PROPERTY_FAILURE = 1
@@ -97,7 +98,7 @@ def cmd_paths(args) -> int:
 
 def cmd_rcs(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
-    elements = enumerate_rcs(spec, weight, args.lb_cap)
+    elements = enumerate_rcs(spec, weight)
     if args.format == 'json':
         print(json.dumps({'elements': [
             {'rc': rc.to_json(), 'cocharge': rc.cocharge()} for rc in elements]}))
@@ -115,9 +116,9 @@ def cmd_poly(args) -> int:
         if name == 'paths':
             values[name] = path_polynomial(spec, weight)
         elif name == 'rc-enum':
-            values[name] = rc_polynomial(spec, weight, args.lb_cap)
+            values[name] = rc_polynomial(spec, weight)
         else:
-            values[name] = fermionic_polynomial(spec, weight, args.lb_cap)
+            values[name] = fermionic_polynomial(spec, weight)
     if args.format == 'json':
         print(json.dumps({'polynomials':
                           {name: _poly_json(values[name]) for name in names}}))
@@ -150,7 +151,7 @@ def cmd_map(args) -> int:
     else:
         if not isinstance(element, RiggedConfiguration):
             raise InputError('phi-inv expects a rigged configuration element')
-        if not element.is_admissible(args.lb_cap):
+        if not element.is_admissible():
             raise InputError('configuration is not admissible')
         result = rc_to_path(element)
     _emit_element(result, args.format)
@@ -161,7 +162,7 @@ def cmd_op(args) -> int:
     element = _parse_element(_load(args.spec))
     a = args.residue
     is_path = isinstance(element, Path)
-    if not is_path and not element.is_admissible(args.lb_cap):
+    if not is_path and not element.is_admissible():
         raise InputError('configuration is not admissible')
     if not 1 <= a <= element.spec.n - 1:
         name = 'operator index' if is_path else 'component'
@@ -256,7 +257,7 @@ def _check_convexity(spec: CrystalSpec, partitions) -> str | None:
     return None
 
 
-def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
+def check_spec(spec: CrystalSpec) -> str | None:
     """Run every cross-property on one spec; None means all hold."""
     n = spec.n
     all_paths = enumerate_all_paths(spec)
@@ -279,12 +280,12 @@ def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
     class_poly: dict[tuple[int, ...], tuple[tuple[int, ...], QPolynomial]] = {}
     for weight in _compositions(spec.total_boxes(), n):
         group = by_weight.get(weight, [])
-        rcs = enumerate_rcs(spec, weight, cap)
+        rcs = enumerate_rcs(spec, weight)
         if {images[p] for p in group} != set(rcs):
             return f'image mismatch at weight {weight}'
         x = QPolynomial(Counter(energies[p] for p in group))
         m_enum = QPolynomial(Counter(rc.cocharge() for rc in rcs))
-        m_ferm = fermionic_polynomial(spec, weight, cap)
+        m_ferm = fermionic_polynomial(spec, weight)
         if not (x == m_enum == m_ferm):
             return (f'polynomials disagree at weight {weight}: '
                     f'paths={x}, rc-enum={m_enum}, fermionic={m_ferm}')
@@ -309,7 +310,7 @@ def check_spec(spec: CrystalSpec, cap: int = DEFAULT_BOUND_CAP) -> str | None:
                     return f'phi closed form disagrees with iteration on {rc}'
             for letter in range(1, n + 1):
                 grown = insert_letter(rc, letter)
-                if not grown.is_admissible(cap):
+                if not grown.is_admissible():
                     return f'insertion of {letter} left {rc} inadmissible'
                 back, rank = extract_letter(grown)
                 if rank != letter or back != rc:
@@ -346,7 +347,7 @@ def cmd_check(args) -> int:
     rows = []
     failures = 0
     for idx, spec in enumerate(instances):
-        detail = check_spec(spec, args.lb_cap)
+        detail = check_spec(spec)
         if detail is not None:
             failures += 1
         rows.append((idx, spec, detail))
@@ -382,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument('--spec', required=True, metavar='FILE', help=spec_help)
         p.add_argument('--format', choices=['json', 'text'],
                        default=default_format)
-        p.add_argument('--lb-cap', type=int, default=DEFAULT_BOUND_CAP,
-                       metavar='N', help='bound-tableau enumeration cap')
 
     p = sub.add_parser('paths', help='list the paths of a weight with energies')
     add_common(p)
@@ -418,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--count', type=int, default=50, metavar='N',
                    help='number of random specs (0 checks nothing)')
     p.add_argument('--format', choices=['json', 'text'], default='text')
-    p.add_argument('--lb-cap', type=int, default=DEFAULT_BOUND_CAP, metavar='N')
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -428,7 +426,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, BudgetError) as exc:
+    except InputError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return INPUT_ERROR
     except InvariantError as exc:

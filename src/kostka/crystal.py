@@ -155,13 +155,11 @@ class Path:
 
     def phi(self, i: int) -> int:
         """Number of times f applies before hitting None."""
-        unmatched_i, unmatched_i1 = _bracket(self, i)
-        return len(unmatched_i)
+        return len(_bracket(self, i)[1])
 
     def epsilon(self, i: int) -> int:
         """Number of times e applies before hitting None."""
-        unmatched_i, unmatched_i1 = _bracket(self, i)
-        return len(unmatched_i1)
+        return len(_bracket(self, i)[2])
 
     def to_json(self) -> dict:
         return {
@@ -193,13 +191,15 @@ def _word_cells(path: Path):
 def _bracket(path: Path, i: int):
     """Unmatched positions for letter i (closers) and i+1 (openers).
 
-    Returns two lists of indices into the word-cell list, in word order.
+    Returns the word-cell list and two lists of indices into it, in word
+    order.
     """
     if not 1 <= i <= path.spec.n - 1:
         raise ValueError(f'operator index {i} outside 1..{path.spec.n - 1}')
+    cells = _word_cells(path)
     unmatched_i: list[int] = []
     open_stack: list[int] = []
-    for pos, (letter, *_rest) in enumerate(_word_cells(path)):
+    for pos, (letter, *_rest) in enumerate(cells):
         if letter == i + 1:
             open_stack.append(pos)
         elif letter == i:
@@ -207,12 +207,11 @@ def _bracket(path: Path, i: int):
                 open_stack.pop()
             else:
                 unmatched_i.append(pos)
-    return unmatched_i, open_stack
+    return cells, unmatched_i, open_stack
 
 
 def _apply(path: Path, i: int, lowering: bool) -> Path | None:
-    cells = _word_cells(path)
-    unmatched_i, unmatched_i1 = _bracket(path, i)
+    cells, unmatched_i, unmatched_i1 = _bracket(path, i)
     if lowering:
         if not unmatched_i:
             return None

@@ -168,22 +168,19 @@ def count_bound_tableaux(weight) -> int:
     return total
 
 
-def _check_cap(weight: tuple[int, ...], cap: int) -> None:
-    """Refuse a weight with more than cap witness tableaux; the count is
-    a product of binomials and explodes quickly."""
+def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
+    """The full witness set for a weight, in a fixed order: the columns
+    in decreasing lexicographic order, the first column varying slowest.
+
+    The set is a product of binomials in size and explodes quickly, so
+    a weight with more than cap tableaux is refused with a BudgetError.
+    """
+    weight = tuple(int(x) for x in weight)
     count = count_bound_tableaux(weight)
     if count > cap:
         raise BudgetError(
             f'{count} bound tableaux exceed the cap of {cap}; '
             f'raise the cap explicitly to proceed')
-
-
-def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
-    """The full witness set for a weight, at most cap tableaux, in a
-    fixed order: the columns in decreasing lexicographic order, the
-    first column varying slowest."""
-    weight = tuple(int(x) for x in weight)
-    _check_cap(weight, cap)
     # Subsets of a decreasing range come out decreasing, in decreasing
     # lexicographic order.
     heights = column_heights(weight)
@@ -299,7 +296,7 @@ class RiggedConfiguration:
         return (_config_cocharge(self.partitions)
                 + sum(x for comp in self.strings for _, x in comp))
 
-    def is_admissible(self, cap: int = DEFAULT_BOUND_CAP) -> bool:
+    def is_admissible(self) -> bool:
         """Whether the sizes are forced, no rigging exceeds its vacancy
         number, and one witness tableau bounds every rigging from below."""
         parts = self.partitions
@@ -312,7 +309,6 @@ class RiggedConfiguration:
                 if (a, l) not in lowest and x > spec_vacancy(self.spec, parts, a, l):
                     return False
                 lowest[a, l] = x
-        _check_cap(self.weight, cap)
         return bool(_riggable_rows(column_heights(self.weight), lowest, lowest.values()))
 
     def to_json(self) -> dict:
@@ -384,13 +380,17 @@ def _witness_floor(heights, a: int, l: int) -> int:
 
 def enumerate_configurations(spec: CrystalSpec, weight):
     """The configurations that clear the witness floor, each with its
-    string support and vacancy numbers.
+    string support, vacancy numbers and riggable witness profiles.
 
-    Yields (partitions, support, vacancies): support lists the triples
-    (a, l, multiplicity) of each component in turn, lengths decreasing,
-    and vacancies the vacancy number of each triple.  Configurations
-    come in the order of the product of the component partitions, each
-    in decreasing lexicographic order.
+    Yields (partitions, support, vacancies, profiles): support lists the
+    triples (a, l, multiplicity) of each component in turn, lengths
+    decreasing, and vacancies the vacancy number of each triple.  A
+    profile lists bound(a, l) of one witness tableau for every support
+    entry, in support order; profiles is the set of distinct ones with
+    no bound above the vacancy number of its entry, read by the column
+    walk of _riggable_rows, and may be empty.  Configurations come in
+    the order of the product of the component partitions, each in
+    decreasing lexicographic order.
 
     Components are chosen nu^(1), nu^(2), ... in order.  The vacancy
     numbers of component a depend only on nu^(a-1), nu^(a) and
@@ -453,49 +453,26 @@ def enumerate_configurations(spec: CrystalSpec, weight):
         level = extended
     for prefix, finished, pending in level:
         finished += [(key, partial) for key, partial, _floor in pending]
-        yield prefix, [key for key, _p in finished], [p for _key, p in finished]
-
-
-def _bound_profiles(spec: CrystalSpec, weight: tuple[int, ...], cap: int):
-    """Per configuration of enumerate_configurations: its partitions,
-    string support, vacancy numbers on the support, and the distinct
-    riggable witness profiles.
-
-    A profile lists bound(a, l) of one witness tableau for every
-    support entry (a, l, multiplicity), in support order.  It is
-    riggable when no bound exceeds the vacancy number of its entry;
-    _riggable_rows reads only those, column by column.  Configurations
-    with an entry below its witness floor are never built, so they have
-    no profile set; one that clears every floor may still have an empty
-    one.
-
-    The witness cap is checked once per weight, as soon as the sizes
-    admit a configuration, even if every configuration is then pruned.
-    """
-    if _config_sizes(spec, weight) is None:
-        return
-    _check_cap(weight, cap)
-    heights = column_heights(weight)
-    for parts, support, vacancies in enumerate_configurations(spec, weight):
-        yield parts, support, vacancies, _riggable_rows(
+        support = [key for key, _p in finished]
+        vacancies = [p for _key, p in finished]
+        yield prefix, support, vacancies, _riggable_rows(
             heights, [(a, l) for a, l, _m in support], vacancies)
 
 
-def enumerate_rcs(spec: CrystalSpec, weight,
-                  cap: int = DEFAULT_BOUND_CAP) -> list[RiggedConfiguration]:
+def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
 
     For each configuration, rigging assignments are enumerated inside
     the box [bound, vacancy] of each of its distinct riggable witness
-    profiles (_bound_profiles), and deduplicated across profiles.  No
-    witness tableau is built: the profiles come from the column walk of
-    _riggable_rows.  Configurations with a vacancy number below its
-    witness floor, and every extension of such a prefix, are never
-    built: they admit no rigging.
+    profiles (enumerate_configurations), and deduplicated across
+    profiles.  No witness tableau is built, and no budget applies.
+    Configurations with a vacancy number below its witness floor, and
+    every extension of such a prefix, are never built: they admit no
+    rigging.
     """
     weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
-    for _parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
+    for _parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         # Each multiset of riggings comes out once, in string order, so the
         # set merges assignments that several profiles share.  Every
         # profile is riggable, so each yields at least one assignment.
@@ -514,14 +491,12 @@ def enumerate_rcs(spec: CrystalSpec, weight,
     return out
 
 
-def rc_polynomial(spec: CrystalSpec, weight,
-                  cap: int = DEFAULT_BOUND_CAP) -> QPolynomial:
+def rc_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     """Sum of q^cocharge over all rigged configurations."""
-    return QPolynomial(Counter(rc.cocharge() for rc in enumerate_rcs(spec, weight, cap)))
+    return QPolynomial(Counter(rc.cocharge() for rc in enumerate_rcs(spec, weight)))
 
 
-def fermionic_polynomial(spec: CrystalSpec, weight,
-                         cap: int = DEFAULT_BOUND_CAP) -> QPolynomial:
+def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     """The alternating bound-tableau sum for the same polynomial.
 
     For each configuration the witness tableaux enter only through
@@ -539,11 +514,12 @@ def fermionic_polynomial(spec: CrystalSpec, weight,
     without a riggable profile contributes nothing, and one with a
     vacancy number below the least bound over all witness tableaux has
     none: such configurations, and every extension of such a prefix,
-    are never built.
+    are never built.  No witness tableau is built, and no budget
+    applies.
     """
     weight = tuple(int(x) for x in weight)
     result = QPolynomial.zero()
-    for parts, support, vacancies, profiles in _bound_profiles(spec, weight, cap):
+    for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         if not profiles:
             continue
         signed: dict[tuple[int, ...], int] = {}

@@ -5,7 +5,10 @@ string with the smallest nonpositive rigging (a fresh string when all
 riggings are positive), raising removes a box from the string with the
 smallest negative rigging.  The changed string is re-rigged by an
 absolute shift; every other string keeps its colabel, the gap between
-vacancy number and rigging.
+vacancy number and rigging.  Moving one box of component a past length
+t changes the vacancy numbers only at lengths above t, by a fixed step
+in components a and a +- 1, so the riggings shift by that step and no
+vacancy number is read.
 
 On an admissible configuration, f at a is defined exactly when
 phi_a > 0, and f reads that off the closed form.  e checks that its
@@ -15,35 +18,33 @@ result is admissible, as an internal invariant.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .rc import RiggedConfiguration, spec_vacancy
+from .rc import RiggedConfiguration
 
 
 def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
-             new_sel: tuple[int, int] | None, new_weight) -> RiggedConfiguration:
+             new_sel: tuple[int, int] | None, sign: int, t: int) -> RiggedConfiguration:
     """Replace string sel_index of component a by new_sel (None drops
-    it; sel_index None appends), keeping all other colabels fixed."""
-    n = rc.n
-    parts = rc.partitions
-    colabels = []
-    for b in range(1, n):
-        comp = []
-        for idx, (l, x) in enumerate(rc.strings[b - 1]):
-            if b == a and idx == sel_index:
-                continue
-            comp.append((l, spec_vacancy(rc.spec, parts, b, l) - x))
-        colabels.append(comp)
+    it; sel_index None appends), turning a letter a + 1 into a when sign
+    is +1 (raising) and a into a + 1 when it is -1 (lowering), and
+    keeping all other colabels fixed.
 
-    working = [[(l, 0) for l, _ in comp] for comp in colabels]
-    if new_sel is not None:
-        working[a - 1].append(new_sel)
-    new_parts = tuple(tuple(l for l, _ in comp) for comp in working)
+    t is the shorter length of the changed string.  Every vacancy number
+    at a length above t moves by 2 * sign in component a and by -sign in
+    components a - 1 and a + 1, and no other one changes.
+    """
+    weight = list(rc.weight)
+    weight[a - 1] += sign
+    weight[a] -= sign
     strings = []
-    for b in range(1, n):
-        comp = list(working[b - 1])
-        for idx, (l, colabel) in enumerate(colabels[b - 1]):
-            comp[idx] = (l, spec_vacancy(rc.spec, new_parts, b, l) - colabel)
-        strings.append(tuple(comp))
-    return RiggedConfiguration(rc.spec, tuple(new_weight), tuple(strings))
+    for b, comp in enumerate(rc.strings, start=1):
+        shift = 2 * sign if b == a else -sign if abs(b - a) == 1 else 0
+        strings.append([(l, x + shift) if l > t else (l, x) for l, x in comp])
+    changed = strings[a - 1]
+    if sel_index is not None:
+        del changed[sel_index]
+    if new_sel is not None:
+        changed.append(new_sel)
+    return RiggedConfiguration(rc.spec, tuple(weight), tuple(map(tuple, strings)))
 
 
 def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
@@ -60,13 +61,8 @@ def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     nonpos = [(x, -l, idx) for idx, (l, x) in enumerate(comp) if x <= 0]
     if nonpos:
         x, neg_l, idx = min(nonpos)
-        sel_index, new_sel = idx, (-neg_l + 1, x - 1)
-    else:
-        sel_index, new_sel = None, (1, -1)
-    new_weight = list(rc.weight)
-    new_weight[a - 1] -= 1
-    new_weight[a] += 1
-    return _rebuild(rc, a, sel_index, new_sel, new_weight)
+        return _rebuild(rc, a, idx, (-neg_l + 1, x - 1), -1, -neg_l)
+    return _rebuild(rc, a, None, (1, -1), -1, 0)
 
 
 def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
@@ -84,13 +80,9 @@ def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     if not negative:
         return None
     x, l, idx = min(negative)
-    new_sel = (l - 1, x + 1) if l - 1 >= 1 else None
-    new_weight = list(rc.weight)
-    new_weight[a - 1] += 1
-    new_weight[a] -= 1
-    if new_weight[a] < 0:
+    if rc.weight[a] < 1:
         raise InvariantError(f'raising at {a} empties letter {a + 1} of {rc}')
-    out = _rebuild(rc, a, idx, new_sel, new_weight)
+    out = _rebuild(rc, a, idx, (l - 1, x + 1) if l > 1 else None, 1, l - 1)
     if not out.is_admissible():
         raise InvariantError(f'raising at {a} left {rc} inadmissible')
     return out

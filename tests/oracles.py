@@ -15,8 +15,8 @@ from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
-from kostka.rc import bound_tableaux, empty_rc, enumerate_rcs
-from kostka.rccrystal import _rebuild, e
+from kostka.rc import RiggedConfiguration, bound_tableaux, empty_rc, enumerate_rcs
+from kostka.rccrystal import e
 
 
 def naive_residue(word, i):
@@ -156,6 +156,30 @@ def iterated_epsilon(rc, a):
     return count
 
 
+def colabel_rebuild(rc, a, sel_index, new_sel, new_weight):
+    """Replace string sel_index of component a by new_sel (None drops
+    it; sel_index None appends), then re-rig every other string so that
+    its colabel, vacancy number less rigging, is what it was."""
+    n = rc.n
+    L = oracle_multiplicities(rc.spec)
+    colabels = []
+    for b in range(1, n):
+        comp = []
+        for idx, (l, x) in enumerate(rc.strings[b - 1]):
+            if b == a and idx == sel_index:
+                continue
+            comp.append((l, oracle_vacancy(rc.partitions, L, n, b, l) - x))
+        colabels.append(comp)
+    new_parts = [[l for l, _ in comp] for comp in colabels]
+    if new_sel is not None:
+        new_parts[a - 1].append(new_sel[0])
+    strings = [[(l, oracle_vacancy(new_parts, L, n, b, l) - colabel) for l, colabel in comp]
+               for b, comp in enumerate(colabels, start=1)]
+    if new_sel is not None:
+        strings[a - 1].append(new_sel)
+    return RiggedConfiguration(rc.spec, tuple(new_weight), tuple(map(tuple, strings)))
+
+
 def admissible_f(rc, a):
     """Lowering by building the candidate and testing its admissibility,
     instead of reading the answer off phi."""
@@ -174,10 +198,25 @@ def admissible_f(rc, a):
     new_weight[a] += 1
     if new_weight[a - 1] < 0:
         return None
-    out = _rebuild(rc, a, sel_index, new_sel, new_weight)
+    out = colabel_rebuild(rc, a, sel_index, new_sel, new_weight)
     if not out.is_admissible():
         return None
     return out
+
+
+def colabel_e(rc, a):
+    """Raising by its defining rule: the string with the smallest negative
+    rigging, ties toward shorter ones, loses a box and its rigging rises
+    by one more, every other colabel kept; None without a negative
+    rigging."""
+    negative = [(x, l, idx) for idx, (l, x) in enumerate(rc.strings[a - 1]) if x < 0]
+    if not negative:
+        return None
+    x, l, idx = min(negative)
+    new_weight = list(rc.weight)
+    new_weight[a - 1] += 1
+    new_weight[a] -= 1
+    return colabel_rebuild(rc, a, idx, (l - 1, x + 1) if l > 1 else None, new_weight)
 
 
 @cache
@@ -332,8 +371,6 @@ def unfiltered_fermionic(spec, weight):
 
 def brute_rcs(spec, weight):
     """Every admissible rigged configuration, by exhaustive filtering."""
-    from kostka.rc import RiggedConfiguration
-
     weight = tuple(weight)
     n = spec.n
     L = oracle_multiplicities(spec)
@@ -397,6 +434,13 @@ def oracle_tail_energy(path):
 # ---------------------------------------------------------------------------
 # shared case lists
 # ---------------------------------------------------------------------------
+
+N5_SPECS = [
+    (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
+    (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
+]
+N6_SPEC = CrystalSpec(6, ((3, 2), (3, 2), (1, 1)))
+
 
 @cache
 def sweep_rcs():

@@ -75,11 +75,18 @@ def test_rcs_empty_spec(tmp_path, capsys):
     assert out.splitlines() == ['(empty)  cc=0']
 
 
-def test_rcs_respects_cap(tmp_path, capsys):
-    code, _, err = run(capsys, ['rcs', '--spec', write(tmp_path, 's.json', SPEC43),
-                                '--lb-cap', '3'])
-    assert code == 2
-    assert 'exceed the cap' in err
+def test_no_witness_budget_limits_a_weight(tmp_path, capsys):
+    # 7,484,400 witness tableaux: the weight is counted column by column,
+    # and no command refuses it for the size of the witness set.
+    spec = {'n': 7, 'factors': [[6, 2], [1, 2]], 'weight': [2] * 7}
+    spec_file = write(tmp_path, 's.json', spec)
+    code, out, _ = run(capsys, ['poly', '--spec', spec_file])
+    assert code == 0
+    assert out.splitlines() == [f'{name}: 21 + 6*q + q^2'
+                                for name in ('paths', 'rc-enum', 'fermionic')]
+    code, out, _ = run(capsys, ['rcs', '--spec', spec_file])
+    assert code == 0
+    assert len(out.splitlines()) == 28
 
 
 def test_poly_all(tmp_path, capsys):

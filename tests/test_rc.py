@@ -8,15 +8,14 @@ from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
 from kostka.paths import path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _bound_profiles, _riggable_rows, _witness_floor, bound_tableaux,
-                       column_heights, count_bound_tableaux, empty_rc,
-                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
-                       forced_sizes, multiplicity_array, rc_polynomial, stable_vacancy,
-                       vacancy_number)
+from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _riggable_rows,
+                       _witness_floor, bound_tableaux, column_heights,
+                       count_bound_tableaux, empty_rc, enumerate_configurations,
+                       enumerate_rcs, fermionic_polynomial, forced_sizes,
+                       multiplicity_array, rc_polynomial, stable_vacancy, vacancy_number)
 
-from oracles import (brute_rcs, first_witness, full_configurations, oracle_config_cc,
-                     oracle_multiplicities, oracle_vacancy, partitions_of,
+from oracles import (N5_SPECS, N6_SPEC, brute_rcs, first_witness, full_configurations,
+                     oracle_config_cc, oracle_multiplicities, oracle_vacancy, partitions_of,
                      strings_by_length, subset_fermionic, sweep_rcs,
                      unfiltered_fermionic)
 
@@ -140,28 +139,13 @@ def test_bound_cap_is_enforced():
 
 
 @pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
-def test_bound_cap_is_enforced_through_both_consumers(consumer):
-    with pytest.raises(BudgetError, match='bound tableaux exceed the cap of 3'):
-        consumer(SIX_BOXES, (2, 2, 1, 1), cap=3)
-
-
-@pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
-def test_bound_cap_is_lazy_without_configurations(consumer):
-    # Five letters on four boxes: no configuration, 12 witness tableaux.
-    assert count_bound_tableaux((1, 1, 1, 2)) == 12
-    assert not consumer(CrystalSpec(4, ((1, 1),) * 4), (1, 1, 1, 2), cap=1)
-
-
-@pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
-def test_bound_cap_is_enforced_when_every_configuration_is_pruned(consumer):
-    # Six configurations have the forced sizes, none clears the witness
-    # floor, and the weight has four witness tableaux.
+def test_nothing_is_counted_when_every_configuration_is_pruned(consumer):
+    # Six configurations have the forced sizes and none clears the
+    # witness floor.
     spec, weight = CrystalSpec(3, ((2, 2),)), (0, 1, 3)
-    assert count_bound_tableaux(weight) == 4
     assert len(list(full_configurations(spec, weight))) == 6
     assert not list(enumerate_configurations(spec, weight))
-    with pytest.raises(BudgetError, match='bound tableaux exceed the cap of 1'):
-        consumer(spec, weight, cap=1)
+    assert not consumer(spec, weight)
 
 
 @given(st.data())
@@ -332,7 +316,7 @@ def test_bound_profiles_are_the_riggable_ones():
         L = oracle_multiplicities(spec)
         for weight in _compositions(spec.total_boxes(), 4):
             tableaux = bound_tableaux(weight)
-            configs = _bound_profiles(spec, weight, DEFAULT_BOUND_CAP)
+            configs = enumerate_configurations(spec, weight)
             for parts, support, _vac, profiles in configs:
                 vacancies = [oracle_vacancy(parts, L, 4, a, l) for a, l, _m in support]
                 every = {tuple(t.bound(a, l) for a, l, _m in support) for t in tableaux}
@@ -341,13 +325,6 @@ def test_bound_profiles_are_the_riggable_ones():
                 meets += sum(any(low == p for low, p in zip(v, vacancies))
                              for v in profiles)
     assert meets > 0
-
-
-N5_SPECS = [
-    (CrystalSpec(5, ((2, 2), (2, 2), (1, 1), (1, 1))), (2, 2, 2, 2, 2)),
-    (CrystalSpec(5, ((2, 1), (3, 1), (1, 2), (1, 1))), (0, 1, 1, 1, 5)),
-]
-N6_SPEC = CrystalSpec(6, ((3, 2), (3, 2), (1, 1)))
 
 
 def test_pruned_enumeration_keeps_every_riggable_configuration():
@@ -374,7 +351,7 @@ def test_pruned_enumeration_keeps_every_riggable_configuration():
                 expected.append((parts, support, vacancies))
         found = [(parts, list(support), list(vacancies))
                  for parts, support, vacancies, profiles
-                 in _bound_profiles(spec, weight, DEFAULT_BOUND_CAP) if profiles]
+                 in enumerate_configurations(spec, weight) if profiles]
         assert found == expected, (spec, weight)
         kept += len(found)
     assert kept > 0

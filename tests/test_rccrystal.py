@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from kostka.bijection import path_to_rc
@@ -6,7 +8,8 @@ from kostka.paths import enumerate_all_paths
 from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
 from kostka.rccrystal import e, epsilon, f, phi
 
-from oracles import admissible_f, iterated_epsilon, sweep_rcs
+from oracles import (N5_SPECS, N6_SPEC, admissible_f, colabel_e, iterated_epsilon,
+                     sweep_rcs)
 
 SPEC44 = CrystalSpec(4, ((1, 3), (3, 2), (2, 1)))
 RC44 = RiggedConfiguration(SPEC44, (1, 4, 3, 3), (
@@ -121,7 +124,30 @@ def test_operators_match_path_operators():
                     assert e(rc, a) == path_to_rc(up)
 
 
+@cache
+def operator_rcs():
+    """sweep_rcs() and every configuration of N5_SPECS and of N6_SPEC at
+    (3, 2, 2, 2, 2, 2): 19,821 (configuration, component) pairs."""
+    rcs = list(sweep_rcs())
+    for spec, weight in N5_SPECS + [(N6_SPEC, (3, 2, 2, 2, 2, 2))]:
+        rcs += enumerate_rcs(spec, weight)
+    return rcs
+
+
+# The reference rebuilds recompute every vacancy number before and after
+# the box moves; the operators shift riggings in closed form.
 def test_lowering_is_defined_exactly_where_the_result_is_admissible():
-    for rc in sweep_rcs():
+    assert sum(rc.n - 1 for rc in operator_rcs()) == 19821
+    for rc in operator_rcs():
         for a in range(1, rc.n):
             assert f(rc, a) == admissible_f(rc, a)
+
+
+def test_raising_matches_the_colabel_rebuild():
+    raised = 0
+    for rc in operator_rcs():
+        for a in range(1, rc.n):
+            up = e(rc, a)
+            assert up == colabel_e(rc, a)
+            raised += up is not None
+    assert raised > 0
