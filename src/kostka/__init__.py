@@ -12,7 +12,7 @@ from .qpoly import QPolynomial, qbinom
 from .rc import (RiggedConfiguration, LowerBoundTableau, bound_tableaux,
                  count_bound_tableaux, empty_rc, enumerate_rcs,
                  fermionic_polynomial, forced_sizes, multiplicity_array,
-                 rc_polynomial, stable_vacancy, vacancy_number)
+                 rc_polynomial, vacancy_number)
 from . import rccrystal
 
 __all__ = [
@@ -25,5 +25,5 @@ __all__ = [
     'multiplicity_array', 'path_polynomial', 'path_to_rc', 'peel_box',
     'peel_box_rc', 'peel_column', 'peel_column_rc', 'pop_letter',
     'product', 'qbinom', 'rc_polynomial', 'rc_to_path', 'rccrystal',
-    'rmatrix', 'stable_vacancy', 'tail_energy', 'vacancy_number',
+    'rmatrix', 'tail_energy', 'vacancy_number',
 ]

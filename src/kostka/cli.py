@@ -23,7 +23,7 @@ from collections import Counter
 
 from . import rccrystal
 from .bijection import extract_letter, insert_letter, path_to_rc, rc_to_path
-from .crystal import CrystalSpec, Path
+from .crystal import CrystalSpec, Path, json_ints
 from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
@@ -55,14 +55,13 @@ def _spec_and_weight(data) -> tuple[CrystalSpec, tuple[int, ...]]:
         raise InputError('spec must be a JSON object')
     try:
         spec = CrystalSpec.from_json(data)
-        weight = tuple(int(x) for x in data['weight'])
+        weight = tuple(json_ints(data['weight']))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'bad spec: {exc}')
-    if len(weight) != spec.n:
-        raise InputError(f'weight must have length {spec.n}')
-    if any(x < 0 for x in weight):
-        raise InputError('weight entries must be nonnegative')
-    return spec, weight
+    try:
+        return spec, spec.check_weight(weight)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _parse_element(data):

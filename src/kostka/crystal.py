@@ -19,6 +19,16 @@ from functools import cache
 from itertools import combinations
 
 
+def json_ints(value):
+    """An int, or nested tuples of ints from nested lists or tuples; a
+    float, a string or a bool where an integer belongs is a ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(map(json_ints, value))
+    raise ValueError(f'expected an integer, got {value!r}')
+
+
 @dataclass(frozen=True)
 class RectTableau:
     """A column-strict rectangular tableau over {1..n}."""
@@ -81,7 +91,7 @@ class RectTableau:
 
     @classmethod
     def from_json(cls, data, n: int) -> 'RectTableau':
-        return cls(tuple(tuple(row) for row in data), n)
+        return cls(json_ints(data), n)
 
     def __str__(self):
         return '/'.join(''.join(str(x) for x in row) for row in self.rows)
@@ -95,7 +105,7 @@ class CrystalSpec:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        factors = tuple((int(r), int(s)) for r, s in self.factors)
+        factors = tuple((r, s) for r, s in self.factors)
         object.__setattr__(self, 'factors', factors)
         if self.n < 2:
             raise ValueError('alphabet size must be at least 2')
@@ -105,6 +115,17 @@ class CrystalSpec:
             if s < 1:
                 raise ValueError(f'factor width {s} must be positive')
 
+    def check_weight(self, weight) -> tuple[int, ...]:
+        """The weight as a tuple of n nonnegative ints, or ValueError."""
+        weight = tuple(weight)
+        if len(weight) != self.n:
+            raise ValueError(f'weight must have length {self.n}')
+        if any(type(x) is not int for x in weight):
+            raise ValueError('weight entries must be integers')
+        if any(x < 0 for x in weight):
+            raise ValueError('weight entries must be nonnegative')
+        return weight
+
     def total_boxes(self) -> int:
         return sum(r * s for r, s in self.factors)
 
@@ -113,7 +134,7 @@ class CrystalSpec:
 
     @classmethod
     def from_json(cls, data) -> 'CrystalSpec':
-        return cls(int(data['n']), tuple((int(r), int(s)) for r, s in data['factors']))
+        return cls(json_ints(data['n']), json_ints(data['factors']))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
     letter usage already exceeds the target weight.  Each crystal
     element is paired with its weight once per call.
     """
-    weight = tuple(int(x) for x in weight)
-    if len(weight) != spec.n:
-        raise ValueError(f'weight must have length {spec.n}')
-    if any(x < 0 for x in weight):
-        raise ValueError('weight entries must be nonnegative')
+    weight = spec.check_weight(weight)
     if spec.total_boxes() != sum(weight):
         return []
 

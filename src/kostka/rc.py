@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
-from .crystal import CrystalSpec
+from .crystal import CrystalSpec, json_ints
 from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
@@ -69,17 +69,10 @@ def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i:
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     """vacancy_number with the multiplicities read off a factor spec.
 
-    Memoized; the same (spec, partitions) pair recurs for every rigging
-    assignment and every admissibility probe of a configuration.
+    Memoized; admissibility probes, bijection steps and the convexity
+    check read the same (spec, partitions) pair many times.
     """
     return vacancy_number(partitions, multiplicity_array(spec), spec.n, a, i)
-
-
-def stable_vacancy(partitions, L: dict[tuple[int, int], int], n: int, a: int) -> int:
-    """Vacancy number of component a for part lengths beyond every part
-    and every factor width (the large-length limit)."""
-    horizon = max([1, *(j for _b, j in L), *(x for parts in partitions for x in parts)])
-    return vacancy_number(partitions, L, n, a, horizon)
 
 
 def _overlap(lam, kappa) -> int:
@@ -118,7 +111,7 @@ class LowerBoundTableau:
 
     def __post_init__(self):
         cols = tuple(tuple(col) for col in self.columns)
-        weight = tuple(int(x) for x in self.weight)
+        weight = tuple(self.weight)
         object.__setattr__(self, 'columns', cols)
         object.__setattr__(self, 'weight', weight)
         n = len(weight)
@@ -175,7 +168,7 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
     The set is a product of binomials in size and explodes quickly, so
     a weight with more than cap tableaux is refused with a BudgetError.
     """
-    weight = tuple(int(x) for x in weight)
+    weight = tuple(weight)
     count = count_bound_tableaux(weight)
     if count > cap:
         raise BudgetError(
@@ -257,20 +250,14 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        weight = tuple(int(x) for x in self.weight)
-        object.__setattr__(self, 'weight', weight)
+        object.__setattr__(self, 'weight', self.spec.check_weight(self.weight))
         n = self.spec.n
-        if len(weight) != n:
-            raise ValueError(f'weight must have length {n}')
-        if any(x < 0 for x in weight):
-            raise ValueError('weight entries must be nonnegative')
         if len(self.strings) != n - 1:
             raise ValueError(f'expected {n - 1} components')
         canon = []
         for comp in self.strings:
-            comp = tuple(sorted(((int(l), int(x)) for l, x in comp),
-                                key=lambda s: (-s[0], -s[1])))
-            if any(l < 1 for l, _ in comp):
+            comp = tuple(sorted([(l, x) for l, x in comp], reverse=True))
+            if comp and comp[-1][0] < 1:
                 raise ValueError('string lengths must be positive')
             canon.append(comp)
         object.__setattr__(self, 'strings', tuple(canon))
@@ -288,9 +275,6 @@ class RiggedConfiguration:
 
     def vacancy(self, a: int, i: int) -> int:
         return spec_vacancy(self.spec, self.partitions, a, i)
-
-    def stable_vacancy(self, a: int) -> int:
-        return stable_vacancy(self.partitions, self.multiplicities(), self.n, a)
 
     def cocharge(self) -> int:
         return (_config_cocharge(self.partitions)
@@ -321,7 +305,8 @@ class RiggedConfiguration:
 
     @classmethod
     def from_json(cls, data) -> 'RiggedConfiguration':
-        return cls(CrystalSpec.from_json(data), data['weight'], data['nu'])
+        return cls(CrystalSpec.from_json(data), json_ints(data['weight']),
+                   json_ints(data['nu']))
 
     def __str__(self):
         if not any(self.strings):
@@ -404,7 +389,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     dropped early when even the largest overlap nu^(a+1) can add leaves
     a vacancy number below its floor.
     """
-    weight = tuple(int(x) for x in weight)
+    weight = spec.check_weight(weight)
     sizes = _config_sizes(spec, weight)
     if sizes is None:
         return
@@ -470,7 +455,6 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     every extension of such a prefix, are never built: they admit no
     rigging.
     """
-    weight = tuple(int(x) for x in weight)
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         # Each multiset of riggings comes out once, in string order, so the
@@ -517,7 +501,6 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     are never built.  No witness tableau is built, and no budget
     applies.
     """
-    weight = tuple(int(x) for x in weight)
     result = QPolynomial.zero()
     for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         if not profiles:

@@ -1,5 +1,6 @@
 import pytest
 
+from kostka import rccrystal
 from kostka.bijection import (extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc, path_to_rc, peel_box,
                               peel_box_rc, peel_column, peel_column_rc,
@@ -9,7 +10,7 @@ from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import tail_energy
 from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
 
-from oracles import recursive_correspondence
+from oracles import N6_SPEC, recursive_correspondence
 
 FAMILIES = [
     CrystalSpec(2, ((1, 1), (1, 1), (1, 1))),
@@ -19,6 +20,7 @@ FAMILIES = [
 ]
 
 TWO_FACTOR_SPEC = CrystalSpec(4, ((2, 2), (2, 1)))
+N6_WEIGHT = (3, 2, 2, 2, 2, 2)
 
 # (factor rows, configuration strings, shared energy/cocharge value)
 CORRESPONDENCE = [
@@ -160,6 +162,29 @@ def test_image_is_the_full_rc_set():
     weight = (2, 2, 1, 1)
     image = {path_to_rc(p) for p in enumerate_paths(TWO_FACTOR_SPEC, weight)}
     assert image == set(enumerate_rcs(TWO_FACTOR_SPEC, weight))
+
+
+def test_bijection_at_n6():
+    # Three rectangles with r, s >= 2 in two of them: 935 paths.
+    paths = enumerate_paths(N6_SPEC, N6_WEIGHT)
+    assert len(paths) == 935
+    image = set()
+    for p in paths:
+        rc = path_to_rc(p)
+        assert rc_to_path(rc) == p
+        assert rc.cocharge() == tail_energy(p), p
+        image.add(rc)
+    assert image == set(enumerate_rcs(N6_SPEC, N6_WEIGHT))
+
+
+def test_operators_commute_with_the_bijection_at_n6():
+    # Every 10th path keeps the cost within the tier-1 budget.
+    for p in enumerate_paths(N6_SPEC, N6_WEIGHT)[::10]:
+        rc = path_to_rc(p)
+        for a in range(1, N6_SPEC.n):
+            for moved, image in ((p.f(a), rccrystal.f(rc, a)),
+                                 (p.e(a), rccrystal.e(rc, a))):
+                assert image == (None if moved is None else path_to_rc(moved)), (p, a)
 
 
 def test_extract_letter_goldens():

@@ -266,6 +266,43 @@ def test_bad_input_reports(tmp_path, capsys):
                                 write(tmp_path, 'e.json', vague)])
     assert code == 2 and "'tableaux' or 'nu'" in err
 
+    whole = {'n': 3, 'factors': [[2, 1], [1, 1]], 'weight': '210'}
+    code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 'f.json', whole)])
+    assert (code, out) == (2, '')
+    assert err == "error: bad spec: expected an integer, got '210'\n"
+    whole['weight'] = 210
+    code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 'g.json', whole)])
+    assert (code, out) == (2, '') and err.startswith('error: bad spec: ')
+
+
+# (arguments, input, key path to one integer in it)
+INTEGER_SLOTS = [
+    (['poly'], SPEC43, ('n',)),
+    (['poly'], SPEC43, ('factors', 0, 1)),
+    (['poly'], SPEC43, ('weight', 2)),
+    (['map', 'phi'], EXB_PATH_JSON, ('n',)),
+    (['map', 'phi'], EXB_PATH_JSON, ('tableaux', 2, 1, 0)),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('weight', 0)),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu', 0, 0, 0)),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu', 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize('argv, data, slot', INTEGER_SLOTS, ids=[
+    '-'.join([argv[-1], *map(str, slot)]) for argv, _data, slot in INTEGER_SLOTS])
+@pytest.mark.parametrize('convert', [float, str, bool])
+def test_non_integer_input_is_bad_input(tmp_path, capsys, argv, data, slot, convert):
+    data = json.loads(json.dumps(data))
+    *outer, last = slot
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = convert(target[last])
+    code, out, err = run(capsys, argv + ['--spec', write(tmp_path, 'x.json', data)])
+    kind = 'element' if argv[0] == 'map' else 'spec'
+    assert (code, out) == (2, '')
+    assert err.startswith(f'error: bad {kind}: expected an integer, got ')
+
 
 def test_check_zero_count(capsys):
     code, out, _ = run(capsys, ['check', '--count', '0'])

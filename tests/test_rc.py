@@ -6,13 +6,13 @@ from hypothesis import assume, given, strategies as st
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
-from kostka.paths import path_polynomial
+from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _riggable_rows,
                        _witness_floor, bound_tableaux, column_heights,
                        count_bound_tableaux, empty_rc, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       multiplicity_array, rc_polynomial, stable_vacancy, vacancy_number)
+                       multiplicity_array, rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, first_witness, full_configurations,
                      oracle_config_cc, oracle_multiplicities, oracle_vacancy, partitions_of,
@@ -53,21 +53,15 @@ def test_vacancy_validation():
         SIX_RC.vacancy(1, 0)
 
 
-def test_stable_vacancy_is_the_limit():
-    parts = SIX_RC.partitions
-    L = SIX_RC.multiplicities()
-    for a in range(1, 4):
-        limit = stable_vacancy(parts, L, 4, a)
-        assert limit == vacancy_number(parts, L, 4, a, 50)
-        assert limit == SIX_RC.stable_vacancy(a)
-
-
 def test_stable_vacancy_is_the_weight_gap():
-    # With the forced sizes, the large-length vacancy number of component
-    # a is mu_a - mu_(a+1), the closed form rccrystal.phi reads.
+    # With the forced sizes, the vacancy number of component a at a length
+    # past every part and every factor width is mu_a - mu_(a+1), the
+    # closed form rccrystal.phi reads.
     for rc in sweep_rcs():
+        h = 1 + max([0, *(s for _r, s in rc.spec.factors),
+                     *(l for parts in rc.partitions for l in parts)])
         for a in range(1, rc.n):
-            assert rc.stable_vacancy(a) == rc.weight[a - 1] - rc.weight[a], (rc, a)
+            assert rc.vacancy(a, h) == rc.weight[a - 1] - rc.weight[a], (rc, a)
 
 
 def test_cocharge_matches_the_cartan_double_sum():
@@ -242,6 +236,18 @@ def test_rejects_bad_strings():
                             (((0, 0),), ((2, 0),), ((1, -1),)))
     with pytest.raises(ValueError):
         RiggedConfiguration(SIX_BOXES, (2, 2, 1), (((1, 0),), (), ()))
+
+
+@pytest.mark.parametrize('compute', [enumerate_paths, path_polynomial, enumerate_rcs,
+                                     rc_polynomial, fermionic_polynomial])
+@pytest.mark.parametrize('weight, message', [
+    ((1, 1), 'length 3'), ((1, 1, 0, 0), 'length 3'),
+    ((3, 0, -1), 'nonnegative'), ((1.0, 1, 0), 'integers'),
+])
+def test_every_method_checks_the_weight(compute, weight, message):
+    # Two boxes at n = 3: (1, 1) has the right size but the wrong length.
+    with pytest.raises(ValueError, match=message):
+        compute(CrystalSpec(3, ((1, 1), (1, 1))), weight)
 
 
 def test_empty_rc():

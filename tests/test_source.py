@@ -35,3 +35,15 @@ def test_package_imports_only_the_standard_library():
             found += [f'{source.name}:{node.lineno} {name}' for name in names
                       if name.split('.')[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_package_never_calls_int():
+    # crystal.json_ints reads integer input and CrystalSpec.check_weight
+    # checks weights; nothing else converts values.
+    found = []
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        found += [f'{source.name}:{node.lineno}' for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == 'int']
+    assert found == []
