@@ -2,7 +2,7 @@
 rigged configurations, with their shared graded counting polynomials.
 """
 
-from .bijection import (extract_letter, insert_letter, merge_box_rc,
+from .bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                         merge_column_rc, path_to_rc, peel_box, peel_box_rc,
                         peel_column, peel_column_rc, pop_letter, rc_to_path)
 from .crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
@@ -17,7 +17,7 @@ from . import rccrystal
 
 __all__ = [
     'CrystalSpec', 'LowerBoundTableau', 'Path', 'QPolynomial',
-    'RectTableau', 'RiggedConfiguration', 'bound_tableaux',
+    'RectTableau', 'RiggedConfiguration', 'Working', 'bound_tableaux',
     'count_bound_tableaux', 'empty_rc', 'enumerate_all_paths',
     'enumerate_crystal', 'enumerate_paths', 'enumerate_rcs',
     'extract_letter', 'fermionic_polynomial', 'forced_sizes',

@@ -5,8 +5,8 @@ The path-to-configuration direction peels the leftmost factor one box
 at a time: a width-s factor splits into its leftmost column and the
 rest, then a height-r column splits into its bottom box and the rest.
 A single box of value x corresponds to box insertion (`insert_letter`)
-on the configuration side.  Both directions are implemented
-iteratively; the defining recursion is exercised in the tests.
+on the configuration side.  Both directions change one Working state in
+place and build one RiggedConfiguration; the tests exercise the recursion.
 
 All selection rules measure singularity (rigging equal to vacancy
 number) in the configuration as it is *before* the step; freshly
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .crystal import CrystalSpec, Path, RectTableau
 from .errors import InvariantError
-from .rc import RiggedConfiguration, empty_rc, spec_vacancy
+from .rc import RiggedConfiguration, component_vacancy
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,44 @@ def peel_box(path: Path) -> Path:
 # box removal and insertion on the configuration side
 # ---------------------------------------------------------------------------
 
-def extract_letter(rc: RiggedConfiguration) -> tuple[RiggedConfiguration, int]:
-    """Remove a leading single-box factor from the configuration.
+class Working:
+    """A rigged configuration under construction: factors is a stack with
+    the leading factor last, and the strings of component a are the pairs
+    of lengths[a] and riggings[a], in no order.  Components 0 and n stay
+    empty, so a - 1 and a + 1 always index."""
+
+    def __init__(self, rc: RiggedConfiguration | int):
+        """A copy of rc, or the empty configuration on rc letters if rc is an int."""
+        if isinstance(rc, int):
+            n, factors, weight, strings = rc, (), (0,) * rc, ((),) * (rc - 1)
+        else:
+            n, factors, weight, strings = rc.n, rc.spec.factors, rc.weight, rc.strings
+        self.n = n
+        self.factors = list(reversed(factors))
+        self.weight = list(weight)
+        self.lengths = [[], *([l for l, _ in comp] for comp in strings), []]
+        self.riggings = [[], *([x for _, x in comp] for comp in strings), []]
+
+    def vacancy(self, a: int, i: int) -> int:
+        """Vacancy number of component a at length i, read off the lists."""
+        ls = self.lengths
+        widths = [s for r, s in self.factors if r == a]
+        return component_vacancy(widths, ls[a - 1], ls[a], ls[a + 1], i)
+
+    def singular(self, a: int, low, high) -> list[tuple[int, int]]:
+        """(length, index) of each singular string of component a, length in low..high."""
+        return [(l, idx) for idx, (l, x) in enumerate(zip(self.lengths[a], self.riggings[a]))
+                if low <= l <= high and x == self.vacancy(a, l)]
+
+    def freeze(self) -> RiggedConfiguration:
+        """The state as a validated RiggedConfiguration."""
+        strings = map(zip, self.lengths[1:-1], self.riggings[1:-1])
+        return RiggedConfiguration(CrystalSpec(self.n, tuple(reversed(self.factors))),
+                                   tuple(self.weight), tuple(map(tuple, strings)))
+
+
+def extract_letter(work: Working) -> int:
+    """Remove a leading single-box factor; return the removed letter.
 
     Walks components 1, 2, ... picking at each the shortest singular
     string no shorter than the previous pick; the walk stops at the
@@ -80,45 +116,35 @@ def extract_letter(rc: RiggedConfiguration) -> tuple[RiggedConfiguration, int]:
     string loses a box and is re-rigged to stay singular; length-zero
     strings vanish.
     """
-    spec = rc.spec
-    if not spec.factors or spec.factors[0] != (1, 1):
+    if not work.factors or work.factors[-1] != (1, 1):
         raise ValueError('leftmost factor must be a single box')
-    n = rc.n
-    parts = rc.partitions
-    chosen: list[int] = []
+    lengths, riggings = work.lengths, work.riggings
+    chosen: list[tuple[int, int]] = []
     floor = 1
-    rank = n
-    for a in range(1, n):
-        comp = rc.strings[a - 1]
-        candidates = [(l, idx) for idx, (l, x) in enumerate(comp)
-                      if l >= floor and x == spec_vacancy(spec, parts, a, l)]
+    for a in range(1, work.n):
+        candidates = work.singular(a, floor, float('inf'))
         if not candidates:
-            rank = a
             break
         floor, idx = min(candidates)
-        chosen.append(idx)
+        chosen.append((a, idx))
+    rank = len(chosen) + 1
 
-    new_spec = CrystalSpec(n, spec.factors[1:])
-    new_weight = list(rc.weight)
-    new_weight[rank - 1] -= 1
-    working = [list(comp) for comp in rc.strings]
-    resing: list[tuple[int, int]] = []
-    for a_idx, idx in enumerate(chosen):
-        length, _ = working[a_idx].pop(idx)
-        if length - 1 >= 1:
-            working[a_idx].append((length - 1, 0))
-            resing.append((a_idx, len(working[a_idx]) - 1))
-    new_parts = tuple(tuple(l for l, _ in comp) for comp in working)
-    for a_idx, pos in resing:
-        length = working[a_idx][pos][0]
-        working[a_idx][pos] = (length,
-                               spec_vacancy(new_spec, new_parts, a_idx + 1, length))
-    out = RiggedConfiguration(new_spec, tuple(new_weight),
-                              tuple(tuple(comp) for comp in working))
-    return out, rank
+    if work.weight[rank - 1] == 0:
+        raise InvariantError(f'extracting letter {rank}, which does not occur')
+    work.factors.pop()
+    work.weight[rank - 1] -= 1
+    for a, idx in chosen:
+        lengths[a][idx] -= 1
+    # A string of length zero adds nothing to any vacancy number.
+    for a, idx in chosen:
+        if lengths[a][idx]:
+            riggings[a][idx] = work.vacancy(a, lengths[a][idx])
+        else:
+            del lengths[a][idx], riggings[a][idx]
+    return rank
 
 
-def insert_letter(rc: RiggedConfiguration, letter: int) -> RiggedConfiguration:
+def insert_letter(work: Working, letter: int) -> None:
     """Prepend a single-box factor of the given value.
 
     Inverse of extract_letter: walking components letter-1 down to 1,
@@ -126,127 +152,99 @@ def insert_letter(rc: RiggedConfiguration, letter: int) -> RiggedConfiguration:
     pick (growing a fresh length-zero string when none qualifies).
     Grown strings are re-rigged to be singular in the result.
     """
-    n = rc.n
-    if not 1 <= letter <= n:
-        raise ValueError(f'letter {letter} outside 1..{n}')
-    parts = rc.partitions
-    working = [list(comp) for comp in rc.strings]
+    lengths, riggings = work.lengths, work.riggings
+    if not 1 <= letter <= work.n:
+        raise ValueError(f'letter {letter} outside 1..{work.n}')
     grown: list[tuple[int, int]] = []
-    ceiling = None
+    ceiling = float('inf')
     for a in range(letter - 1, 0, -1):
-        comp = rc.strings[a - 1]
-        best = None
-        for idx, (l, x) in enumerate(comp):
-            if ceiling is not None and l > ceiling:
-                continue
-            if x == spec_vacancy(rc.spec, parts, a, l) and \
-                    (best is None or l > best[0]):
-                best = (l, idx)
-        if best is None:
-            ceiling = 0
-            working[a - 1].append((1, 0))
-            grown.append((a - 1, len(working[a - 1]) - 1))
-        else:
-            ceiling, idx = best
-            working[a - 1][idx] = (ceiling + 1, 0)
-            grown.append((a - 1, idx))
+        candidates = work.singular(a, 1, ceiling)
+        ceiling, idx = max(candidates) if candidates else (0, len(lengths[a]))
+        grown.append((a, idx))
 
-    new_spec = CrystalSpec(n, ((1, 1),) + rc.spec.factors)
-    new_weight = list(rc.weight)
-    new_weight[letter - 1] += 1
-    new_parts = tuple(tuple(l for l, _ in comp) for comp in working)
-    for a_idx, pos in grown:
-        length = working[a_idx][pos][0]
-        working[a_idx][pos] = (length,
-                               spec_vacancy(new_spec, new_parts, a_idx + 1, length))
-    return RiggedConfiguration(new_spec, tuple(new_weight),
-                               tuple(tuple(comp) for comp in working))
+    work.factors.append((1, 1))
+    work.weight[letter - 1] += 1
+    for a, idx in grown:
+        if idx == len(lengths[a]):
+            lengths[a].append(0)
+            riggings[a].append(0)
+        lengths[a][idx] += 1
+    for a, idx in grown:
+        riggings[a][idx] = work.vacancy(a, lengths[a][idx])
 
 
 # ---------------------------------------------------------------------------
 # column and box splits on the configuration side
 # ---------------------------------------------------------------------------
 
-def peel_column_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
+def peel_column_rc(work: Working) -> None:
     """Split the leftmost factor (r, s) into (r, 1), (r, s-1).
 
     Strings are untouched; vacancy numbers of component r rise by one
     for lengths below s, so admissibility is preserved.
     """
-    if not rc.spec.factors:
+    if not work.factors:
         raise ValueError('no factors to split')
-    r, s = rc.spec.factors[0]
+    r, s = work.factors[-1]
     if s < 2:
         raise ValueError('leftmost factor must have width at least 2')
-    spec = CrystalSpec(rc.n, ((r, 1), (r, s - 1)) + rc.spec.factors[1:])
-    return RiggedConfiguration(spec, rc.weight, rc.strings)
+    work.factors[-1:] = [(r, s - 1), (r, 1)]
 
 
-def merge_column_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
+def merge_column_rc(work: Working) -> None:
     """Merge leading factors (r, 1), (r, w) into (r, w + 1).
 
     Requires that component r has no singular string shorter than
     w + 1; such a string would end up over-rigged after the merge.
     """
-    factors = rc.spec.factors
-    if len(factors) < 2 or factors[0][1] != 1 or factors[1][0] != factors[0][0]:
+    factors = work.factors
+    if len(factors) < 2 or factors[-1][1] != 1 or factors[-2][0] != factors[-1][0]:
         raise ValueError('leading factors must be (r, 1), (r, w)')
-    r = factors[0][0]
-    w = factors[1][1]
-    parts = rc.partitions
-    for l, x in rc.strings[r - 1]:
-        if l < w + 1 and x == spec_vacancy(rc.spec, parts, r, l):
-            raise InvariantError(
-                f'cannot merge: singular string of length {l} in component {r}')
-    spec = CrystalSpec(rc.n, ((r, w + 1),) + factors[2:])
-    return RiggedConfiguration(spec, rc.weight, rc.strings)
+    r, w = factors[-2]
+    if blocking := work.singular(r, 1, w):
+        raise InvariantError(
+            f'cannot merge: singular string of length {blocking[0][0]} in component {r}')
+    work.factors[-2:] = [(r, w + 1)]
 
 
-def peel_box_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
+def peel_box_rc(work: Working) -> None:
     """Split the leftmost factor (r, 1) into (1, 1), (r - 1, 1).
 
     Adds a singular string of length one to components 1..r-1; every
     vacancy number is unchanged by the combined move.
     """
-    if not rc.spec.factors:
+    if not work.factors:
         raise ValueError('no factors to split')
-    r, s = rc.spec.factors[0]
+    r, s = work.factors[-1]
     if s != 1 or r < 2:
         raise ValueError('leftmost factor must be a column of height at least 2')
-    parts = rc.partitions
-    riggings = [spec_vacancy(rc.spec, parts, a, 1) for a in range(1, r)]
-    working = [list(comp) for comp in rc.strings]
-    for a in range(1, r):
-        working[a - 1].append((1, riggings[a - 1]))
-    spec = CrystalSpec(rc.n, ((1, 1), (r - 1, 1)) + rc.spec.factors[1:])
-    out = RiggedConfiguration(spec, rc.weight,
-                              tuple(tuple(comp) for comp in working))
-    if any(out.vacancy(a, 1) != riggings[a - 1] for a in range(1, r)):
-        raise InvariantError(f'splitting a box moved a length-1 vacancy of {rc}')
-    return out
+    riggings = [work.vacancy(a, 1) for a in range(1, r)]
+    work.factors[-1:] = [(r - 1, 1), (1, 1)]
+    for a, x in enumerate(riggings, start=1):
+        work.lengths[a].append(1)
+        work.riggings[a].append(x)
+    if any(work.vacancy(a, 1) != x for a, x in enumerate(riggings, start=1)):
+        raise InvariantError(f'splitting a column of height {r} moved a length-1 vacancy')
 
 
-def merge_box_rc(rc: RiggedConfiguration) -> RiggedConfiguration:
+def merge_box_rc(work: Working) -> None:
     """Merge leading factors (1, 1), (r, 1) into (r + 1, 1).
 
     Removes one singular string of length one from each of components
     1..r; the strings must be present.
     """
-    factors = rc.spec.factors
-    if len(factors) < 2 or factors[0] != (1, 1) or factors[1][1] != 1:
+    factors = work.factors
+    if len(factors) < 2 or factors[-1] != (1, 1) or factors[-2][1] != 1:
         raise ValueError('leading factors must be (1, 1), (r, 1)')
-    r = factors[1][0]
-    parts = rc.partitions
-    working = [list(comp) for comp in rc.strings]
-    for a in range(1, r + 1):
-        target = (1, spec_vacancy(rc.spec, parts, a, 1))
-        if target not in working[a - 1]:
+    r = factors[-2][0]
+    found = [work.singular(a, 1, 1) for a in range(1, r + 1)]
+    for a, candidates in enumerate(found, start=1):
+        if not candidates:
             raise InvariantError(
                 f'cannot merge: no singular length-1 string in component {a}')
-        working[a - 1].remove(target)
-    spec = CrystalSpec(rc.n, ((r + 1, 1),) + factors[2:])
-    return RiggedConfiguration(spec, rc.weight,
-                               tuple(tuple(comp) for comp in working))
+        _, idx = candidates[0]
+        del work.lengths[a][idx], work.riggings[a][idx]
+    work.factors[-2:] = [(r + 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +260,17 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
     fused into the growing column, and each completed column beyond
     the first is fused into the growing factor.
     """
-    rc = empty_rc(path.spec.n)
+    work = Working(path.spec.n)
     for t in reversed(path.tableaux):
-        r, s = t.shape
+        s = t.ncols
         for c in range(s - 1, -1, -1):
-            column = t.column(c)
-            rc = insert_letter(rc, column[0])
-            for j in range(1, r):
-                rc = insert_letter(rc, column[j])
-                rc = merge_box_rc(rc)
+            for j, letter in enumerate(t.column(c)):
+                insert_letter(work, letter)
+                if j:
+                    merge_box_rc(work)
             if c < s - 1:
-                rc = merge_column_rc(rc)
+                merge_column_rc(work)
+    rc = work.freeze()
     if rc.spec != path.spec or rc.weight != path.weight():
         raise InvariantError(f'image of {path} has the wrong spec or weight')
     return rc
@@ -280,25 +278,22 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
 
 def rc_to_path(rc: RiggedConfiguration) -> Path:
     """Map a rigged configuration back to its tensor path."""
-    n = rc.n
-    work = rc
+    work = Working(rc)
     tableaux = []
     for r, s in rc.spec.factors:
         columns = []
         for w in range(s, 0, -1):
             if w >= 2:
-                work = peel_column_rc(work)
+                peel_column_rc(work)
             letters = []
             for j in range(r, 0, -1):
                 if j >= 2:
-                    work = peel_box_rc(work)
-                work, letter = extract_letter(work)
-                letters.append(letter)
+                    peel_box_rc(work)
+                letters.append(extract_letter(work))
             if any(x <= y for x, y in zip(letters, letters[1:])):
                 raise InvariantError(f'extracted letters {letters} do not decrease')
             columns.append(tuple(reversed(letters)))
-        rows = tuple(zip(*columns))
-        tableaux.append(RectTableau(rows, n))
-    if work.spec.factors or any(work.strings) or any(work.weight):
+        tableaux.append(RectTableau(tuple(zip(*columns)), rc.n))
+    if work.factors or any(work.lengths) or any(work.weight):
         raise InvariantError('configuration not exhausted')
     return Path(rc.spec, tuple(tableaux))

@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 
 from . import rccrystal
-from .bijection import extract_letter, insert_letter, path_to_rc, rc_to_path
+from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
 from .crystal import CrystalSpec, Path, json_ints
 from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
@@ -308,11 +308,11 @@ def check_spec(spec: CrystalSpec) -> str | None:
                 if rccrystal.phi(rc, a) != _phi_by_iteration(rc, a):
                     return f'phi closed form disagrees with iteration on {rc}'
             for letter in range(1, n + 1):
-                grown = insert_letter(rc, letter)
-                if not grown.is_admissible():
+                work = Working(rc)
+                insert_letter(work, letter)
+                if not work.freeze().is_admissible():
                     return f'insertion of {letter} left {rc} inadmissible'
-                back, rank = extract_letter(grown)
-                if rank != letter or back != rc:
+                if extract_letter(work) != letter or work.freeze() != rc:
                     return f'insert/extract roundtrip failed on {rc} with {letter}'
 
     for p in all_paths:

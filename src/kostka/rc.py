@@ -47,6 +47,19 @@ def forced_sizes(L: dict[tuple[int, int], int], weight, n: int) -> list[int]:
             for a in range(1, n)]
 
 
+def component_vacancy(widths, below, parts, above, i: int) -> int:
+    """Vacancy number at length i of a component with part lengths parts,
+    factor widths widths (one per factor of its height) and neighbouring
+    part lengths below and above (empty at either end)."""
+    # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
+    total = 0
+    for l in (*widths, *below, *above):
+        total += l if l < i else i
+    for l in parts:
+        total -= 2 * l if l < i else 2 * i
+    return total
+
+
 def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i: int) -> int:
     """Vacancy number of component a at part length i.
 
@@ -57,21 +70,16 @@ def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i:
         raise ValueError(f'component {a} outside 1..{n - 1}')
     if i < 1:
         raise ValueError('part length must be positive')
-    total = sum(cnt * min(i, j) for (b, j), cnt in L.items() if b == a)
-    # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
-    for b, pairing in ((a - 1, -1), (a, 2), (a + 1, -1)):
-        if 1 <= b <= n - 1:
-            total -= pairing * sum(min(i, part) for part in partitions[b - 1])
-    return total
+    widths = [j for (b, j), cnt in L.items() if b == a for _ in range(cnt)]
+    return component_vacancy(widths, partitions[a - 2] if a > 1 else (), partitions[a - 1],
+                             partitions[a] if a < n - 1 else (), i)
 
 
 @cache
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
-    """vacancy_number with the multiplicities read off a factor spec.
-
-    Memoized; admissibility probes, bijection steps and the convexity
-    check read the same (spec, partitions) pair many times.
-    """
+    """vacancy_number with the multiplicities read off a factor spec, memoized
+    for RiggedConfiguration.vacancy, is_admissible and the convexity check; the
+    bijection steps read bijection.Working's own lists instead."""
     return vacancy_number(partitions, multiplicity_array(spec), spec.n, a, i)
 
 
@@ -269,9 +277,6 @@ class RiggedConfiguration:
     @cached_property
     def partitions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(l for l, _ in comp) for comp in self.strings)
-
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        return multiplicity_array(self.spec)
 
     def vacancy(self, a: int, i: int) -> int:
         return spec_vacancy(self.spec, self.partitions, a, i)

@@ -9,8 +9,8 @@ recursion, and the alternating sum literally over witness subsets.
 from functools import cache
 from itertools import combinations, product as iproduct
 
-from kostka.bijection import (insert_letter, merge_box_rc, merge_column_rc,
-                              peel_box, peel_column, pop_letter)
+from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
+                              merge_column_rc, peel_box, peel_column, pop_letter)
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.plactic import local_energy, rmatrix
@@ -113,6 +113,20 @@ def recursive_e(path, i):
     return None if changed is None else _join(left, changed)
 
 
+def stepped(step, rc, *args):
+    """The configuration a bijection step leaves, run on a copy of rc."""
+    work = Working(rc)
+    step(work, *args)
+    return work.freeze()
+
+
+def extracted(rc):
+    """extract_letter on a copy of rc: the configuration left and the letter."""
+    work = Working(rc)
+    letter = extract_letter(work)
+    return work.freeze(), letter
+
+
 def recursive_correspondence(path):
     """The path-to-configuration map by its defining recursion."""
     if not path.spec.factors:
@@ -120,10 +134,10 @@ def recursive_correspondence(path):
     r, s = path.spec.factors[0]
     if (r, s) == (1, 1):
         letter, rest = pop_letter(path)
-        return insert_letter(recursive_correspondence(rest), letter)
+        return stepped(insert_letter, recursive_correspondence(rest), letter)
     if s >= 2:
-        return merge_column_rc(recursive_correspondence(peel_column(path)))
-    return merge_box_rc(recursive_correspondence(peel_box(path)))
+        return stepped(merge_column_rc, recursive_correspondence(peel_column(path)))
+    return stepped(merge_box_rc, recursive_correspondence(peel_box(path)))
 
 
 # ---------------------------------------------------------------------------

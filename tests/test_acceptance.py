@@ -8,7 +8,7 @@ integer or polynomial equality.
 import time
 from contextlib import contextmanager
 
-from kostka.bijection import extract_letter, path_to_rc, rc_to_path
+from kostka.bijection import Working, extract_letter, path_to_rc, rc_to_path
 from kostka.cli import main
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.paths import enumerate_paths, path_polynomial
@@ -108,9 +108,9 @@ def test_criterion_2_three_factor_instance(capsys):
         assert rc == EXB_RC
         assert tail_energy(EXB_PATH) == rc.cocharge() == 2
         assert rc_to_path(rc) == EXB_PATH
-        extracted, rank = extract_letter(rc)
-        assert rank == 3
-        assert extracted == EXB_DELTA
+        work = Working(rc)
+        assert extract_letter(work) == 3
+        assert work.freeze() == EXB_DELTA
         assert time.perf_counter() - start < 1.0
 
 

@@ -1,16 +1,20 @@
+from collections import Counter
+
 import pytest
 
-from kostka import rccrystal
-from kostka.bijection import (extract_letter, insert_letter, merge_box_rc,
+from kostka import bijection, rccrystal
+from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc, path_to_rc, peel_box,
                               peel_box_rc, peel_column, peel_column_rc,
                               pop_letter, rc_to_path)
 from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.errors import InvariantError
 from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import tail_energy
-from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
+from kostka.rc import RiggedConfiguration, enumerate_rcs, spec_vacancy
 
-from oracles import N6_SPEC, recursive_correspondence
+from oracles import (N5_SPECS, N6_SPEC, extracted, recursive_correspondence, stepped,
+                     sweep_rcs)
 
 FAMILIES = [
     CrystalSpec(2, ((1, 1), (1, 1), (1, 1))),
@@ -164,17 +168,23 @@ def test_image_is_the_full_rc_set():
     assert image == set(enumerate_rcs(TWO_FACTOR_SPEC, weight))
 
 
-def test_bijection_at_n6():
-    # Three rectangles with r, s >= 2 in two of them: 935 paths.
-    paths = enumerate_paths(N6_SPEC, N6_WEIGHT)
-    assert len(paths) == 935
+@pytest.mark.parametrize('spec, weight, count', [
+    # Three rectangles with r, s >= 2 in two of them.
+    (N6_SPEC, N6_WEIGHT, 935),
+    # Only rectangles with r, s >= 2, then two of them and a box.
+    (CrystalSpec(6, ((2, 3), (4, 2))), (3, 3, 2, 2, 2, 2), 211),
+    (CrystalSpec(6, ((5, 2), (2, 2), (1, 1))), (3, 3, 3, 2, 2, 2), 102),
+], ids=['N6_SPEC', 'B23-B42', 'B52-B22-B11'])
+def test_bijection_at_n6(spec, weight, count):
+    paths = enumerate_paths(spec, weight)
+    assert len(paths) == count
     image = set()
     for p in paths:
         rc = path_to_rc(p)
         assert rc_to_path(rc) == p
         assert rc.cocharge() == tail_energy(p), p
         image.add(rc)
-    assert image == set(enumerate_rcs(N6_SPEC, N6_WEIGHT))
+    assert image == set(enumerate_rcs(spec, weight))
 
 
 def test_operators_commute_with_the_bijection_at_n6():
@@ -188,10 +198,10 @@ def test_operators_commute_with_the_bijection_at_n6():
 
 
 def test_extract_letter_goldens():
-    out, rank = extract_letter(EXB_RC)
+    out, rank = extracted(EXB_RC)
     assert rank == 3
     assert out == EXB_DELTA
-    assert insert_letter(out, rank) == EXB_RC
+    assert stepped(insert_letter, out, rank) == EXB_RC
 
     four = CrystalSpec(5, ((1, 1),) * 4)
     start = RiggedConfiguration(four, (0, 1, 0, 1, 2), (
@@ -200,7 +210,7 @@ def test_extract_letter_goldens():
         ((2, -1), (1, -1)),
         ((2, -1),),
     ))
-    out, rank = extract_letter(start)
+    out, rank = extracted(start)
     assert rank == 5
     assert out == RiggedConfiguration(CrystalSpec(5, ((1, 1),) * 3),
                                       (0, 1, 0, 1, 1), (
@@ -209,7 +219,7 @@ def test_extract_letter_goldens():
         ((2, -1),),
         ((1, -1),),
     ))
-    assert insert_letter(out, rank) == start
+    assert stepped(insert_letter, out, rank) == start
 
 
 def test_insert_letter_golden():
@@ -220,7 +230,7 @@ def test_insert_letter_golden():
         ((1, -1), (1, -1)),
         ((1, 0),),
     ))
-    grown = insert_letter(start, 3)
+    grown = stepped(insert_letter, start, 3)
     assert grown == RiggedConfiguration(CrystalSpec(5, ((1, 1),) * 5),
                                         (0, 1, 2, 1, 1), (
         ((3, -1), (1, 1), (1, 1)),
@@ -228,7 +238,7 @@ def test_insert_letter_golden():
         ((1, -1), (1, -1)),
         ((1, 0),),
     ))
-    assert extract_letter(grown) == (start, 3)
+    assert extracted(grown) == (start, 3)
 
 
 def test_insert_extract_roundtrip():
@@ -236,86 +246,147 @@ def test_insert_extract_roundtrip():
     for p in enumerate_all_paths(spec):
         rc = path_to_rc(p)
         for letter in range(1, 4):
-            assert extract_letter(insert_letter(rc, letter)) == (rc, letter)
-        out, rank = extract_letter(rc)
-        assert insert_letter(out, rank) == rc
+            assert extracted(stepped(insert_letter, rc, letter)) == (rc, letter)
+        out, rank = extracted(rc)
+        assert stepped(insert_letter, out, rank) == rc
 
 
 def test_letter_validation():
     with pytest.raises(ValueError):
-        insert_letter(empty_rc(3), 0)
+        insert_letter(Working(3), 0)
     with pytest.raises(ValueError):
-        insert_letter(empty_rc(3), 4)
+        insert_letter(Working(3), 4)
     with pytest.raises(ValueError):
-        extract_letter(empty_rc(3))
+        extract_letter(Working(3))
     with pytest.raises(ValueError):
-        extract_letter(EXB_DELTA)    # leading factor is a column
+        extract_letter(Working(EXB_DELTA))    # leading factor is a column
+
+
+def test_extracting_an_absent_letter_is_an_invariant_error():
+    # The component walk stops at letter 1, which the weight does not hold.
+    rc = RiggedConfiguration(CrystalSpec(2, ((1, 1),)), (0, 1), ((),))
+    assert not rc.is_admissible()
+    with pytest.raises(InvariantError, match='extracting letter 1'):
+        rc_to_path(rc)
 
 
 def test_peel_column_rc_shifts_vacancies():
     for rc in enumerate_rcs(TWO_FACTOR_SPEC, (2, 2, 1, 1)):
-        split = peel_column_rc(rc)
+        split = stepped(peel_column_rc, rc)
         assert split.spec.factors == ((2, 1), (2, 1), (2, 1))
         assert split.strings == rc.strings
         for a in range(1, 4):
             for i in range(1, 5):
                 shift = 1 if a == 2 and i < 2 else 0
                 assert split.vacancy(a, i) == rc.vacancy(a, i) + shift
-        assert merge_column_rc(split) == rc
+        assert stepped(merge_column_rc, split) == rc
 
 
 def test_peel_box_rc_adds_singular_strings():
     for rc in enumerate_rcs(TWO_FACTOR_SPEC, (2, 2, 1, 1)):
-        work = peel_column_rc(rc)
-        out = peel_box_rc(work)
+        work = stepped(peel_column_rc, rc)
+        out = stepped(peel_box_rc, work)
         assert out.spec.factors == ((1, 1), (1, 1), (2, 1), (2, 1))
         assert len(out.strings[0]) == len(work.strings[0]) + 1
         assert out.strings[1:] == work.strings[1:]
         assert (1, out.vacancy(1, 1)) in out.strings[0]
         for a in range(1, 4):
             assert out.vacancy(a, 1) == work.vacancy(a, 1)
-        assert merge_box_rc(out) == work
+        assert stepped(merge_box_rc, out) == work
 
 
 def test_peel_rc_validation():
     with pytest.raises(ValueError):
-        peel_column_rc(empty_rc(3))
+        peel_column_rc(Working(3))
     with pytest.raises(ValueError):
-        peel_box_rc(empty_rc(3))
+        peel_box_rc(Working(3))
     single = path_to_rc(Path(CrystalSpec(3, ((1, 1),)),
                              (RectTableau(((1,),), 3),)))
     with pytest.raises(ValueError):
-        peel_column_rc(single)
+        peel_column_rc(Working(single))
     with pytest.raises(ValueError):
-        peel_box_rc(single)
+        peel_box_rc(Working(single))
 
 
 def test_merge_box_rc_cases():
     spec = CrystalSpec(3, ((1, 1), (1, 1)))
     good = RiggedConfiguration(spec, (1, 1, 0), (((1, 0),), ()))
-    merged = merge_box_rc(good)
+    merged = stepped(merge_box_rc, good)
     assert merged.spec.factors == ((2, 1),)
     assert merged.strings == ((), ())
     bad = RiggedConfiguration(spec, (1, 1, 0), (((1, -1),), ()))
     with pytest.raises(RuntimeError):
-        merge_box_rc(bad)
+        stepped(merge_box_rc, bad)
     with pytest.raises(ValueError):
-        merge_box_rc(merged)
+        stepped(merge_box_rc, merged)
 
 
 def test_merge_column_rc_cases():
     spec = CrystalSpec(2, ((1, 1), (1, 1)))
     blocked = RiggedConfiguration(spec, (1, 1), (((1, 0),),))
     with pytest.raises(RuntimeError):
-        merge_column_rc(blocked)
+        stepped(merge_column_rc, blocked)
     clear = RiggedConfiguration(spec, (1, 1), (((1, -1),),))
-    merged = merge_column_rc(clear)
+    merged = stepped(merge_column_rc, clear)
     assert merged.spec.factors == ((1, 2),)
     assert merged.strings == (((1, -1),),)
     assert merged.is_admissible()
     with pytest.raises(ValueError):
-        merge_column_rc(merged)
+        stepped(merge_column_rc, merged)
     mixed = RiggedConfiguration(CrystalSpec(3, ((1, 1), (2, 1))),
                                 (2, 1, 0), ((), ()))
     with pytest.raises(ValueError):
-        merge_column_rc(mixed)  # factor heights differ
+        stepped(merge_column_rc, mixed)  # factor heights differ
+
+
+STEPS = ('insert_letter', 'extract_letter', 'peel_column_rc', 'merge_column_rc',
+         'peel_box_rc', 'merge_box_rc')
+
+
+def test_working_vacancies_match_the_frozen_configuration(monkeypatch):
+    # After every step of rc_to_path on every configuration of sweep_rcs()
+    # and of N5_SPECS, and of path_to_rc back on those of N5_SPECS, the
+    # state's vacancy numbers equal those of its frozen configuration.
+    checked = Counter()
+
+    def checking(step):
+        def run(work, *args):
+            out = step(work, *args)
+            rc = work.freeze()
+            longest = max((l for part in rc.partitions for l in part), default=0)
+            for a in range(1, rc.n):
+                for l in range(1, longest + 2):
+                    assert work.vacancy(a, l) == rc.vacancy(a, l), (rc, a, l)
+            checked[step.__name__] += 1
+            return out
+        return run
+
+    for name in STEPS:
+        monkeypatch.setattr(bijection, name, checking(getattr(bijection, name)))
+    for rc in sweep_rcs():
+        rc_to_path(rc)
+    for spec, weight in N5_SPECS:
+        for rc in enumerate_rcs(spec, weight):
+            assert path_to_rc(rc_to_path(rc)) == rc
+    assert set(checked) == set(STEPS)
+
+
+def test_the_maps_freeze_once_and_leave_no_memo(monkeypatch):
+    built = Counter()
+    original = RiggedConfiguration.__post_init__
+
+    def counting(self):
+        built['rc'] += 1
+        original(self)
+
+    monkeypatch.setattr(RiggedConfiguration, '__post_init__', counting)
+    paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
+    paths += enumerate_paths(N6_SPEC, N6_WEIGHT)
+    spec_vacancy.cache_clear()
+    for p in paths:
+        before = built['rc']
+        rc = path_to_rc(p)
+        assert built['rc'] == before + 1
+        assert rc_to_path(rc) == p
+        assert built['rc'] == before + 1
+    assert spec_vacancy.cache_info().currsize == 0

@@ -145,7 +145,11 @@ def test_internal_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
     # Box removal that always reports letter 1 makes the letters of a
     # height-2 column fail to decrease inside rc_to_path.
     real = bijection.extract_letter
-    monkeypatch.setattr(bijection, 'extract_letter', lambda rc: (real(rc)[0], 1))
+
+    def always_one(work):
+        real(work)
+        return 1
+    monkeypatch.setattr(bijection, 'extract_letter', always_one)
     code, out, err = run(capsys, ['map', 'phi-inv', '--spec',
                                   write(tmp_path, 'rc.json', EXB_RC_JSON)])
     assert code == 1

@@ -47,3 +47,13 @@ def test_package_never_calls_int():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == 'int']
     assert found == []
+
+
+def test_bijection_does_not_import_the_vacancy_memo():
+    # The bijection steps read vacancy numbers off their own working state, so
+    # they add no entries to the spec_vacancy memo.
+    source = Path(kostka.__file__).parent / 'bijection.py'
+    tree = ast.parse(source.read_text(), filename=str(source))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert 'spec_vacancy' not in imported
