@@ -155,6 +155,15 @@ class Path:
             if t.n != self.spec.n:
                 raise ValueError('tableau alphabet does not match spec')
 
+    @classmethod
+    def _trusted(cls, spec: CrystalSpec, tableaux: tuple) -> 'Path':
+        """A path from a tuple of crystal elements, one of each factor's
+        shape on the spec's alphabet, built without re-running the checks."""
+        path = object.__new__(cls)
+        object.__setattr__(path, 'spec', spec)
+        object.__setattr__(path, 'tableaux', tableaux)
+        return path
+
     def word(self) -> tuple[int, ...]:
         out = []
         for t in self.tableaux:

@@ -1,13 +1,20 @@
 """Enumeration of paths of a prescribed weight and the polynomial they
-generate, graded by the tail energy."""
+generate, graded by the tail energy.
+
+`enumerate_paths` lists the paths; `kostka paths` and `kostka check` call
+`tail_energy` on each one, because they need every path's energy.
+`path_polynomial` needs only the energy distribution and builds no path:
+it runs a transfer matrix over the factors instead.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
+from operator import attrgetter
 
 from .crystal import CrystalSpec, Path, enumerate_crystal
-from .plactic import tail_energy
+from .plactic import local_energy, rmatrix
 from .qpoly import QPolynomial
 
 
@@ -30,7 +37,7 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
 
     def extend(idx, remaining):
         if idx == len(factors):
-            out.append(Path(spec, tuple(chosen)))
+            out.append(Path._trusted(spec, tuple(chosen)))
             return
         for t, w in factors[idx]:
             if all(x <= y for x, y in zip(w, remaining)):
@@ -45,9 +52,76 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
 def enumerate_all_paths(spec: CrystalSpec) -> list[Path]:
     """Every element of the tensor product, regardless of weight."""
     crystals = [enumerate_crystal(r, s, spec.n) for r, s in spec.factors]
-    return [Path(spec, tableaux) for tableaux in product(*crystals)]
+    return [Path._trusted(spec, tableaux) for tableaux in product(*crystals)]
+
+
+def _carry(t, carried):
+    """The local energies of t against each carried factor, and the sorted
+    carried factors once each has passed t and t itself is pushed."""
+    energy = 0
+    moved = [t]
+    for c in carried:
+        energy += local_energy(t, c)
+        moved.append(t if t.shape == c.shape else rmatrix(t, c)[0])
+    return energy, tuple(sorted(moved, key=attrgetter('rows')))
 
 
 def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
-    """Sum of q^(tail energy) over all paths of the given weight."""
-    return QPolynomial(Counter(tail_energy(b) for b in enumerate_paths(spec, weight)))
+    """Sum of q^(tail energy) over all paths of the given weight.
+
+    `tail_energy` carries each factor but the leftmost one leftward and
+    adds one local energy per factor it passes.  The carried factors never
+    act on each other, so once the factors right of a position are chosen,
+    the rest of the energy depends only on the letters still unused and on
+    the multiset of carried factors.  This runs right to left over those
+    states, merging equal ones, and keeps each state's energies in a
+    Counter.  Two prunings keep it small: a state is kept only if the
+    factors left of it can fill its remaining weight exactly, and the
+    leftmost factor, which carries nothing, is looked up by that weight.
+    """
+    weight = spec.check_weight(weight)
+    if spec.total_boxes() != sum(weight):
+        return QPolynomial.zero()
+    if not spec.factors:
+        return QPolynomial.one()
+
+    by_weight = {}
+    for shape in set(spec.factors):
+        index = defaultdict(list)
+        for t in enumerate_crystal(*shape, spec.n):
+            index[t.weight()].append(t)
+        by_weight[shape] = index
+    indexes = [by_weight[shape] for shape in spec.factors]
+
+    # reach[m]: the weights at most `weight` that factors 0..m-1 fill exactly.
+    reach = [{(0,) * spec.n}]
+    for index in indexes[:-1]:
+        sums = {tuple([a + b for a, b in zip(w, v)]) for w in reach[-1] for v in index}
+        reach.append({w for w in sums if all(x <= y for x, y in zip(w, weight))})
+
+    states = {(weight, ()): Counter({0: 1})}
+    for m in range(len(indexes) - 1, 0, -1):
+        step = defaultdict(Counter)
+        moves = {}      # many states share their carried factors
+        for (remaining, carried), energies in states.items():
+            for v, tableaux in indexes[m].items():
+                left = tuple([a - b for a, b in zip(remaining, v)])
+                if left not in reach[m]:
+                    continue
+                for t in tableaux:
+                    move = moves.get((t, carried))
+                    if move is None:
+                        move = moves[t, carried] = _carry(t, carried)
+                    d, after = move
+                    target = step[left, after]
+                    for e, count in energies.items():
+                        target[e + d] += count
+        states = step
+
+    total = Counter()
+    for (remaining, carried), energies in states.items():
+        for t in indexes[0].get(remaining, ()):
+            d = sum(local_energy(t, c) for c in carried)
+            for e, count in energies.items():
+                total[e + d] += count
+    return QPolynomial(total)

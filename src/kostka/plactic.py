@@ -9,6 +9,11 @@ memoized per ordered pair of tableaux, so each runs one Schensted product
 per distinct pair for the life of the process.  Like the tables, the
 memos hold at most sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of
 shapes met.
+
+`tail_energy` gives one path's energy; `kostka paths` and `kostka check`
+call it on every path they list or check.  `paths.path_polynomial` never
+calls it: it adds the same local energies over all the paths of a weight
+at once, with a transfer matrix over the carried factors.
 """
 
 from __future__ import annotations

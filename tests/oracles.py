@@ -3,9 +3,11 @@
 Everything here favors the most literal reading of the defining rules
 over efficiency: bracketing by repeated cancellation, tensor operators
 by the two-factor recursion, the correspondence by its defining
-recursion, and the alternating sum literally over witness subsets.
+recursion, the energy polynomial path by path, and the alternating sum
+literally over witness subsets.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import combinations, product as iproduct
 
@@ -13,7 +15,8 @@ from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_
                               merge_column_rc, peel_box, peel_column, pop_letter)
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
-from kostka.plactic import local_energy, rmatrix
+from kostka.paths import enumerate_paths
+from kostka.plactic import local_energy, rmatrix, tail_energy
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, bound_tableaux, empty_rc, enumerate_rcs
 from kostka.rccrystal import e
@@ -443,6 +446,11 @@ def oracle_tail_energy(path):
             left_idx = k - (m + 1)
             total += local_energy(work[left_idx], work[left_idx + 1])
     return total
+
+
+def oracle_path_polynomial(spec, weight):
+    """Sum of q^(tail energy) over the paths of the weight, path by path."""
+    return QPolynomial(Counter(tail_energy(b) for b in enumerate_paths(spec, weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ def test_path_shape_mismatch():
     spec = CrystalSpec(3, ((2, 1),))
     with pytest.raises(ValueError):
         Path(spec, (RectTableau(((1, 2),), 3),))
+    # Only the enumerators skip these checks; the public constructors keep them.
+    column = RectTableau(((1,), (2,)), 3)
+    with pytest.raises(ValueError, match='alphabet'):
+        Path(spec, (RectTableau(((1,), (2,)), 4),))
+    with pytest.raises(ValueError, match='one tableau per factor'):
+        Path(spec, (column, column))
+    with pytest.raises(ValueError, match='does not match factor'):
+        Path.from_json({'n': 3, 'factors': [[1, 2]], 'tableaux': [[[1], [2]]]})
 
 
 def test_word_and_weight():
