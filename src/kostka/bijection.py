@@ -22,51 +22,6 @@ from .rc import RiggedConfiguration, component_vacancy
 
 
 # ---------------------------------------------------------------------------
-# splitting tensor factors on the path side
-# ---------------------------------------------------------------------------
-
-def pop_letter(path: Path) -> tuple[int, Path]:
-    """Remove a leading single-box factor, returning its value."""
-    if not path.spec.factors or path.spec.factors[0] != (1, 1):
-        raise ValueError('leftmost factor must be a single box')
-    letter = path.tableaux[0].rows[0][0]
-    rest = CrystalSpec(path.spec.n, path.spec.factors[1:])
-    return letter, Path(rest, path.tableaux[1:])
-
-
-def peel_column(path: Path) -> Path:
-    """Split the leftmost factor into its first column and the rest."""
-    if not path.spec.factors:
-        raise ValueError('no factors to split')
-    r, s = path.spec.factors[0]
-    if s < 2:
-        raise ValueError('leftmost factor must have width at least 2')
-    t = path.tableaux[0]
-    first = RectTableau(tuple((row[0],) for row in t.rows), t.n)
-    rest = RectTableau(tuple(row[1:] for row in t.rows), t.n)
-    spec = CrystalSpec(path.spec.n, ((r, 1), (r, s - 1)) + path.spec.factors[1:])
-    return Path(spec, (first, rest) + path.tableaux[1:])
-
-
-def peel_box(path: Path) -> Path:
-    """Split a leading column factor into its bottom box and the rest.
-
-    The bottom entry is the largest, so the split preserves the row
-    word letter for letter.
-    """
-    if not path.spec.factors:
-        raise ValueError('no factors to split')
-    r, s = path.spec.factors[0]
-    if s != 1 or r < 2:
-        raise ValueError('leftmost factor must be a column of height at least 2')
-    t = path.tableaux[0]
-    box = RectTableau(((t.rows[-1][0],),), t.n)
-    rest = RectTableau(t.rows[:-1], t.n)
-    spec = CrystalSpec(path.spec.n, ((1, 1), (r - 1, 1)) + path.spec.factors[1:])
-    return Path(spec, (box, rest) + path.tableaux[1:])
-
-
-# ---------------------------------------------------------------------------
 # box removal and insertion on the configuration side
 # ---------------------------------------------------------------------------
 
@@ -100,10 +55,12 @@ class Working:
                 if low <= l <= high and x == self.vacancy(a, l)]
 
     def freeze(self) -> RiggedConfiguration:
-        """The state as a validated RiggedConfiguration."""
-        strings = map(zip, self.lengths[1:-1], self.riggings[1:-1])
-        return RiggedConfiguration(CrystalSpec(self.n, tuple(reversed(self.factors))),
-                                   tuple(self.weight), tuple(map(tuple, strings)))
+        """The state as a RiggedConfiguration, each component sorted into
+        canonical order."""
+        strings = tuple(tuple(sorted(zip(ls, xs), reverse=True))
+                        for ls, xs in zip(self.lengths[1:-1], self.riggings[1:-1]))
+        return RiggedConfiguration._trusted(
+            CrystalSpec(self.n, tuple(reversed(self.factors))), tuple(self.weight), strings)
 
 
 def extract_letter(work: Working) -> int:

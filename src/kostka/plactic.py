@@ -47,6 +47,15 @@ class SkewlessTableau:
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError('columns must strictly increase')
 
+    @classmethod
+    def _trusted(cls, rows: tuple) -> 'SkewlessTableau':
+        """A tableau from a tuple of row tuples already of partition shape,
+        weakly increasing along rows and strictly down columns, built
+        without re-running the checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, 'rows', rows)
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.rows)
@@ -66,7 +75,12 @@ EMPTY_TABLEAU = SkewlessTableau(())
 
 
 def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
-    """Classical Schensted row insertion of the letters of word in turn."""
+    """Classical Schensted row insertion of the letters of word in turn.
+
+    Row insertion keeps the shape a partition, the rows weakly
+    increasing and the columns strictly increasing, so the result is
+    built without the constructor's checks.
+    """
     rows = [list(row) for row in t.rows]
     for x in word:
         for row in rows:
@@ -77,17 +91,12 @@ def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
             row[j], x = x, row[j]
         else:
             rows.append([x])
-    return SkewlessTableau(tuple(tuple(row) for row in rows))
-
-
-def row_insert(t: SkewlessTableau, x: int) -> SkewlessTableau:
-    """Classical Schensted row insertion of the letter x."""
-    return insert_word(t, (x,))
+    return SkewlessTableau._trusted(tuple(tuple(row) for row in rows))
 
 
 def product(b: RectTableau, b2: RectTableau) -> SkewlessTableau:
     """Schensted product: insert the row word of b2 into b."""
-    return insert_word(SkewlessTableau(b.rows), b2.word())
+    return insert_word(SkewlessTableau._trusted(b.rows), b2.word())
 
 
 @cache

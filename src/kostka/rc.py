@@ -9,7 +9,10 @@ configuration simultaneously.
 
 The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two independent ways: direct
-enumeration and the alternating bound-tableau sum.
+enumeration and the alternating bound-tableau sum.  The enumeration
+counts the riggings of each configuration and builds no
+RiggedConfiguration: the cocharge of the bare configuration is shared by
+all of its riggings, and each rigging adds its sum of labels.
 """
 
 from __future__ import annotations
@@ -270,6 +273,17 @@ class RiggedConfiguration:
             canon.append(comp)
         object.__setattr__(self, 'strings', tuple(canon))
 
+    @classmethod
+    def _trusted(cls, spec: CrystalSpec, weight: tuple, strings: tuple) -> 'RiggedConfiguration':
+        """A configuration from a checked weight tuple and one tuple per
+        component of (length, rigging) tuples, lengths positive and in
+        canonical order, built without re-running the checks."""
+        rc = object.__new__(cls)
+        object.__setattr__(rc, 'spec', spec)
+        object.__setattr__(rc, 'weight', weight)
+        object.__setattr__(rc, 'strings', strings)
+        return rc
+
     @property
     def n(self) -> int:
         return self.spec.n
@@ -320,10 +334,6 @@ class RiggedConfiguration:
         for comp in self.strings:
             comps.append(','.join(f'{l}:{x}' for l, x in comp) if comp else '-')
         return ' | '.join(comps)
-
-
-def empty_rc(n: int) -> RiggedConfiguration:
-    return RiggedConfiguration(CrystalSpec(n, ()), (0,) * n, ((),) * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +459,24 @@ def enumerate_configurations(spec: CrystalSpec, weight):
             heights, [(a, l) for a, l, _m in support], vacancies)
 
 
+def _riggings(support, vacancies, profiles):
+    """The distinct rigging assignments of one configuration of
+    enumerate_configurations: one tuple per support entry (a, l, m) of
+    its m riggings in decreasing order, inside the box [bound, vacancy]
+    of some riggable profile.
+
+    Each multiset of riggings comes out once, so the set merges
+    assignments that several profiles share.  Every profile is
+    riggable, so each yields at least one assignment.
+    """
+    assignments = set()
+    for profile in profiles:
+        assignments.update(iproduct(*[
+            combinations_with_replacement(range(p, low - 1, -1), m)
+            for (_a, _l, m), low, p in zip(support, profile, vacancies)]))
+    return assignments
+
+
 def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
 
@@ -460,29 +488,35 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     every extension of such a prefix, are never built: they admit no
     rigging.
     """
+    weight = spec.check_weight(weight)
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
-        # Each multiset of riggings comes out once, in string order, so the
-        # set merges assignments that several profiles share.  Every
-        # profile is riggable, so each yields at least one assignment.
-        assignments = set()
-        for profile in profiles:
-            assignments.update(iproduct(*[
-                combinations_with_replacement(range(p, low - 1, -1), m)
-                for (_a, _l, m), low, p in zip(support, profile, vacancies)]))
-        for assignment in assignments:
+        for assignment in _riggings(support, vacancies, profiles):
+            # Lengths decrease along the support and riggings within an
+            # entry, so every component comes out in canonical order.
             comps: list[list[tuple[int, int]]] = [[] for _ in range(spec.n - 1)]
             for (a, l, _m), riggings in zip(support, assignment):
                 comps[a - 1].extend((l, x) for x in riggings)
-            out.append(RiggedConfiguration(
+            out.append(RiggedConfiguration._trusted(
                 spec, weight, tuple(tuple(c) for c in comps)))
     out.sort(key=lambda rc: rc.strings)
     return out
 
 
 def rc_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
-    """Sum of q^cocharge over all rigged configurations."""
-    return QPolynomial(Counter(rc.cocharge() for rc in enumerate_rcs(spec, weight)))
+    """Sum of q^cocharge over all rigged configurations.
+
+    Counts the rigging assignments of each configuration, those that
+    enumerate_rcs lists, without building any configuration: every
+    rigging shares the cocharge of its bare configuration and adds the
+    sum of its riggings.
+    """
+    counts = Counter()
+    for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
+        base = _config_cocharge(parts)
+        for assignment in _riggings(support, vacancies, profiles):
+            counts[base + sum(map(sum, assignment))] += 1
+    return QPolynomial(counts)
 
 
 def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
@@ -506,7 +540,7 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     are never built.  No witness tableau is built, and no budget
     applies.
     """
-    result = QPolynomial.zero()
+    result = Counter()
     for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         if not profiles:
             continue
@@ -525,5 +559,5 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
                 count)
             for (a, l, m), low, p in zip(support, bounds, vacancies):
                 term = term * qbinom(m, p - low)
-            result = result + term
-    return result
+            result.update(term.coeffs)
+    return QPolynomial(result)

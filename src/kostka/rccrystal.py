@@ -30,7 +30,9 @@ def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
 
     t is the shorter length of the changed string.  Every vacancy number
     at a length above t moves by 2 * sign in component a and by -sign in
-    components a - 1 and a + 1, and no other one changes.
+    components a - 1 and a + 1, and no other one changes.  That uniform
+    shift above t keeps each component in canonical order, so only
+    component a is sorted again.
     """
     weight = list(rc.weight)
     weight[a - 1] += sign
@@ -44,7 +46,8 @@ def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
         del changed[sel_index]
     if new_sel is not None:
         changed.append(new_sel)
-    return RiggedConfiguration(rc.spec, tuple(weight), tuple(map(tuple, strings)))
+    changed.sort(reverse=True)
+    return RiggedConfiguration._trusted(rc.spec, tuple(weight), tuple(map(tuple, strings)))
 
 
 def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
@@ -57,6 +60,8 @@ def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     """
     if phi(rc, a) == 0:
         return None
+    if rc.weight[a - 1] < 1:
+        raise InvariantError(f'lowering at {a} empties letter {a} of {rc}')
     comp = rc.strings[a - 1]
     nonpos = [(x, -l, idx) for idx, (l, x) in enumerate(comp) if x <= 0]
     if nonpos:

@@ -3,7 +3,8 @@
 Everything here favors the most literal reading of the defining rules
 over efficiency: bracketing by repeated cancellation, tensor operators
 by the two-factor recursion, the correspondence by its defining
-recursion, the energy polynomial path by path, and the alternating sum
+recursion, the energy polynomial path by path, the configuration
+polynomial configuration by configuration, and the alternating sum
 literally over witness subsets.
 """
 
@@ -12,13 +13,13 @@ from functools import cache
 from itertools import combinations, product as iproduct
 
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
-                              merge_column_rc, peel_box, peel_column, pop_letter)
+                              merge_column_rc)
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.paths import enumerate_paths
-from kostka.plactic import local_energy, rmatrix, tail_energy
+from kostka.plactic import SkewlessTableau, local_energy, rmatrix, tail_energy
 from kostka.qpoly import QPolynomial, qbinom
-from kostka.rc import RiggedConfiguration, bound_tableaux, empty_rc, enumerate_rcs
+from kostka.rc import RiggedConfiguration, bound_tableaux, enumerate_rcs
 from kostka.rccrystal import e
 
 
@@ -114,6 +115,72 @@ def recursive_e(path, i):
         return None if changed is None else _join(changed, rest)
     changed = recursive_e(rest, i)
     return None if changed is None else _join(left, changed)
+
+
+def row_insert(t, x):
+    """Schensted row insertion of the letter x, written out: x bumps the
+    leftmost entry of a row that exceeds it into the next row down, and
+    the result is a validated tableau."""
+    rows = [list(row) for row in t.rows]
+    for row in rows:
+        larger = [j for j, y in enumerate(row) if y > x]
+        if not larger:
+            row.append(x)
+            break
+        j = larger[0]
+        row[j], x = x, row[j]
+    else:
+        rows.append([x])
+    return SkewlessTableau(tuple(map(tuple, rows)))
+
+
+# ---------------------------------------------------------------------------
+# the correspondence by its defining recursion
+# ---------------------------------------------------------------------------
+
+def empty_rc(n):
+    return RiggedConfiguration(CrystalSpec(n, ()), (0,) * n, ((),) * (n - 1))
+
+
+def pop_letter(path):
+    """Remove a leading single-box factor, returning its value."""
+    if not path.spec.factors or path.spec.factors[0] != (1, 1):
+        raise ValueError('leftmost factor must be a single box')
+    letter = path.tableaux[0].rows[0][0]
+    rest = CrystalSpec(path.spec.n, path.spec.factors[1:])
+    return letter, Path(rest, path.tableaux[1:])
+
+
+def peel_column(path):
+    """Split the leftmost factor into its first column and the rest."""
+    if not path.spec.factors:
+        raise ValueError('no factors to split')
+    r, s = path.spec.factors[0]
+    if s < 2:
+        raise ValueError('leftmost factor must have width at least 2')
+    t = path.tableaux[0]
+    first = RectTableau(tuple((row[0],) for row in t.rows), t.n)
+    rest = RectTableau(tuple(row[1:] for row in t.rows), t.n)
+    spec = CrystalSpec(path.spec.n, ((r, 1), (r, s - 1)) + path.spec.factors[1:])
+    return Path(spec, (first, rest) + path.tableaux[1:])
+
+
+def peel_box(path):
+    """Split a leading column factor into its bottom box and the rest.
+
+    The bottom entry is the largest, so the split preserves the row
+    word letter for letter.
+    """
+    if not path.spec.factors:
+        raise ValueError('no factors to split')
+    r, s = path.spec.factors[0]
+    if s != 1 or r < 2:
+        raise ValueError('leftmost factor must be a column of height at least 2')
+    t = path.tableaux[0]
+    box = RectTableau(((t.rows[-1][0],),), t.n)
+    rest = RectTableau(t.rows[:-1], t.n)
+    spec = CrystalSpec(path.spec.n, ((1, 1), (r - 1, 1)) + path.spec.factors[1:])
+    return Path(spec, (box, rest) + path.tableaux[1:])
 
 
 def stepped(step, rc, *args):
@@ -451,6 +518,12 @@ def oracle_tail_energy(path):
 def oracle_path_polynomial(spec, weight):
     """Sum of q^(tail energy) over the paths of the weight, path by path."""
     return QPolynomial(Counter(tail_energy(b) for b in enumerate_paths(spec, weight)))
+
+
+def oracle_rc_polynomial(spec, weight):
+    """Sum of q^cocharge over the rigged configurations of the weight,
+    configuration by configuration."""
+    return QPolynomial(Counter(rc.cocharge() for rc in enumerate_rcs(spec, weight)))
 
 
 # ---------------------------------------------------------------------------

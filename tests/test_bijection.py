@@ -4,17 +4,16 @@ import pytest
 
 from kostka import bijection, rccrystal
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
-                              merge_column_rc, path_to_rc, peel_box,
-                              peel_box_rc, peel_column, peel_column_rc,
-                              pop_letter, rc_to_path)
+                              merge_column_rc, path_to_rc, peel_box_rc,
+                              peel_column_rc, rc_to_path)
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.errors import InvariantError
 from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import tail_energy
 from kostka.rc import RiggedConfiguration, enumerate_rcs, spec_vacancy
 
-from oracles import (N5_SPECS, N6_SPEC, extracted, recursive_correspondence, stepped,
-                     sweep_rcs)
+from oracles import (N5_SPECS, N6_SPEC, extracted, peel_box, peel_column, pop_letter,
+                     recursive_correspondence, stepped, sweep_rcs)
 
 FAMILIES = [
     CrystalSpec(2, ((1, 1), (1, 1), (1, 1))),
@@ -371,15 +370,32 @@ def test_working_vacancies_match_the_frozen_configuration(monkeypatch):
     assert set(checked) == set(STEPS)
 
 
+def test_frozen_configurations_pass_the_constructor_checks():
+    # Working.freeze builds its configuration without the constructor's
+    # checks; the checked constructor changes nothing.
+    paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
+    for p in paths + enumerate_paths(N6_SPEC, N6_WEIGHT):
+        rc = path_to_rc(p)
+        checked = RiggedConfiguration(rc.spec, rc.weight, rc.strings)
+        assert checked == rc and checked.strings == rc.strings, p
+
+
 def test_the_maps_freeze_once_and_leave_no_memo(monkeypatch):
+    # Configurations are built checked or trusted; each map builds one.
     built = Counter()
     original = RiggedConfiguration.__post_init__
+    original_trusted = RiggedConfiguration._trusted
 
     def counting(self):
         built['rc'] += 1
         original(self)
 
+    def counting_trusted(*args):
+        built['rc'] += 1
+        return original_trusted(*args)
+
     monkeypatch.setattr(RiggedConfiguration, '__post_init__', counting)
+    monkeypatch.setattr(RiggedConfiguration, '_trusted', counting_trusted)
     paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
     paths += enumerate_paths(N6_SPEC, N6_WEIGHT)
     spec_vacancy.cache_clear()

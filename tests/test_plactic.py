@@ -8,9 +8,8 @@ import kostka.plactic
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
 from kostka.paths import enumerate_all_paths
 from kostka.plactic import (EMPTY_TABLEAU, SkewlessTableau, insert_word,
-                            local_energy, product, rmatrix, row_insert,
-                            tail_energy)
-from oracles import oracle_tail_energy
+                            local_energy, product, rmatrix, tail_energy)
+from oracles import oracle_tail_energy, row_insert
 
 
 def test_skewless_validation():
@@ -52,6 +51,15 @@ def all_pairs(shape, shape2, n):
 
 
 PAIR_FAMILIES = [((1, 2), (2, 1), 3), ((1, 1), (2, 2), 3), ((2, 1), (1, 3), 3)]
+
+
+@pytest.mark.parametrize('shape, shape2, n', PAIR_FAMILIES + [((2, 2), (3, 1), 4)])
+def test_products_pass_the_constructor_checks(shape, shape2, n):
+    # insert_word builds its result without SkewlessTableau's checks.
+    for b, b2 in all_pairs(shape, shape2, n):
+        t = product(b, b2)
+        assert SkewlessTableau(t.rows) == t
+        assert t.size() == b.nrows * b.ncols + b2.nrows * b2.ncols
 
 
 def test_rmatrix_swaps_shapes_and_preserves_product():
@@ -186,7 +194,11 @@ words = st.lists(st.integers(1, 4), max_size=10)
 @given(words)
 def test_insert_word_is_semistandard_and_weight_preserving(word):
     t = insert_word(EMPTY_TABLEAU, word)
-    # constructor validates shape and semistandardness
+    assert SkewlessTableau(t.rows) == t
+    inserted = EMPTY_TABLEAU
+    for x in word:
+        inserted = row_insert(inserted, x)
+    assert inserted == t
     assert t.size() == len(word)
     assert t.weight_counts() == Counter(word)
 

@@ -10,12 +10,13 @@ from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _riggable_rows,
                        _witness_floor, bound_tableaux, column_heights,
-                       count_bound_tableaux, empty_rc, enumerate_configurations,
+                       count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
                        multiplicity_array, rc_polynomial)
 
-from oracles import (N5_SPECS, N6_SPEC, brute_rcs, first_witness, full_configurations,
-                     oracle_config_cc, oracle_multiplicities, oracle_vacancy, partitions_of,
+from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
+                     full_configurations, oracle_config_cc, oracle_multiplicities,
+                     oracle_rc_polynomial, oracle_vacancy, partitions_of,
                      strings_by_length, subset_fermionic, sweep_rcs,
                      unfiltered_fermionic)
 
@@ -399,6 +400,33 @@ def test_three_methods_agree_at_n6():
         assert fermionic_polynomial(N6_SPEC, weight) == target, weight
         assert rc_polynomial(N6_SPEC, weight) == target, weight
     assert path_polynomial(N6_SPEC, (3, 2, 2, 2, 2, 2))(1) == 935
+
+
+def test_rc_polynomial_matches_the_per_configuration_sum_on_the_sweep():
+    # Every composition weight of every spec with at most 5 boxes, n <= 4.
+    pairs = 0
+    for spec in sweep_specs(4, 5):
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            assert rc_polynomial(spec, weight) == oracle_rc_polynomial(spec, weight), \
+                (spec, weight)
+            pairs += 1
+    assert pairs == 4171
+
+
+def test_rc_polynomial_matches_the_per_configuration_sum_at_n6():
+    weights = [mu + (0,) * (6 - len(mu)) for mu in partitions_of(13) if len(mu) <= 6]
+    for weight in weights:
+        assert rc_polynomial(N6_SPEC, weight) == oracle_rc_polynomial(N6_SPEC, weight), weight
+
+
+def test_rc_polynomial_builds_no_configuration(monkeypatch):
+    # One counting code path: the riggings are counted, not built.
+    def refuse(*args, **kwargs):
+        raise AssertionError('rc_polynomial built a configuration')
+
+    monkeypatch.setattr(RiggedConfiguration, '__post_init__', refuse)
+    monkeypatch.setattr(RiggedConfiguration, '_trusted', refuse)
+    assert rc_polynomial(N6_SPEC, (3, 2, 2, 2, 2, 2))(1) == 935
 
 
 def test_fermionic_empty_weight_mismatch():

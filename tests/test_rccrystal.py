@@ -3,13 +3,15 @@ from functools import cache
 import pytest
 
 from kostka.bijection import path_to_rc
+from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
+from kostka.errors import InvariantError
 from kostka.paths import enumerate_all_paths
-from kostka.rc import RiggedConfiguration, empty_rc, enumerate_rcs
+from kostka.rc import RiggedConfiguration, enumerate_rcs
 from kostka.rccrystal import e, epsilon, f, phi
 
-from oracles import (N5_SPECS, N6_SPEC, admissible_f, colabel_e, iterated_epsilon,
-                     sweep_rcs)
+from oracles import (N5_SPECS, N6_SPEC, admissible_f, colabel_e, empty_rc,
+                     iterated_epsilon, sweep_rcs)
 
 SPEC44 = CrystalSpec(4, ((1, 3), (3, 2), (2, 1)))
 RC44 = RiggedConfiguration(SPEC44, (1, 4, 3, 3), (
@@ -17,6 +19,20 @@ RC44 = RiggedConfiguration(SPEC44, (1, 4, 3, 3), (
     ((3, 0), (1, 1)),
     ((2, -1), (1, -1)),
 ))
+
+
+def test_trusted_configurations_pass_the_constructor_checks():
+    # enumerate_rcs and the operators build their configurations without
+    # the constructor's checks; the checked constructor changes nothing.
+    rcs = [rc for spec in sweep_specs(4, 5)
+           for weight in _compositions(spec.total_boxes(), spec.n)
+           for rc in enumerate_rcs(spec, weight)]
+    images = [image for rc in rcs for a in range(1, rc.n)
+              for image in (f(rc, a), e(rc, a)) if image is not None]
+    assert len(rcs) == 15924 and len(images) == 48734
+    for rc in rcs + images:
+        checked = RiggedConfiguration(rc.spec, rc.weight, rc.strings)
+        assert checked == rc and checked.strings == rc.strings, rc
 
 
 def test_lowering_golden():
@@ -54,6 +70,20 @@ def test_raising_none_without_negative_riggings():
     assert e(rc, 1) is None
     assert e(empty_rc(3), 1) is None
     assert e(empty_rc(3), 2) is None
+
+
+def test_operators_never_empty_a_letter():
+    # Off the admissible configurations, where phi and epsilon overstate
+    # the steps, the operators raise instead of building a negative weight.
+    spec = CrystalSpec(2, ((1, 1),))
+    over = RiggedConfiguration(spec, (0, 1), (((1, -2),),))
+    assert not over.is_admissible() and phi(over, 1) == 1
+    with pytest.raises(InvariantError, match='empties letter 1'):
+        f(over, 1)
+    wrong_size = RiggedConfiguration(spec, (1, 0), (((1, -1),),))
+    assert not wrong_size.is_admissible()
+    with pytest.raises(InvariantError, match='empties letter 2'):
+        e(wrong_size, 1)
 
 
 def test_residue_validation():
