@@ -28,8 +28,8 @@ from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
-from .rc import (RiggedConfiguration, enumerate_rcs, fermionic_polynomial,
-                 rc_polynomial, spec_vacancy)
+from .rc import (RiggedConfiguration, component_vacancy, enumerate_rcs,
+                 fermionic_polynomial, rc_polynomial)
 
 OK = 0
 PROPERTY_FAILURE = 1
@@ -239,12 +239,15 @@ def _check_convexity(spec: CrystalSpec, partitions) -> str | None:
             c[p] += 1
         counts.append(c)
 
-    def pv(a, j):
-        return 0 if j == 0 else spec_vacancy(spec, partitions, a, j)
-
     for a in range(1, n):
+        widths = [s for r, s in spec.factors if r == a]
+        below = partitions[a - 2] if a > 1 else ()
+        above = partitions[a] if a < n - 1 else ()
+        # Every term is min(l, 0) = 0 at length 0.
+        pv = [component_vacancy(widths, below, partitions[a - 1], above, j)
+              for j in range(horizon + 2)]
         for i in range(1, horizon + 1):
-            lhs = -pv(a, i - 1) + 2 * pv(a, i) - pv(a, i + 1)
+            lhs = -pv[i - 1] + 2 * pv[i] - pv[i + 1]
             rhs = -2 * counts[a - 1][i]
             if a - 1 >= 1:
                 rhs += counts[a - 2][i]

@@ -81,8 +81,10 @@ def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i:
 @cache
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     """vacancy_number with the multiplicities read off a factor spec, memoized
-    for RiggedConfiguration.vacancy, is_admissible and the convexity check; the
-    bijection steps read bijection.Working's own lists instead."""
+    for RiggedConfiguration.vacancy, the public single-value lookup.  No
+    computing path reads it: is_admissible, the convexity check and the
+    bijection steps compute the vacancy numbers of the configuration in
+    front of them with component_vacancy."""
     return vacancy_number(partitions, multiplicity_array(spec), spec.n, a, i)
 
 
@@ -307,9 +309,13 @@ class RiggedConfiguration:
             return False
         lowest: dict[tuple[int, int], int] = {}
         for a in range(1, self.n):
+            widths = [s for r, s in self.spec.factors if r == a]
+            below = parts[a - 2] if a > 1 else ()
+            above = parts[a] if a < self.n - 1 else ()
             # The strings of one length come by decreasing rigging.
             for l, x in self.strings[a - 1]:
-                if (a, l) not in lowest and x > spec_vacancy(self.spec, parts, a, l):
+                if ((a, l) not in lowest
+                        and x > component_vacancy(widths, below, parts[a - 1], above, l)):
                     return False
                 lowest[a, l] = x
         return bool(_riggable_rows(column_heights(self.weight), lowest, lowest.values()))

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from kostka import bijection, rccrystal
+from kostka import bijection, cli, rccrystal
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc, path_to_rc, peel_box_rc,
                               peel_column_rc, rc_to_path)
@@ -399,10 +399,22 @@ def test_the_maps_freeze_once_and_leave_no_memo(monkeypatch):
     paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
     paths += enumerate_paths(N6_SPEC, N6_WEIGHT)
     spec_vacancy.cache_clear()
+    images = []
     for p in paths:
         before = built['rc']
         rc = path_to_rc(p)
         assert built['rc'] == before + 1
         assert rc_to_path(rc) == p
         assert built['rc'] == before + 1
+        images.append(rc)
+    assert spec_vacancy.cache_info().currsize == 0
+    # Admissibility, the operators and the property suite compute their
+    # vacancy numbers per configuration, so they add no entries either.
+    for rc in images:
+        assert rc.is_admissible()
+        for a in range(1, rc.n):
+            rccrystal.f(rc, a)
+            rccrystal.e(rc, a)
+    for spec in FAMILIES[1:3]:
+        assert cli.check_spec(spec) is None
     assert spec_vacancy.cache_info().currsize == 0

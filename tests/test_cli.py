@@ -9,6 +9,8 @@ from kostka.crystal import CrystalSpec, Path
 from kostka.rc import RiggedConfiguration
 from kostka import bijection, rccrystal
 
+from oracles import sweep_rcs
+
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
 TWO_BOX = {'n': 2, 'factors': [[1, 1], [1, 1]], 'weight': [1, 1]}
 EMPTY = {'n': 3, 'factors': [], 'weight': [0, 0, 0]}
@@ -349,6 +351,25 @@ def test_check_budget_validation(capsys):
     assert code == 2 and err.startswith('error:')
     code, _, err = run(capsys, ['check', '--count', '-1'])
     assert code == 2 and err.startswith('error:')
+
+
+def test_convexity_check_holds_and_has_teeth(monkeypatch):
+    configurations = {(rc.spec, rc.partitions) for rc in sweep_rcs()}
+    for spec, parts in configurations:
+        assert cli._check_convexity(spec, parts) is None, (spec, parts)
+    # The second difference of the vacancy numbers exceeds its bound by the
+    # number of factors of that width, here 3 at length 1; lowering P_1 of
+    # component 1 by 2 lowers the second difference there by 4.
+    original = cli.component_vacancy
+
+    def lowered(widths, below, parts, above, i):
+        value = original(widths, below, parts, above, i)
+        return value - 2 if i == 1 and not below else value
+
+    monkeypatch.setattr(cli, 'component_vacancy', lowered)
+    spec = CrystalSpec(2, ((1, 1), (1, 1), (1, 1)))
+    assert cli._check_convexity(spec, ((1,),)) == (
+        'convexity fails at component 1, length 1: -3 < -2 on ((1,),)')
 
 
 def test_spec_generators():

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import kostka
 
 
@@ -49,10 +51,12 @@ def test_package_never_calls_int():
     assert found == []
 
 
-def test_bijection_does_not_import_the_vacancy_memo():
-    # The bijection steps read vacancy numbers off their own working state, so
-    # they add no entries to the spec_vacancy memo.
-    source = Path(kostka.__file__).parent / 'bijection.py'
+@pytest.mark.parametrize('module', ['bijection.py', 'cli.py', 'rccrystal.py'])
+def test_bijection_does_not_import_the_vacancy_memo(module):
+    # The bijection steps, the property suite and the operators compute the
+    # vacancy numbers of the configuration in front of them, so they add no
+    # entries to the spec_vacancy memo.
+    source = Path(kostka.__file__).parent / module
     tree = ast.parse(source.read_text(), filename=str(source))
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
