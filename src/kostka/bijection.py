@@ -45,9 +45,7 @@ class Working:
 
     def vacancy(self, a: int, i: int) -> int:
         """Vacancy number of component a at length i, read off the lists."""
-        ls = self.lengths
-        widths = [s for r, s in self.factors if r == a]
-        return component_vacancy(widths, ls[a - 1], ls[a], ls[a + 1], i)
+        return component_vacancy(self.factors, self.lengths, a, i)
 
     def singular(self, a: int, low, high) -> list[tuple[int, int]]:
         """(length, index) of each singular string of component a, length in low..high."""

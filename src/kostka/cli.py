@@ -239,13 +239,10 @@ def _check_convexity(spec: CrystalSpec, partitions) -> str | None:
             c[p] += 1
         counts.append(c)
 
+    padded = ((), *partitions, ())
     for a in range(1, n):
-        widths = [s for r, s in spec.factors if r == a]
-        below = partitions[a - 2] if a > 1 else ()
-        above = partitions[a] if a < n - 1 else ()
         # Every term is min(l, 0) = 0 at length 0.
-        pv = [component_vacancy(widths, below, partitions[a - 1], above, j)
-              for j in range(horizon + 2)]
+        pv = [component_vacancy(spec.factors, padded, a, j) for j in range(horizon + 2)]
         for i in range(1, horizon + 1):
             lhs = -pv[i - 1] + 2 * pv[i] - pv[i + 1]
             rhs = -2 * counts[a - 1][i]

@@ -4,7 +4,8 @@ generate, graded by the tail energy.
 `enumerate_paths` lists the paths; `kostka paths` and `kostka check` call
 `tail_energy` on each one, because they need every path's energy.
 `path_polynomial` needs only the energy distribution and builds no path:
-it runs a transfer matrix over the factors instead.
+it runs a transfer matrix over the factors instead, whose steps are the
+same `plactic.carry` that `tail_energy` folds over one path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import product
 from operator import attrgetter
 
 from .crystal import CrystalSpec, Path, enumerate_crystal
-from .plactic import local_energy, rmatrix
+from .plactic import carry, local_energy
 from .qpoly import QPolynomial
 
 
@@ -55,17 +56,6 @@ def enumerate_all_paths(spec: CrystalSpec) -> list[Path]:
     return [Path._trusted(spec, tableaux) for tableaux in product(*crystals)]
 
 
-def _carry(t, carried):
-    """The local energies of t against each carried factor, and the sorted
-    carried factors once each has passed t and t itself is pushed."""
-    energy = 0
-    moved = [t]
-    for c in carried:
-        energy += local_energy(t, c)
-        moved.append(t if t.shape == c.shape else rmatrix(t, c)[0])
-    return energy, tuple(sorted(moved, key=attrgetter('rows')))
-
-
 def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     """Sum of q^(tail energy) over all paths of the given weight.
 
@@ -74,7 +64,8 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     act on each other, so once the factors right of a position are chosen,
     the rest of the energy depends only on the letters still unused and on
     the multiset of carried factors.  This runs right to left over those
-    states, merging equal ones, and keeps each state's energies in a
+    states, one `carry` per factor and state, sorts the carried factors so
+    that equal states merge, and keeps each state's energies in a
     Counter.  Two prunings keep it small: a state is kept only if the
     factors left of it can fill its remaining weight exactly, and the
     leftmost factor, which carries nothing, is looked up by that weight.
@@ -111,7 +102,9 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
                 for t in tableaux:
                     move = moves.get((t, carried))
                     if move is None:
-                        move = moves[t, carried] = _carry(t, carried)
+                        d, moved = carry(t, carried)
+                        moved.sort(key=attrgetter('rows'))
+                        move = moves[t, carried] = d, tuple(moved)
                     d, after = move
                     target = step[left, after]
                     for e, count in energies.items():

@@ -10,9 +10,11 @@ per distinct pair for the life of the process.  Like the tables, the
 memos hold at most sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of
 shapes met.
 
-`tail_energy` gives one path's energy; `kostka paths` and `kostka check`
-call it on every path they list or check.  `paths.path_polynomial` never
-calls it: it adds the same local energies over all the paths of a weight
+`carry` is the one transport step: a factor meets the factors carried
+up to it, adds their local energies and lets them pass.  `tail_energy`
+folds it over one path; `kostka paths` and `kostka check` call it on
+every path they list or check.  `paths.path_polynomial` never calls
+`tail_energy`: it folds the same `carry` over all the paths of a weight
 at once, with a transfer matrix over the carried factors.
 """
 
@@ -153,6 +155,22 @@ def local_energy(b: RectTableau, b2: RectTableau) -> int:
     return outside
 
 
+def carry(t: RectTableau, carried) -> tuple[int, list[RectTableau]]:
+    """One step of R-matrix transport: the carried factors pass t.
+
+    Returns the sum of local_energy(t, c) over the carried factors c,
+    and the factors carried on past t: t itself, then each c after it
+    has passed t, as rmatrix(t, c)[0].  The R-matrix is the identity on
+    equal shapes, so there c becomes t without an R-matrix call.
+    """
+    energy = 0
+    moved = [t]
+    for c in carried:
+        energy += local_energy(t, c)
+        moved.append(t if t.shape == c.shape else rmatrix(t, c)[0])
+    return energy, moved
+
+
 def tail_energy(path: Path) -> int:
     """Sum of local energies over all factor pairs after R-matrix transport.
 
@@ -162,18 +180,19 @@ def tail_energy(path: Path) -> int:
     local energy of the adjacent pair (position m+1 tensor position m).
 
     R_i, ..., R_{j-2} only carry the factor at position i leftward past
-    the original factors b_{i+1}, ..., b_{j-1}.  So for each i the carried
-    factor c starts as b_i and moves one position at a time: the term for
-    j is local_energy(b_j, c), after which c becomes rmatrix(b_j, c)[0].
-    The R-matrix is the identity on equal shapes, so there c becomes b_j
-    without an R-matrix call.  This makes O(k^2) R applications in all.
+    the original factors b_{i+1}, ..., b_{j-1}, and the carried factors
+    never act on each other.  So the sum folds `carry` over the factors
+    right to left: each factor b_j adds the local energies of the factors
+    carried up to it, which then pass it, and joins them.  The leftmost
+    factor b_k only adds its local energies; nothing is carried past it.
+    This makes O(k^2) R applications in all.
     """
     tabs = path.tableaux                # left to right: b_k, ..., b_1
     total = 0
-    for i in range(1, len(tabs)):
-        c = tabs[i]
-        for b in tabs[i - 1:0:-1]:
-            total += local_energy(b, c)
-            c = b if b.shape == c.shape else rmatrix(b, c)[0]
+    carried = []
+    for t in tabs[:0:-1]:
+        energy, carried = carry(t, carried)
+        total += energy
+    for c in carried:
         total += local_energy(tabs[0], c)
     return total

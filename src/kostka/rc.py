@@ -31,61 +31,54 @@ from .qpoly import QPolynomial, qbinom
 DEFAULT_BOUND_CAP = 10 ** 6
 
 
-@cache
-def multiplicity_array(spec: CrystalSpec) -> dict[tuple[int, int], int]:
-    """Counts of tensor factors by (height, width)."""
-    counts: dict[tuple[int, int], int] = {}
-    for r, s in spec.factors:
-        counts[(r, s)] = counts.get((r, s), 0) + 1
-    return counts
-
-
-def forced_sizes(L: dict[tuple[int, int], int], weight, n: int) -> list[int]:
+def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
     """Required size of each component partition, indices a = 1..n-1.
 
     Entry a-1 holds sum(weight[a:]) minus the boxes the factors place
     above level a.
     """
-    return [sum(weight[a:]) - sum([cnt * i * (b - a) for (b, i), cnt in L.items() if b > a])
-            for a in range(1, n)]
+    return [sum(weight[a:]) - sum([s * (r - a) for r, s in spec.factors if r > a])
+            for a in range(1, spec.n)]
 
 
-def component_vacancy(widths, below, parts, above, i: int) -> int:
-    """Vacancy number at length i of a component with part lengths parts,
-    factor widths widths (one per factor of its height) and neighbouring
-    part lengths below and above (empty at either end)."""
+def component_vacancy(factors, padded, a: int, i: int) -> int:
+    """Vacancy number of component a at length i, read off factors, the
+    (height, width) of every tensor factor in any order, and padded, the
+    part lengths of components 0..n, where components 0 and n are empty.
+    Every vacancy reader but the configuration builder calls it."""
     # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
     total = 0
-    for l in (*widths, *below, *above):
+    for r, s in factors:
+        if r == a:
+            total += s if s < i else i
+    for l in (*padded[a - 1], *padded[a + 1]):
         total += l if l < i else i
-    for l in parts:
+    for l in padded[a]:
         total -= 2 * l if l < i else 2 * i
     return total
 
 
-def vacancy_number(partitions, L: dict[tuple[int, int], int], n: int, a: int, i: int) -> int:
+def vacancy_number(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     """Vacancy number of component a at part length i.
 
     partitions lists the part lengths of every component, 1..n-1 in
     order.  The value may be negative; i may exceed every part.
     """
-    if not 1 <= a <= n - 1:
-        raise ValueError(f'component {a} outside 1..{n - 1}')
+    if not 1 <= a <= spec.n - 1:
+        raise ValueError(f'component {a} outside 1..{spec.n - 1}')
     if i < 1:
         raise ValueError('part length must be positive')
-    widths = [j for (b, j), cnt in L.items() if b == a for _ in range(cnt)]
-    return component_vacancy(widths, partitions[a - 2] if a > 1 else (), partitions[a - 1],
-                             partitions[a] if a < n - 1 else (), i)
+    return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
 
 
 @cache
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
-    """vacancy_number with the multiplicities read off a factor spec, memoized
-    for RiggedConfiguration.vacancy, the public single-value lookup.  No
-    computing path reads it: is_admissible, the convexity check and the
-    bijection steps compute the vacancy numbers of the configuration in
-    front of them with component_vacancy."""
-    return vacancy_number(partitions, multiplicity_array(spec), spec.n, a, i)
+    """vacancy_number, memoized for RiggedConfiguration.vacancy, the
+    public single-value lookup.  No computing path reads it:
+    is_admissible, the convexity check and the bijection steps compute
+    the vacancy numbers of the configuration in front of them with
+    component_vacancy."""
+    return vacancy_number(spec, partitions, a, i)
 
 
 def _overlap(lam, kappa) -> int:
@@ -307,15 +300,13 @@ class RiggedConfiguration:
         parts = self.partitions
         if [sum(p) for p in parts] != _config_sizes(self.spec, self.weight):
             return False
+        factors = self.spec.factors
+        padded = ((), *parts, ())
         lowest: dict[tuple[int, int], int] = {}
         for a in range(1, self.n):
-            widths = [s for r, s in self.spec.factors if r == a]
-            below = parts[a - 2] if a > 1 else ()
-            above = parts[a] if a < self.n - 1 else ()
             # The strings of one length come by decreasing rigging.
             for l, x in self.strings[a - 1]:
-                if ((a, l) not in lowest
-                        and x > component_vacancy(widths, below, parts[a - 1], above, l)):
+                if (a, l) not in lowest and x > component_vacancy(factors, padded, a, l):
                     return False
                 lowest[a, l] = x
         return bool(_riggable_rows(column_heights(self.weight), lowest, lowest.values()))
@@ -368,7 +359,7 @@ def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...]):
     """forced_sizes of the weight, or None when no configuration has them."""
     if sum(weight) != spec.total_boxes():
         return None
-    sizes = forced_sizes(multiplicity_array(spec), weight, spec.n)
+    sizes = forced_sizes(spec, weight)
     return None if any(sz < 0 for sz in sizes) else sizes
 
 
@@ -414,7 +405,6 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     sizes = _config_sizes(spec, weight)
     if sizes is None:
         return
-    L = multiplicity_array(spec)
     heights = column_heights(weight)
     # Each surviving prefix nu^(1..k) with the support entries and vacancy
     # numbers of nu^(1..k-1), and the entries of nu^(k) with their
@@ -423,7 +413,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     for a, size in enumerate(sizes, start=1):
         # The overlap of nu^(a+1) with any length is at most its size.
         room = sizes[a] if a < len(sizes) else 0
-        widths = [(j, cnt) for (b, j), cnt in L.items() if b == a]
+        widths = [s for r, s in spec.factors if r == a]
         options = []
         for parts, groups in _partitions_of(size):
             entries = []
@@ -433,8 +423,8 @@ def enumerate_configurations(spec: CrystalSpec, weight):
                 covered += l * m
                 # The factors' term less twice the overlap of nu^(a) with l.
                 own = -2 * (l * count + size - covered)
-                for j, cnt in widths:
-                    own += cnt * min(l, j)
+                for j in widths:
+                    own += min(l, j)
                 entries.append(((a, l, m), own, _witness_floor(heights, a, l)))
             options.append((parts, entries))
         extended = []

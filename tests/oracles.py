@@ -17,7 +17,7 @@ from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.paths import enumerate_paths
-from kostka.plactic import SkewlessTableau, local_energy, rmatrix, tail_energy
+from kostka.plactic import SkewlessTableau, local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, bound_tableaux, enumerate_rcs
 from kostka.rccrystal import e
@@ -516,8 +516,9 @@ def oracle_tail_energy(path):
 
 
 def oracle_path_polynomial(spec, weight):
-    """Sum of q^(tail energy) over the paths of the weight, path by path."""
-    return QPolynomial(Counter(tail_energy(b) for b in enumerate_paths(spec, weight)))
+    """Sum of q^(tail energy) over the paths of the weight, path by path,
+    each energy summed pair by pair by oracle_tail_energy."""
+    return QPolynomial(Counter(oracle_tail_energy(b) for b in enumerate_paths(spec, weight)))
 
 
 def oracle_rc_polynomial(spec, weight):

@@ -362,9 +362,9 @@ def test_convexity_check_holds_and_has_teeth(monkeypatch):
     # component 1 by 2 lowers the second difference there by 4.
     original = cli.component_vacancy
 
-    def lowered(widths, below, parts, above, i):
-        value = original(widths, below, parts, above, i)
-        return value - 2 if i == 1 and not below else value
+    def lowered(factors, padded, a, i):
+        value = original(factors, padded, a, i)
+        return value - 2 if i == 1 and a == 1 else value
 
     monkeypatch.setattr(cli, 'component_vacancy', lowered)
     spec = CrystalSpec(2, ((1, 1), (1, 1), (1, 1)))

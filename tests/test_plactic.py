@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import kostka.plactic
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
-from kostka.paths import enumerate_all_paths
+from kostka.paths import enumerate_all_paths, path_polynomial
 from kostka.plactic import (EMPTY_TABLEAU, SkewlessTableau, insert_word,
                             local_energy, product, rmatrix, tail_energy)
 from oracles import oracle_tail_energy, row_insert
@@ -170,9 +170,16 @@ def test_tail_energy_never_transports_across_equal_shapes(monkeypatch):
 
     monkeypatch.setattr(kostka.plactic, 'rmatrix', recorder)
     for spec in ENERGY_SPECS[:2]:
-        for p in enumerate_all_paths(spec):
+        seen.clear()
+        everything = enumerate_all_paths(spec)
+        for p in everything:
             tail_energy(p)
-    assert seen and all(shape != shape2 for shape, shape2 in seen)
+        for weight in {p.weight() for p in everything}:
+            path_polynomial(spec, weight)
+        assert seen and all(shape != shape2 for shape, shape2 in seen)
+        # Nothing is carried past the leftmost factor, whose shape occurs
+        # nowhere else in these specs, so no transport step runs at it.
+        assert all(shape != spec.factors[0] for shape, _shape2 in seen), spec
 
 
 def test_energy_memos_stay_within_the_table_sizes():

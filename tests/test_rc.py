@@ -12,7 +12,7 @@ from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _riggable_rows,
                        _witness_floor, bound_tableaux, column_heights,
                        count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       multiplicity_array, rc_polynomial)
+                       rc_polynomial, vacancy_number)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
@@ -25,17 +25,10 @@ SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
                              (((3, -2), (1, 0)), ((2, 0),), ((1, -1),)))
 
 
-def test_multiplicity_array():
-    spec = CrystalSpec(6, ((1, 1), (2, 1), (2, 3)))
-    assert multiplicity_array(spec) == {(1, 1): 1, (2, 1): 1, (2, 3): 1}
-    assert multiplicity_array(SIX_BOXES) == {(1, 1): 6}
-
-
 def test_forced_sizes():
     spec = CrystalSpec(6, ((1, 1), (2, 1), (2, 3)))
-    L = multiplicity_array(spec)
-    assert forced_sizes(L, (2, 2, 2, 1, 1, 1), 6) == [3, 5, 3, 2, 1]
-    assert forced_sizes(multiplicity_array(SIX_BOXES), (2, 2, 1, 1), 4) == [4, 2, 1]
+    assert forced_sizes(spec, (2, 2, 2, 1, 1, 1)) == [3, 5, 3, 2, 1]
+    assert forced_sizes(SIX_BOXES, (2, 2, 1, 1)) == [4, 2, 1]
 
 
 def test_vacancy_goldens():
@@ -57,12 +50,18 @@ def test_vacancy_validation():
 def test_stable_vacancy_is_the_weight_gap():
     # With the forced sizes, the vacancy number of component a at a length
     # past every part and every factor width is mu_a - mu_(a+1), the
-    # closed form rccrystal.phi reads.
+    # closed form rccrystal.phi reads.  Below that length every vacancy
+    # number matches the literal Cartan sum, end components and n = 2 (both
+    # neighbours empty) included.
     for rc in sweep_rcs():
         h = 1 + max([0, *(s for _r, s in rc.spec.factors),
                      *(l for parts in rc.partitions for l in parts)])
+        L = oracle_multiplicities(rc.spec)
         for a in range(1, rc.n):
             assert rc.vacancy(a, h) == rc.weight[a - 1] - rc.weight[a], (rc, a)
+            for l in range(1, h + 1):
+                assert (vacancy_number(rc.spec, rc.partitions, a, l)
+                        == oracle_vacancy(rc.partitions, L, rc.n, a, l)), (rc, a, l)
 
 
 def test_cocharge_matches_the_cartan_double_sum():
