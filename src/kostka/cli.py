@@ -36,6 +36,12 @@ PROPERTY_FAILURE = 1
 INPUT_ERROR = 2
 
 
+# The graded counting polynomial of a spec and weight by each method, in
+# the order `poly` prints them; `check` compares every one at every weight.
+METHODS = {'paths': path_polynomial, 'rc-enum': rc_polynomial,
+           'fermionic': fermionic_polynomial}
+
+
 class InputError(Exception):
     """Malformed file, spec, or element."""
 
@@ -109,15 +115,8 @@ def cmd_rcs(args) -> int:
 
 def cmd_poly(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
-    names = ['paths', 'rc-enum', 'fermionic'] if args.method == 'all' else [args.method]
-    values: dict[str, QPolynomial] = {}
-    for name in names:
-        if name == 'paths':
-            values[name] = path_polynomial(spec, weight)
-        elif name == 'rc-enum':
-            values[name] = rc_polynomial(spec, weight)
-        else:
-            values[name] = fermionic_polynomial(spec, weight)
+    names = list(METHODS) if args.method == 'all' else [args.method]
+    values = {name: METHODS[name](spec, weight) for name in names}
     if args.format == 'json':
         print(json.dumps({'polynomials':
                           {name: _poly_json(values[name]) for name in names}}))
@@ -280,23 +279,23 @@ def check_spec(spec: CrystalSpec) -> str | None:
     for weight in _compositions(spec.total_boxes(), n):
         group = by_weight.get(weight, [])
         rcs = enumerate_rcs(spec, weight)
-        if {images[p] for p in group} != set(rcs):
+        if len(rcs) != len(group) or {images[p] for p in group} != set(rcs):
             return f'image mismatch at weight {weight}'
         x = QPolynomial(Counter(energies[p] for p in group))
-        m_enum = QPolynomial(Counter(rc.cocharge() for rc in rcs))
-        m_ferm = fermionic_polynomial(spec, weight)
-        if not (x == m_enum == m_ferm):
+        polys = {name: method(spec, weight) for name, method in METHODS.items()}
+        if any(poly != x for poly in polys.values()):
+            detail = ', '.join(f'{name}={poly}' for name, poly in polys.items())
             return (f'polynomials disagree at weight {weight}: '
-                    f'paths={x}, rc-enum={m_enum}, fermionic={m_ferm}')
+                    f'elements={x}, {detail}')
 
         key = tuple(sorted(weight))
         if key in class_poly:
             other_weight, other = class_poly[key]
-            if other != m_enum:
+            if other != x:
                 return (f'symmetry broken between weights {other_weight} '
                         f'and {weight}')
         else:
-            class_poly[key] = (weight, m_enum)
+            class_poly[key] = (weight, x)
 
         for parts in {rc.partitions for rc in rcs}:
             err = _check_convexity(spec, parts)
@@ -394,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser('poly', help='compute the graded counting polynomial')
     add_common(p)
-    p.add_argument('--method', choices=['paths', 'rc-enum', 'fermionic', 'all'],
-                   default='all')
+    p.add_argument('--method', choices=[*METHODS, 'all'], default='all')
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser('map', help='convert one element across the correspondence')

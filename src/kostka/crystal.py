@@ -185,11 +185,11 @@ class Path:
 
     def phi(self, i: int) -> int:
         """Number of times f applies before hitting None."""
-        return len(_bracket(self, i)[1])
+        return len(_bracket(self, i)[0])
 
     def epsilon(self, i: int) -> int:
         """Number of times e applies before hitting None."""
-        return len(_bracket(self, i)[2])
+        return len(_bracket(self, i)[1])
 
     def to_json(self) -> dict:
         return {
@@ -208,28 +208,17 @@ class Path:
         return ' (x) '.join(str(t) for t in self.tableaux) if self.tableaux else '(empty)'
 
 
-def _word_cells(path: Path):
-    """Letters of the path word with their (factor, row, col) addresses."""
-    cells = []
-    for k, t in enumerate(path.tableaux):
-        for ri in range(t.nrows - 1, -1, -1):
-            for ci in range(t.ncols):
-                cells.append((t.rows[ri][ci], k, ri, ci))
-    return cells
-
-
 def _bracket(path: Path, i: int):
     """Unmatched positions for letter i (closers) and i+1 (openers).
 
-    Returns the word-cell list and two lists of indices into it, in word
-    order.
+    Brackets path.word() and returns the two lists of unmatched
+    positions in it, (unmatched_i, unmatched_i1), each in word order.
     """
     if not 1 <= i <= path.spec.n - 1:
         raise ValueError(f'operator index {i} outside 1..{path.spec.n - 1}')
-    cells = _word_cells(path)
     unmatched_i: list[int] = []
     open_stack: list[int] = []
-    for pos, (letter, *_rest) in enumerate(cells):
+    for pos, letter in enumerate(path.word()):
         if letter == i + 1:
             open_stack.append(pos)
         elif letter == i:
@@ -237,11 +226,11 @@ def _bracket(path: Path, i: int):
                 open_stack.pop()
             else:
                 unmatched_i.append(pos)
-    return cells, unmatched_i, open_stack
+    return unmatched_i, open_stack
 
 
 def _apply(path: Path, i: int, lowering: bool) -> Path | None:
-    cells, unmatched_i, unmatched_i1 = _bracket(path, i)
+    unmatched_i, unmatched_i1 = _bracket(path, i)
     if lowering:
         if not unmatched_i:
             return None
@@ -252,8 +241,13 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
             return None
         pos = unmatched_i1[0]       # leftmost unmatched i+1
         new_letter = i
-    _letter, k, ri, ci = cells[pos]
-    t = path.tableaux[k]
+    # Each factor's letters are its rows, bottom row first: find the
+    # factor k holding the position, then its row and column.
+    for k, t in enumerate(path.tableaux):
+        if pos < t.nrows * t.ncols:
+            break
+        pos -= t.nrows * t.ncols
+    ri, ci = t.nrows - 1 - pos // t.ncols, pos % t.ncols
     rows = [list(row) for row in t.rows]
     rows[ri][ci] = new_letter
     # The constructor re-checks semistandardness; the bracketing rule

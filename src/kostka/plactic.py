@@ -1,6 +1,9 @@
 """Schensted insertion, tableau products, the combinatorial R-matrix,
 and the local and tail energy statistics.
 
+A tableau of partition shape, such as a Schensted product, is held as
+the tuple of its row tuples, top row first; it has no class of its own.
+
 The R-matrix on a pair of rectangle crystals is pinned down by plactic
 equivalence: swapping the two factors must preserve the Schensted
 product.  That characterization is turned into a lookup table per pair
@@ -21,69 +24,21 @@ at once, with a transfer matrix over the carried factors.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 
 from .crystal import Path, RectTableau, enumerate_crystal
 from .errors import InvariantError
 
 
-@dataclass(frozen=True)
-class SkewlessTableau:
-    """A semistandard tableau of arbitrary partition shape."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, 'rows', rows)
-        lengths = [len(row) for row in rows]
-        if any(a < b for a, b in zip(lengths, lengths[1:])):
-            raise ValueError('row lengths must weakly decrease')
-        if any(not row for row in rows):
-            raise ValueError('empty rows are not allowed')
-        for row in rows:
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError('rows must weakly increase')
-        for upper, lower in zip(rows, rows[1:]):
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
-                raise ValueError('columns must strictly increase')
-
-    @classmethod
-    def _trusted(cls, rows: tuple) -> 'SkewlessTableau':
-        """A tableau from a tuple of row tuples already of partition shape,
-        weakly increasing along rows and strictly down columns, built
-        without re-running the checks."""
-        t = object.__new__(cls)
-        object.__setattr__(t, 'rows', rows)
-        return t
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    def weight_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for x in row:
-                counts[x] = counts.get(x, 0) + 1
-        return counts
-
-
-EMPTY_TABLEAU = SkewlessTableau(())
-
-
-def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
+def insert_word(rows: tuple, word) -> tuple[tuple[int, ...], ...]:
     """Classical Schensted row insertion of the letters of word in turn.
 
+    rows is a semistandard tableau as a tuple of row tuples, top row
+    first (the empty tuple for the empty tableau); the result is another.
     Row insertion keeps the shape a partition, the rows weakly
-    increasing and the columns strictly increasing, so the result is
-    built without the constructor's checks.
+    increasing and the columns strictly increasing.
     """
-    rows = [list(row) for row in t.rows]
+    rows = [list(row) for row in rows]
     for x in word:
         for row in rows:
             j = bisect_right(row, x)
@@ -93,22 +48,26 @@ def insert_word(t: SkewlessTableau, word) -> SkewlessTableau:
             row[j], x = x, row[j]
         else:
             rows.append([x])
-    return SkewlessTableau._trusted(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
-def product(b: RectTableau, b2: RectTableau) -> SkewlessTableau:
-    """Schensted product: insert the row word of b2 into b."""
-    return insert_word(SkewlessTableau._trusted(b.rows), b2.word())
+def product(b: RectTableau, b2: RectTableau) -> tuple[tuple[int, ...], ...]:
+    """Schensted product: insert the row word of b2 into b.
+
+    Returns the product's rows, top row first.
+    """
+    return insert_word(b.rows, b2.word())
 
 
 @cache
 def _rmatrix_table(r: int, s: int, r2: int, s2: int, n: int):
-    """Map each Schensted product to its unique preimage in B^{r2,s2} x B^{r,s}.
+    """Map each Schensted product, keyed by its rows, to its unique
+    preimage in B^{r2,s2} x B^{r,s}.
 
     Uniqueness of the preimage is exactly the defining property of the
     R-matrix; a collision here would be an implementation bug.
     """
-    table: dict[SkewlessTableau, tuple[RectTableau, RectTableau]] = {}
+    table: dict[tuple, tuple[RectTableau, RectTableau]] = {}
     for left in enumerate_crystal(r2, s2, n):
         for right in enumerate_crystal(r, s, n):
             key = product(left, right)
@@ -142,16 +101,16 @@ def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
 def local_energy(b: RectTableau, b2: RectTableau) -> int:
     """Cells of the product shape outside the rowwise concatenation.
 
-    The reference shape has k-th row of length s*(k<=r) + s2*(k<=r2)
-    for the input shapes (s^r) and (s2^r2).
+    The product shape is the lengths of the product's rows.  The
+    reference shape has k-th row of length s*(k<=r) + s2*(k<=r2) for
+    the input shapes (s^r) and (s2^r2).
     """
     r, s = b.shape
     r2, s2 = b2.shape
-    prod_shape = product(b, b2).shape
     outside = 0
-    for k, length in enumerate(prod_shape, start=1):
+    for k, row in enumerate(product(b, b2), start=1):
         ref = (s if k <= r else 0) + (s2 if k <= r2 else 0)
-        outside += max(0, length - ref)
+        outside += max(0, len(row) - ref)
     return outside
 
 

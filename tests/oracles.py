@@ -17,7 +17,7 @@ from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
 from kostka.paths import enumerate_paths
-from kostka.plactic import SkewlessTableau, local_energy, rmatrix
+from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, bound_tableaux, enumerate_rcs
 from kostka.rccrystal import e
@@ -117,11 +117,24 @@ def recursive_e(path, i):
     return None if changed is None else _join(left, changed)
 
 
-def row_insert(t, x):
-    """Schensted row insertion of the letter x, written out: x bumps the
-    leftmost entry of a row that exceeds it into the next row down, and
-    the result is a validated tableau."""
-    rows = [list(row) for row in t.rows]
+def semistandard(rows):
+    """Whether rows, a tuple of row tuples, is a semistandard tableau of
+    partition shape: row lengths weakly decrease, no row is empty, rows
+    weakly increase and columns strictly increase."""
+    lengths = [len(row) for row in rows]
+    return (all(a >= b for a, b in zip(lengths, lengths[1:]))
+            and all(rows)
+            and all(a <= b for row in rows for a, b in zip(row, row[1:]))
+            and all(upper[j] < lower[j]
+                    for upper, lower in zip(rows, rows[1:])
+                    for j in range(len(lower))))
+
+
+def row_insert(rows, x):
+    """Schensted row insertion of the letter x into rows, written out: x
+    bumps the leftmost entry of a row that exceeds it into the next row
+    down.  Returns the new rows."""
+    rows = [list(row) for row in rows]
     for row in rows:
         larger = [j for j, y in enumerate(row) if y > x]
         if not larger:
@@ -131,7 +144,7 @@ def row_insert(t, x):
         row[j], x = x, row[j]
     else:
         rows.append([x])
-    return SkewlessTableau(tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
+from kostka.qpoly import QPolynomial
 from kostka.rc import RiggedConfiguration
 from kostka import bijection, rccrystal
 
@@ -38,10 +39,15 @@ def run(capsys, argv):
 def test_paths_text(tmp_path, capsys):
     code, out, _ = run(capsys, ['paths', '--spec', write(tmp_path, 's.json', SPEC43)])
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 7
-    energies = sorted(int(line.rsplit('D=', 1)[1]) for line in lines)
-    assert energies == [0, 0, 1, 1, 1, 1, 2]
+    assert out.splitlines() == [
+        '11/22 (x) 3/4  D=0',
+        '11/23 (x) 2/4  D=0',
+        '11/24 (x) 2/3  D=1',
+        '12/23 (x) 1/4  D=1',
+        '12/24 (x) 1/3  D=1',
+        '13/24 (x) 1/2  D=2',
+        '12/34 (x) 1/2  D=1',
+    ]
 
 
 def test_paths_json(tmp_path, capsys):
@@ -60,15 +66,15 @@ def test_paths_json(tmp_path, capsys):
 def test_rcs_text(tmp_path, capsys):
     code, out, _ = run(capsys, ['rcs', '--spec', write(tmp_path, 's.json', SPEC43)])
     assert code == 0
-    assert set(out.splitlines()) == {
-        '1:0 | 1:-1,1:-1 | 1:0  cc=0',
+    assert out.splitlines() == [
         '1:-1 | 1:0,1:0 | 1:0  cc=1',
-        '1:0 | 1:0,1:0 | 1:-1  cc=1',
-        '1:0 | 1:0,1:-1 | 1:0  cc=1',
-        '1:0 | 1:0,1:0 | 1:0  cc=2',
         '1:-1 | 2:0 | 1:-1  cc=0',
         '1:-1 | 2:1 | 1:-1  cc=1',
-    }
+        '1:0 | 1:-1,1:-1 | 1:0  cc=0',
+        '1:0 | 1:0,1:-1 | 1:0  cc=1',
+        '1:0 | 1:0,1:0 | 1:-1  cc=1',
+        '1:0 | 1:0,1:0 | 1:0  cc=2',
+    ]
 
 
 def test_rcs_empty_spec(tmp_path, capsys):
@@ -351,6 +357,21 @@ def test_check_budget_validation(capsys):
     assert code == 2 and err.startswith('error:')
     code, _, err = run(capsys, ['check', '--count', '-1'])
     assert code == 2 and err.startswith('error:')
+
+
+def test_check_runs_every_poly_method(monkeypatch):
+    # A method that is off by a factor of q fails the check at the first
+    # composition weight, (2, 0), whose polynomial is 1.
+    spec = CrystalSpec(2, ((1, 1), (1, 1)))
+    for name in ('paths', 'rc-enum'):
+        original = cli.METHODS[name]
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.METHODS, name,
+                          lambda s, w: original(s, w) * QPolynomial.monomial(1))
+            detail = cli.check_spec(spec)
+        assert detail.startswith('polynomials disagree at weight (2, 0): elements=1, ')
+        assert f'{name}=q' in detail.split(', '), detail
+    assert cli.check_spec(spec) is None
 
 
 def test_convexity_check_holds_and_has_teeth(monkeypatch):

@@ -116,7 +116,7 @@ def test_bracketing_matches_repeated_cancellation():
 
     for spec, p in family_paths():
         for i in range(1, spec.n):
-            assert tuple(naive_residue(p.word(), i)) == _bracket(p, i)[1:]
+            assert tuple(naive_residue(p.word(), i)) == _bracket(p, i)
 
 
 def test_operators_match_tensor_recursion():
