@@ -37,6 +37,7 @@ def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
     Entry a-1 holds sum(weight[a:]) minus the boxes the factors place
     above level a.
     """
+    weight = spec.check_weight(weight)
     return [sum(weight[a:]) - sum([s * (r - a) for r, s in spec.factors if r > a])
             for a in range(1, spec.n)]
 
@@ -45,7 +46,9 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
     """Vacancy number of component a at length i, read off factors, the
     (height, width) of every tensor factor in any order, and padded, the
     part lengths of components 0..n, where components 0 and n are empty.
-    Every vacancy reader but the configuration builder calls it."""
+    Every vacancy number in the package comes from it; the configuration
+    builder calls it with both neighbours of a empty and adds their
+    overlaps itself as it chooses them."""
     # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
     total = 0
     for r, s in factors:
@@ -64,6 +67,8 @@ def vacancy_number(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     partitions lists the part lengths of every component, 1..n-1 in
     order.  The value may be negative; i may exceed every part.
     """
+    if len(partitions) != spec.n - 1:
+        raise ValueError(f'expected {spec.n - 1} partitions')
     if not 1 <= a <= spec.n - 1:
         raise ValueError(f'component {a} outside 1..{spec.n - 1}')
     if i < 1:
@@ -99,8 +104,9 @@ def _config_cocharge(partitions) -> int:
 # The witness set is the free product of its columns: column k ranges
 # over every c_k-subset of 1..c_{k-1}, independently of the others, and
 # bound(a, l) reads columns a and a+1 only.  No computation builds the
-# set: _riggable_rows walks it column by column, and bound_tableaux
-# lists it for display and for the tests.
+# set: _walk_column advances the distinct partial rows by one column,
+# the configuration builder and is_admissible take that step column by
+# column, and bound_tableaux lists the set for display and for the tests.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -202,41 +208,34 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
     return tuple((added, tuple(starts)) for added, starts in out.items())
 
 
-def _riggable_rows(heights, keys, limits) -> set[tuple[int, ...]]:
-    """The distinct rows (bound(a, l) for (a, l) in keys) of the witness
-    tableaux that lie at or below limits, entry by entry.
+def _walk_column(partial, heights, k: int, finishing, starting) -> set:
+    """One step of the walk over the witness tableaux of a weight, whose
+    column_heights are heights: the distinct partial rows after column k.
 
-    heights is the weight's column_heights, and keys come grouped by
-    component in increasing order.  Column k adds to the entries of
-    components k-1 and k only, so the walk over k = 1, ..., n keeps the
-    distinct partial rows: the final entries of the components below
-    k-1 and the pending entries of component k-1.  Column k makes the
-    entries of component k-1 final (column n is empty), and a partial
-    row is dropped as soon as one of them exceeds its limit.
+    A partial row is a pair (done, pending): the bounds of the finished
+    entries, and the bounds so far of the entries of component k-1.
+    Column k adds to the entries of components k-1 and k only, so it
+    makes those of component k-1 final (column n = len(heights) is
+    empty) and starts those of component k.  finishing lists the pairs
+    (l, limit) of the entries of component k-1 and starting the lengths
+    of those of component k; a row is dropped as soon as a final bound
+    exceeds its limit.  From {((), ())}, columns 1..n leave the rows
+    (done, ()) of the witness tableaux that lie at or below the limits.
     """
-    n = len(heights)
-    by_component: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for (a, l), limit in zip(keys, limits):
-        by_component[a].append((l, limit))
-    partial = {((), ())}
-    for k in range(1, n + 1):
-        finishing = by_component[k - 1]
-        counts = _column_counts(heights[k - 1], heights[k] if k < n else 0,
-                                tuple(l for l, _ in finishing),
-                                tuple(l for l, _ in by_component[k]))
-        grown = set()
-        for done, pending in partial:
-            for added, starts in counts:
-                final = []
-                for p, c, (_l, limit) in zip(pending, added, finishing):
-                    if p + c > limit:
-                        break
-                    final.append(p + c)
-                else:
-                    row = done + tuple(final)
-                    grown.update((row, start) for start in starts)
-        partial = grown
-    return {row for row, _pending in partial}
+    counts = _column_counts(heights[k - 1], heights[k] if k < len(heights) else 0,
+                            tuple(l for l, _ in finishing), tuple(starting))
+    grown = set()
+    for done, pending in partial:
+        for added, starts in counts:
+            final = []
+            for p, c, (_l, limit) in zip(pending, added, finishing):
+                if p + c > limit:
+                    break
+                final.append(p + c)
+            else:
+                row = done + tuple(final)
+                grown.update((row, start) for start in starts)
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +301,21 @@ class RiggedConfiguration:
             return False
         factors = self.spec.factors
         padded = ((), *parts, ())
-        lowest: dict[tuple[int, int], int] = {}
-        for a in range(1, self.n):
+        heights = column_heights(self.weight)
+        partial = {((), ())}
+        finishing = ()
+        for k, comp in enumerate((*self.strings, ()), start=1):
             # The strings of one length come by decreasing rigging.
-            for l, x in self.strings[a - 1]:
-                if (a, l) not in lowest and x > component_vacancy(factors, padded, a, l):
+            lowest: dict[int, int] = {}
+            for l, x in comp:
+                if l not in lowest and x > component_vacancy(factors, padded, k, l):
                     return False
-                lowest[a, l] = x
-        return bool(_riggable_rows(column_heights(self.weight), lowest, lowest.values()))
+                lowest[l] = x
+            partial = _walk_column(partial, heights, k, finishing, lowest)
+            if not partial:
+                return False
+            finishing = tuple(lowest.items())
+        return True
 
     def to_json(self) -> dict:
         return {
@@ -376,83 +382,76 @@ def _witness_floor(heights, a: int, l: int) -> int:
 
 
 def enumerate_configurations(spec: CrystalSpec, weight):
-    """The configurations that clear the witness floor, each with its
-    string support, vacancy numbers and riggable witness profiles.
+    """The configurations with a riggable witness profile, each with its
+    string support, vacancy numbers and riggable profiles.
 
     Yields (partitions, support, vacancies, profiles): support lists the
     triples (a, l, multiplicity) of each component in turn, lengths
     decreasing, and vacancies the vacancy number of each triple.  A
     profile lists bound(a, l) of one witness tableau for every support
-    entry, in support order; profiles is the set of distinct ones with
-    no bound above the vacancy number of its entry, read by the column
-    walk of _riggable_rows, and may be empty.  Configurations come in
-    the order of the product of the component partitions, each in
-    decreasing lexicographic order.
+    entry, in support order; profiles is the nonempty set of distinct
+    ones with no bound above the vacancy number of its entry.
+    Configurations come in the order of the product of the component
+    partitions, each in decreasing lexicographic order.
 
-    Components are chosen nu^(1), nu^(2), ... in order.  The vacancy
+    Components are chosen nu^(1), nu^(2), ... depth first.  The vacancy
     numbers of component a depend only on nu^(a-1), nu^(a) and
-    nu^(a+1), so they are final once nu^(a+1) is chosen; the prefix is
-    dropped there if one of them lies below its floor, the least
-    bound(a, l) over all witness tableaux (_witness_floor).  The floor is
-    exact, so p >= floor is the sharpest necessary condition on a single
-    entry: a dropped prefix extends to no configuration with a riggable
-    profile, and none of its extensions is built.  It is not sufficient,
-    since one tableau must serve every entry at once.  A prefix is also
-    dropped early when even the largest overlap nu^(a+1) can add leaves
-    a vacancy number below its floor.
+    nu^(a+1), so choosing nu^(a+1) makes them final, and each prefix
+    advances its partial witness rows by column a+1 (_walk_column) right
+    then.  A prefix whose rows are all gone extends to no configuration
+    with a riggable profile, and none of its extensions is built.  A
+    prefix is also dropped early when even the largest overlap nu^(a+1)
+    can add leaves a vacancy number of nu^(a) below its floor, the
+    least bound(a, l) over all witness tableaux (_witness_floor).
     """
     weight = spec.check_weight(weight)
     sizes = _config_sizes(spec, weight)
     if sizes is None:
         return
     heights = column_heights(weight)
-    # Each surviving prefix nu^(1..k) with the support entries and vacancy
-    # numbers of nu^(1..k-1), and the entries of nu^(k) with their
-    # floors and their vacancy numbers short of the overlap with nu^(k+1).
-    level = [((), [], [])]
+    # Per component, each partition with its support entries, their
+    # vacancy numbers short of the overlaps with both neighbours, and
+    # their floors.
+    options = []
     for a, size in enumerate(sizes, start=1):
+        level = []
+        for parts, groups in _partitions_of(size):
+            padded = ((),) * a + (parts, ())
+            level.append((parts, [((a, l, m), component_vacancy(spec.factors, padded, a, l),
+                                   _witness_floor(heights, a, l)) for l, m in groups]))
+        options.append(level)
+
+    def extend(prefix, finished, pending, partial):
+        """Extensions of the prefix nu^(1..a-1), given the entries and
+        vacancy numbers of nu^(1..a-2), the entries of nu^(a-1) with
+        their vacancy numbers short of the overlap with nu^(a), and the
+        partial witness rows after column a-1."""
+        a = len(prefix) + 1
+        if a == spec.n:
+            partial = _walk_column(partial, heights, a, [(key[1], p) for key, p in pending], ())
+            if partial:
+                entries = finished + pending
+                yield (prefix, [key for key, _p in entries], [p for _key, p in entries],
+                       {row for row, _pending in partial})
+            return
         # The overlap of nu^(a+1) with any length is at most its size.
         room = sizes[a] if a < len(sizes) else 0
-        widths = [s for r, s in spec.factors if r == a]
-        options = []
-        for parts, groups in _partitions_of(size):
-            entries = []
-            count = covered = 0         # parts of length >= l, and their sum
-            for l, m in groups:
-                count += m
-                covered += l * m
-                # The factors' term less twice the overlap of nu^(a) with l.
-                own = -2 * (l * count + size - covered)
-                for j in widths:
-                    own += min(l, j)
-                entries.append(((a, l, m), own, _witness_floor(heights, a, l)))
-            options.append((parts, entries))
-        extended = []
-        for prefix, finished, pending in level:
-            left = prefix[-1] if prefix else ()
-            for parts, entries in options:
-                done = []
-                for key, partial, floor in pending:
-                    p = partial + sum([min(key[1], x) for x in parts])
-                    if p < floor:
-                        break
-                    done.append((key, p))
-                else:
-                    started = []
-                    for key, own, floor in entries:
-                        partial = own + sum([min(key[1], x) for x in left])
-                        if partial + room < floor:
-                            break
-                        started.append((key, partial, floor))
-                    else:
-                        extended.append((prefix + (parts,), finished + done, started))
-        level = extended
-    for prefix, finished, pending in level:
-        finished += [(key, partial) for key, partial, _floor in pending]
-        support = [key for key, _p in finished]
-        vacancies = [p for _key, p in finished]
-        yield prefix, support, vacancies, _riggable_rows(
-            heights, [(a, l) for a, l, _m in support], vacancies)
+        left = prefix[-1] if prefix else ()
+        for parts, entries in options[a - 1]:
+            started = []
+            for key, own, floor in entries:
+                p = own + sum([min(key[1], x) for x in left])
+                if p + room < floor:
+                    break
+                started.append((key, p))
+            else:
+                done = [(key, p + sum([min(key[1], x) for x in parts])) for key, p in pending]
+                grown = _walk_column(partial, heights, a, [(key[1], p) for key, p in done],
+                                     [key[1] for key, _p in started])
+                if grown:
+                    yield from extend(prefix + (parts,), finished + done, started, grown)
+
+    yield from extend((), [], [], {((), ())})
 
 
 def _riggings(support, vacancies, profiles):
@@ -462,8 +461,8 @@ def _riggings(support, vacancies, profiles):
     of some riggable profile.
 
     Each multiset of riggings comes out once, so the set merges
-    assignments that several profiles share.  Every profile is
-    riggable, so each yields at least one assignment.
+    assignments that several profiles share.  profiles is nonempty and
+    every profile is riggable, so the set is never empty.
     """
     assignments = set()
     for profile in profiles:
@@ -480,9 +479,8 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     the box [bound, vacancy] of each of its distinct riggable witness
     profiles (enumerate_configurations), and deduplicated across
     profiles.  No witness tableau is built, and no budget applies.
-    Configurations with a vacancy number below its witness floor, and
-    every extension of such a prefix, are never built: they admit no
-    rigging.
+    Configurations without a riggable profile, and every extension of a
+    prefix that has none, are never built: they admit no rigging.
     """
     weight = spec.check_weight(weight)
     out: list[RiggedConfiguration] = []
@@ -530,16 +528,12 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     This is exact: if a subset holds a profile with some bound low > p,
     its pointwise maximum keeps a bound above p on that entry, so its
     term carries the factor qbinom(m, p - low) = 0.  A configuration
-    without a riggable profile contributes nothing, and one with a
-    vacancy number below the least bound over all witness tableaux has
-    none: such configurations, and every extension of such a prefix,
-    are never built.  No witness tableau is built, and no budget
-    applies.
+    without a riggable profile contributes nothing, and
+    enumerate_configurations never builds one.  No witness tableau is
+    built, and no budget applies.
     """
     result = Counter()
     for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
-        if not profiles:
-            continue
         signed: dict[tuple[int, ...], int] = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}

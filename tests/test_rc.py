@@ -8,7 +8,7 @@ from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _riggable_rows,
+from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _walk_column,
                        _witness_floor, bound_tableaux, column_heights,
                        count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
@@ -45,6 +45,12 @@ def test_vacancy_validation():
         SIX_RC.vacancy(4, 1)
     with pytest.raises(ValueError):
         SIX_RC.vacancy(1, 0)
+    # One partition per component 1..n-1, no fewer and no more.
+    for a in (1, 3):
+        with pytest.raises(ValueError):
+            vacancy_number(SIX_BOXES, ((3, 1),), a, 1)
+        with pytest.raises(ValueError):
+            vacancy_number(SIX_BOXES, SIX_RC.partitions + ((1,),), a, 1)
 
 
 def test_stable_vacancy_is_the_weight_gap():
@@ -163,8 +169,17 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
                                               st.integers(1, heights[0] + 2)), max_size=6)))
     limits = data.draw(st.lists(st.integers(-3, 1), min_size=len(keys), max_size=len(keys)))
     rows = {tuple(t.bound(a, l) for a, l in keys) for t in bound_tableaux(weight)}
-    assert _riggable_rows(heights, keys, limits) == {
+    # Column k finishes the entries of component k-1 and starts those of k.
+    by_component = [[] for _ in range(n + 1)]
+    for (a, l), limit in zip(keys, limits):
+        by_component[a].append((l, limit))
+    partial = {((), ())}
+    for k in range(1, n + 1):
+        partial = _walk_column(partial, heights, k, by_component[k - 1],
+                               [l for l, _limit in by_component[k]])
+    assert {row for row, _pending in partial} == {
         row for row in rows if all(b <= x for b, x in zip(row, limits))}
+    assert all(pending == () for _row, pending in partial)
 
 
 def test_admissibility_golden():
@@ -239,7 +254,7 @@ def test_rejects_bad_strings():
 
 
 @pytest.mark.parametrize('compute', [enumerate_paths, path_polynomial, enumerate_rcs,
-                                     rc_polynomial, fermionic_polynomial])
+                                     rc_polynomial, fermionic_polynomial, forced_sizes])
 @pytest.mark.parametrize('weight, message', [
     ((1, 1), 'length 3'), ((1, 1, 0, 0), 'length 3'),
     ((3, 0, -1), 'nonnegative'), ((1.0, 1, 0), 'integers'),
@@ -334,9 +349,10 @@ def test_bound_profiles_are_the_riggable_ones():
 
 
 def test_pruned_enumeration_keeps_every_riggable_configuration():
-    # The configurations with a riggable profile, with their supports
-    # and vacancy numbers, are those of the full product where some
-    # witness tableau bounds no entry above its vacancy number.
+    # The configurations the builder yields, with their supports and
+    # vacancy numbers, are those of the full product where some witness
+    # tableau bounds no entry above its vacancy number, and each comes
+    # with a riggable profile.
     cases = [(spec, weight) for spec in sweep_specs(4, 4)
              for weight in _compositions(spec.total_boxes(), spec.n)] + N5_SPECS
     kept = 0
@@ -355,9 +371,10 @@ def test_pruned_enumeration_keeps_every_riggable_configuration():
             profiles = set(zip(*cols)) if cols else {()}
             if any(all(low <= p for low, p in zip(v, vacancies)) for v in profiles):
                 expected.append((parts, support, vacancies))
+        configs = list(enumerate_configurations(spec, weight))
+        assert all(profiles for *_config, profiles in configs), (spec, weight)
         found = [(parts, list(support), list(vacancies))
-                 for parts, support, vacancies, profiles
-                 in enumerate_configurations(spec, weight) if profiles]
+                 for parts, support, vacancies, _profiles in configs]
         assert found == expected, (spec, weight)
         kept += len(found)
     assert kept > 0
