@@ -53,12 +53,11 @@ class Working:
                 if low <= l <= high and x == self.vacancy(a, l)]
 
     def freeze(self) -> RiggedConfiguration:
-        """The state as a RiggedConfiguration, each component sorted into
-        canonical order."""
-        strings = tuple(tuple(sorted(zip(ls, xs), reverse=True))
-                        for ls, xs in zip(self.lengths[1:-1], self.riggings[1:-1]))
+        """The state as a RiggedConfiguration; the configuration puts the
+        strings of each component in canonical order."""
         return RiggedConfiguration._trusted(
-            CrystalSpec(self.n, tuple(reversed(self.factors))), tuple(self.weight), strings)
+            CrystalSpec(self.n, tuple(reversed(self.factors))), tuple(self.weight),
+            [zip(ls, xs) for ls, xs in zip(self.lengths[1:-1], self.riggings[1:-1])])
 
 
 def extract_letter(work: Working) -> int:

@@ -163,8 +163,7 @@ def cmd_op(args) -> int:
     if not is_path and not element.is_admissible():
         raise InputError('configuration is not admissible')
     if not 1 <= a <= element.spec.n - 1:
-        name = 'operator index' if is_path else 'component'
-        raise InputError(f'{name} {a} outside 1..{element.spec.n - 1}')
+        raise InputError(f'operator index {a} outside 1..{element.spec.n - 1}')
     if is_path:
         result = element.f(a) if args.operator == 'f' else element.e(a)
     else:
@@ -218,12 +217,13 @@ def sweep_specs(max_n: int, box_cap: int) -> list[CrystalSpec]:
     return out
 
 
-def _phi_by_iteration(rc: RiggedConfiguration, a: int) -> int:
+def _phi_by_iteration(lowered: RiggedConfiguration | None, a: int) -> int:
+    """phi_a(rc) for lowered = f_a(rc), counted by applying f_a until it
+    is undefined: lowered and each configuration below it count one."""
     count = 0
-    current = rccrystal.f(rc, a)
-    while current is not None:
+    while lowered is not None:
         count += 1
-        current = rccrystal.f(current, a)
+        lowered = rccrystal.f(lowered, a)
     return count
 
 
@@ -256,24 +256,23 @@ def _check_convexity(spec: CrystalSpec, partitions) -> str | None:
 
 
 def check_spec(spec: CrystalSpec) -> str | None:
-    """Run every cross-property on one spec; None means all hold."""
+    """Run every cross-property on one spec, each once; None means all hold.
+
+    phi-inverse undoing phi makes phi injective.  The per-weight image
+    check runs first, so the per-path pass sees each configuration once."""
     n = spec.n
     all_paths = enumerate_all_paths(spec)
     images: dict[Path, RiggedConfiguration] = {}
     energies: dict[Path, int] = {}
     by_weight: dict[tuple[int, ...], list[Path]] = {}
     for p in all_paths:
-        images[p] = path_to_rc(p)
-        energies[p] = tail_energy(p)
-        by_weight.setdefault(p.weight(), []).append(p)
-
-    if len(set(images.values())) != len(all_paths):
-        return 'path-to-rc map is not injective'
-    for p, rc in images.items():
+        rc = images[p] = path_to_rc(p)
         if rc_to_path(rc) != p:
             return f'inverse map failed on {p}'
+        energies[p] = tail_energy(p)
         if energies[p] != rc.cocharge():
             return f'energy {energies[p]} != cocharge {rc.cocharge()} on {p}'
+        by_weight.setdefault(p.weight(), []).append(p)
 
     class_poly: dict[tuple[int, ...], tuple[tuple[int, ...], QPolynomial]] = {}
     for weight in _compositions(spec.total_boxes(), n):
@@ -302,18 +301,6 @@ def check_spec(spec: CrystalSpec) -> str | None:
             if err:
                 return err
 
-        for rc in rcs:
-            for a in range(1, n):
-                if rccrystal.phi(rc, a) != _phi_by_iteration(rc, a):
-                    return f'phi closed form disagrees with iteration on {rc}'
-            for letter in range(1, n + 1):
-                work = Working(rc)
-                insert_letter(work, letter)
-                if not work.freeze().is_admissible():
-                    return f'insertion of {letter} left {rc} inadmissible'
-                if extract_letter(work) != letter or work.freeze() != rc:
-                    return f'insert/extract roundtrip failed on {rc} with {letter}'
-
     for p in all_paths:
         rc = images[p]
         for a in range(1, n):
@@ -327,10 +314,20 @@ def check_spec(spec: CrystalSpec) -> str | None:
                 return f'raising at {a} defined on only one side of {p}'
             if raised is not None and images[raised] != rc_raised:
                 return f'raising at {a} does not commute on {p}'
-            if p.phi(a) != rccrystal.phi(rc, a):
+            phi = rccrystal.phi(rc, a)
+            if p.phi(a) != phi:
                 return f'phi at {a} disagrees across the map on {p}'
             if p.epsilon(a) != rccrystal.epsilon(rc, a):
                 return f'epsilon at {a} disagrees across the map on {p}'
+            if phi != _phi_by_iteration(rc_lowered, a):
+                return f'phi closed form disagrees with iteration on {rc}'
+        for letter in range(1, n + 1):
+            work = Working(rc)
+            insert_letter(work, letter)
+            if not work.freeze().is_admissible():
+                return f'insertion of {letter} left {rc} inadmissible'
+            if extract_letter(work) != letter or work.freeze() != rc:
+                return f'insert/extract roundtrip failed on {rc} with {letter}'
     return None
 
 

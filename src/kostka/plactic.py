@@ -54,8 +54,12 @@ def insert_word(rows: tuple, word) -> tuple[tuple[int, ...], ...]:
 def product(b: RectTableau, b2: RectTableau) -> tuple[tuple[int, ...], ...]:
     """Schensted product: insert the row word of b2 into b.
 
-    Returns the product's rows, top row first.
+    Returns the product's rows, top row first.  The factors must share
+    an alphabet, or ValueError is raised; `rmatrix` and `local_energy`
+    read every pair through here, so they refuse the same pairs.
     """
+    if b.n != b2.n:
+        raise ValueError('factors must share an alphabet')
     return insert_word(b.rows, b2.word())
 
 
@@ -83,14 +87,14 @@ def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
     """The combinatorial R-matrix applied to b (x) b2.
 
     Returns the unique pair (c2, c) with c2 of b2's shape and c of b's
-    shape such that c2 * c equals b * b2 as Schensted products.
+    shape such that c2 * c equals b * b2 as Schensted products.  The
+    product is taken first, so a pair on two alphabets raises its
+    ValueError before any table is built.
     """
-    if b.n != b2.n:
-        raise ValueError('factors must share an alphabet')
+    key = product(b, b2)
     r, s = b.shape
     r2, s2 = b2.shape
     table = _rmatrix_table(r, s, r2, s2, b.n)
-    key = product(b, b2)
     try:
         return table[key]
     except KeyError:

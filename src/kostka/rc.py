@@ -268,14 +268,16 @@ class RiggedConfiguration:
         object.__setattr__(self, 'strings', tuple(canon))
 
     @classmethod
-    def _trusted(cls, spec: CrystalSpec, weight: tuple, strings: tuple) -> 'RiggedConfiguration':
-        """A configuration from a checked weight tuple and one tuple per
-        component of (length, rigging) tuples, lengths positive and in
-        canonical order, built without re-running the checks."""
+    def _trusted(cls, spec: CrystalSpec, weight: tuple, strings) -> 'RiggedConfiguration':
+        """A configuration from a checked weight tuple and one iterable per
+        component of (length, rigging) tuples, lengths positive and in any
+        order.  Each component is sorted into canonical order; no other
+        check is re-run."""
         rc = object.__new__(cls)
         object.__setattr__(rc, 'spec', spec)
         object.__setattr__(rc, 'weight', weight)
-        object.__setattr__(rc, 'strings', strings)
+        object.__setattr__(rc, 'strings',
+                           tuple(tuple(sorted(comp, reverse=True)) for comp in strings))
         return rc
 
     @property
@@ -486,13 +488,10 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
         for assignment in _riggings(support, vacancies, profiles):
-            # Lengths decrease along the support and riggings within an
-            # entry, so every component comes out in canonical order.
             comps: list[list[tuple[int, int]]] = [[] for _ in range(spec.n - 1)]
             for (a, l, _m), riggings in zip(support, assignment):
                 comps[a - 1].extend((l, x) for x in riggings)
-            out.append(RiggedConfiguration._trusted(
-                spec, weight, tuple(tuple(c) for c in comps)))
+            out.append(RiggedConfiguration._trusted(spec, weight, comps))
     out.sort(key=lambda rc: rc.strings)
     return out
 

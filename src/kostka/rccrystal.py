@@ -30,9 +30,8 @@ def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
 
     t is the shorter length of the changed string.  Every vacancy number
     at a length above t moves by 2 * sign in component a and by -sign in
-    components a - 1 and a + 1, and no other one changes.  That uniform
-    shift above t keeps each component in canonical order, so only
-    component a is sorted again.
+    components a - 1 and a + 1, and no other one changes.  The strings go
+    to the configuration in any order; it sorts them.
     """
     weight = list(rc.weight)
     weight[a - 1] += sign
@@ -46,8 +45,7 @@ def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
         del changed[sel_index]
     if new_sel is not None:
         changed.append(new_sel)
-    changed.sort(reverse=True)
-    return RiggedConfiguration._trusted(rc.spec, tuple(weight), tuple(map(tuple, strings)))
+    return RiggedConfiguration._trusted(rc.spec, tuple(weight), strings)
 
 
 def f(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:

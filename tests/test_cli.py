@@ -6,6 +6,7 @@ import pytest
 from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
+from kostka.paths import enumerate_all_paths
 from kostka.qpoly import QPolynomial
 from kostka.rc import RiggedConfiguration
 from kostka import bijection, rccrystal
@@ -238,11 +239,14 @@ def test_op_undefined_result(tmp_path, capsys):
 
 
 def test_op_bad_residue(tmp_path, capsys):
-    spec_file = write(tmp_path, 'p.json', EXB_PATH_JSON)
-    code, _, err = run(capsys, ['op', 'f', '0', '--spec', spec_file])
-    assert code == 2 and err.startswith('error:')
-    code, _, err = run(capsys, ['op', 'f', '6', '--spec', spec_file])
-    assert code == 2 and err.startswith('error:')
+    # Both kinds of element word an index outside 1..n-1 the same way.
+    for data in (EXB_PATH_JSON, EXB_RC_JSON):
+        spec_file = write(tmp_path, 'element.json', data)
+        for operator in ('f', 'e'):
+            for residue in ('0', '6'):
+                code, out, err = run(capsys, ['op', operator, residue, '--spec', spec_file])
+                assert (code, out) == (2, '')
+                assert err == f'error: operator index {residue} outside 1..5\n'
 
 
 def test_bad_input_reports(tmp_path, capsys):
@@ -371,6 +375,40 @@ def test_check_runs_every_poly_method(monkeypatch):
             detail = cli.check_spec(spec)
         assert detail.startswith('polynomials disagree at weight (2, 0): elements=1, ')
         assert f'{name}=q' in detail.split(', '), detail
+    assert cli.check_spec(spec) is None
+
+
+def test_check_reports_a_map_that_merges_two_paths(monkeypatch):
+    # phi-inverse undoing phi is the one injectivity check: a phi that
+    # sends both paths of weight (1, 1) to one configuration fails it on
+    # the second of them.
+    spec = CrystalSpec(2, ((1, 1), (1, 1)))
+    real = cli.path_to_rc
+    first = {}
+
+    def merging(p):
+        return real(first.setdefault(p.weight(), p))
+
+    monkeypatch.setattr(cli, 'path_to_rc', merging)
+    detail = cli.check_spec(spec)
+    second = [p for p in enumerate_all_paths(spec) if p.weight() == (1, 1)][1]
+    assert detail == f'inverse map failed on {second}'
+
+
+def test_per_configuration_checks_have_teeth(monkeypatch):
+    spec = CrystalSpec(3, ((1, 1), (2, 1)))
+    original = cli._phi_by_iteration
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, '_phi_by_iteration', lambda rc, a: original(rc, a) + 1)
+        detail = cli.check_spec(spec)
+    assert detail.startswith('phi closed form disagrees with iteration on '), detail
+
+    real = cli.extract_letter
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, 'extract_letter', lambda work: real(work) % spec.n + 1)
+        detail = cli.check_spec(spec)
+    assert detail.startswith('insert/extract roundtrip failed on '), detail
+    assert detail.endswith(' with 1'), detail
     assert cli.check_spec(spec) is None
 
 

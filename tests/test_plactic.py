@@ -40,6 +40,17 @@ def test_rmatrix_golden():
     assert local_energy(b, b2) == 0
 
 
+def test_mixed_alphabets_are_refused():
+    # product states the rule; rmatrix and local_energy read it there.
+    b = RectTableau(((1, 2),), 3)
+    b2 = RectTableau(((3,), (4,)), 4)
+    for compute in (product, rmatrix, local_energy):
+        with pytest.raises(ValueError, match='factors must share an alphabet'):
+            compute(b, b2)
+        with pytest.raises(ValueError, match='factors must share an alphabet'):
+            compute(b2, b)
+
+
 def all_pairs(shape, shape2, n):
     for b in enumerate_crystal(*shape, n):
         for b2 in enumerate_crystal(*shape2, n):

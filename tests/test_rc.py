@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -243,6 +244,24 @@ def test_canonical_string_order_and_json():
     assert RiggedConfiguration.from_json(rc.to_json()) == rc
     assert str(empty_rc(3)) == '(empty)'
     assert str(rc) == '3:-2,1:0 | 2:0 | 1:-1'
+
+
+def test_trusted_sorts_the_strings_of_each_component():
+    # The operators and the bijection pass their strings in any order;
+    # the configuration owns the canonical order.
+    rng = random.Random(0)
+    for rc in sweep_rcs():
+        scrambled = []
+        for comp in rc.strings:
+            comp = list(comp)
+            rng.shuffle(comp)
+            scrambled.append(comp)
+        trusted = RiggedConfiguration._trusted(rc.spec, rc.weight, scrambled)
+        checked = RiggedConfiguration(rc.spec, rc.weight, scrambled)
+        assert trusted == checked and trusted.strings == checked.strings == rc.strings
+    trusted = RiggedConfiguration._trusted(
+        SIX_BOXES, (2, 2, 1, 1), (((1, 0), (3, -2)), [(2, 0)], iter([(1, -1)])))
+    assert trusted == SIX_RC and trusted.strings == SIX_RC.strings
 
 
 def test_rejects_bad_strings():
