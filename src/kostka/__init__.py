@@ -11,7 +11,7 @@ from .plactic import local_energy, product, rmatrix, tail_energy
 from .qpoly import QPolynomial, qbinom
 from .rc import (RiggedConfiguration, LowerBoundTableau, bound_tableaux,
                  count_bound_tableaux, enumerate_rcs, fermionic_polynomial,
-                 forced_sizes, rc_polynomial, vacancy_number)
+                 forced_sizes, rc_polynomial)
 from . import rccrystal
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     'fermionic_polynomial', 'forced_sizes', 'insert_letter',
     'local_energy', 'merge_box_rc', 'merge_column_rc', 'path_polynomial',
     'path_to_rc', 'peel_box_rc', 'peel_column_rc', 'product', 'qbinom',
-    'rc_polynomial', 'rc_to_path', 'rccrystal', 'rmatrix',
-    'tail_energy', 'vacancy_number',
+    'rc_polynomial', 'rc_to_path', 'rccrystal', 'rmatrix', 'tail_energy',
 ]

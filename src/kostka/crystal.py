@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 
 def json_ints(value):
@@ -250,38 +250,28 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
     ri, ci = t.nrows - 1 - pos // t.ncols, pos % t.ncols
     rows = [list(row) for row in t.rows]
     rows[ri][ci] = new_letter
-    # The constructor re-checks semistandardness; the bracketing rule
-    # guarantees it never fails here.
+    # The constructor re-checks semistandardness, which the bracketing
+    # rule guarantees; shape and alphabet are kept, so the path's hold.
     new_t = RectTableau(tuple(tuple(row) for row in rows), t.n)
     tabs = list(path.tableaux)
     tabs[k] = new_t
-    return Path(path.spec, tuple(tabs))
+    return Path._trusted(path.spec, tuple(tabs))
 
 
 @cache
 def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     """All column-strict r x s tableaux over {1..n}, in a fixed order.
 
-    Built column by column: each column is a strictly increasing
-    r-subset of {1..n} and consecutive columns weakly increase along
-    every row.
+    Each column is a strictly increasing r-subset of {1..n}.  Columns
+    that weakly increase along every row are in lexicographic order, so
+    each tableau is a multiset of s columns, taken in that order.
     """
     if not 1 <= r <= n:
         raise ValueError(f'height {r} outside 1..{n}')
     if s < 1:
         raise ValueError('width must be positive')
-    columns = list(combinations(range(1, n + 1), r))
-    out: list[RectTableau] = []
-
-    def extend(cols):
-        if len(cols) == s:
-            rows = tuple(tuple(col[j] for col in cols) for j in range(r))
-            out.append(RectTableau(rows, n))
-            return
-        last = cols[-1] if cols else None
-        for col in columns:
-            if last is None or all(a <= b for a, b in zip(last, col)):
-                extend(cols + [col])
-
-    extend([])
-    return tuple(out)
+    columns = combinations(range(1, n + 1), r)
+    return tuple(RectTableau(tuple(zip(*cols)), n)
+                 for cols in combinations_with_replacement(columns, s)
+                 if all(x <= y for left, right in zip(cols, cols[1:])
+                        for x, y in zip(left, right)))

@@ -61,29 +61,14 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
     return total
 
 
-def vacancy_number(spec: CrystalSpec, partitions, a: int, i: int) -> int:
-    """Vacancy number of component a at part length i.
-
-    partitions lists the part lengths of every component, 1..n-1 in
-    order.  The value may be negative; i may exceed every part.
-    """
-    if len(partitions) != spec.n - 1:
-        raise ValueError(f'expected {spec.n - 1} partitions')
-    if not 1 <= a <= spec.n - 1:
-        raise ValueError(f'component {a} outside 1..{spec.n - 1}')
-    if i < 1:
-        raise ValueError('part length must be positive')
-    return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
-
-
 @cache
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
-    """vacancy_number, memoized for RiggedConfiguration.vacancy, the
-    public single-value lookup.  No computing path reads it:
-    is_admissible, the convexity check and the bijection steps compute
-    the vacancy numbers of the configuration in front of them with
-    component_vacancy."""
-    return vacancy_number(spec, partitions, a, i)
+    """component_vacancy memoized for RiggedConfiguration.vacancy, the
+    public single-value lookup, which checks a and i.  No computing path
+    reads it: is_admissible, the convexity check and the bijection steps
+    compute the vacancy numbers of the configuration in front of them
+    with component_vacancy."""
+    return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
 
 
 def _overlap(lam, kappa) -> int:
@@ -247,7 +232,9 @@ class RiggedConfiguration:
     """Strings (length, rigging) per component, plus the ambient data.
 
     Strings are kept sorted by decreasing length, then decreasing
-    rigging, so equality is multiset equality.
+    rigging, so equality is multiset equality.  The constructor refuses
+    component sizes other than forced_sizes, so admissibility is a
+    condition on the riggings alone.
     """
 
     spec: CrystalSpec
@@ -265,14 +252,19 @@ class RiggedConfiguration:
             if comp and comp[-1][0] < 1:
                 raise ValueError('string lengths must be positive')
             canon.append(comp)
+        sizes = [sum(l for l, _ in comp) for comp in canon]
+        if sizes != _config_sizes(self.spec, self.weight):
+            raise ValueError('component sizes are not the ones the weight forces')
         object.__setattr__(self, 'strings', tuple(canon))
 
     @classmethod
     def _trusted(cls, spec: CrystalSpec, weight: tuple, strings) -> 'RiggedConfiguration':
         """A configuration from a checked weight tuple and one iterable per
         component of (length, rigging) tuples, lengths positive and in any
-        order.  Each component is sorted into canonical order; no other
-        check is re-run."""
+        order, with the sizes the weight forces: enumerate_rcs builds them
+        so, and each letter step, split, merge and operator moves boxes
+        with the factors or the weight.  Each component is sorted into
+        canonical order; no other check is re-run."""
         rc = object.__new__(cls)
         object.__setattr__(rc, 'spec', spec)
         object.__setattr__(rc, 'weight', weight)
@@ -289,6 +281,12 @@ class RiggedConfiguration:
         return tuple(tuple(l for l, _ in comp) for comp in self.strings)
 
     def vacancy(self, a: int, i: int) -> int:
+        """Vacancy number of component a at part length i, which may
+        exceed every part; the value may be negative."""
+        if not 1 <= a <= self.n - 1:
+            raise ValueError(f'component {a} outside 1..{self.n - 1}')
+        if i < 1:
+            raise ValueError('part length must be positive')
         return spec_vacancy(self.spec, self.partitions, a, i)
 
     def cocharge(self) -> int:
@@ -296,13 +294,10 @@ class RiggedConfiguration:
                 + sum(x for comp in self.strings for _, x in comp))
 
     def is_admissible(self) -> bool:
-        """Whether the sizes are forced, no rigging exceeds its vacancy
-        number, and one witness tableau bounds every rigging from below."""
-        parts = self.partitions
-        if [sum(p) for p in parts] != _config_sizes(self.spec, self.weight):
-            return False
+        """Whether no rigging exceeds its vacancy number and one witness
+        tableau bounds every rigging from below."""
         factors = self.spec.factors
-        padded = ((), *parts, ())
+        padded = ((), *self.partitions, ())
         heights = column_heights(self.weight)
         partial = {((), ())}
         finishing = ()

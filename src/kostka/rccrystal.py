@@ -95,8 +95,8 @@ def phi(rc: RiggedConfiguration, a: int) -> int:
     """Number of lowering steps available on component a.
 
     Closed form: the weight gap mu_a - mu_{a+1} (the vacancy number of
-    the component at large lengths, the sizes being forced) plus
-    epsilon.
+    the component at large lengths, since every configuration has the
+    sizes its weight forces) plus epsilon.
     """
     return epsilon(rc, a) + rc.weight[a - 1] - rc.weight[a]
 

@@ -263,8 +263,8 @@ def test_letter_validation():
 
 def test_extracting_an_absent_letter_is_an_invariant_error():
     # The component walk stops at letter 1, which the weight does not hold.
-    rc = RiggedConfiguration(CrystalSpec(2, ((1, 1),)), (0, 1), ((),))
-    assert not rc.is_admissible()
+    # The sizes are not forced, so only the unchecked constructor builds it.
+    rc = RiggedConfiguration._trusted(CrystalSpec(2, ((1, 1),)), (0, 1), ((),))
     with pytest.raises(InvariantError, match='extracting letter 1'):
         rc_to_path(rc)
 

@@ -210,6 +210,17 @@ def test_map_rejects_inadmissible(tmp_path, capsys):
     assert 'not admissible' in err
 
 
+def test_configuration_files_need_the_forced_sizes(tmp_path, capsys):
+    # Component 1 holds two boxes where the factors and weight force one.
+    unforced = {'n': 4, 'weight': [2, 2, 1, 1], 'factors': [[2, 2], [2, 1]],
+                'nu': [[[2, -1]], [[1, 0], [1, 0]], [[1, 0]]]}
+    spec_file = write(tmp_path, 'rc.json', unforced)
+    for argv in (['map', 'phi-inv'], ['op', 'e', '1']):
+        code, out, err = run(capsys, [*argv, '--spec', spec_file])
+        assert (code, out) == (2, '')
+        assert err == 'error: bad element: component sizes are not the ones the weight forces\n'
+
+
 def test_op_on_path(tmp_path, capsys):
     code, out, _ = run(capsys, ['op', 'e', '1', '--spec',
                                 write(tmp_path, 'b.json', EXB_PATH_JSON)])

@@ -13,7 +13,7 @@ from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _walk_column,
                        _witness_floor, bound_tableaux, column_heights,
                        count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       rc_polynomial, vacancy_number)
+                       rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
@@ -46,12 +46,6 @@ def test_vacancy_validation():
         SIX_RC.vacancy(4, 1)
     with pytest.raises(ValueError):
         SIX_RC.vacancy(1, 0)
-    # One partition per component 1..n-1, no fewer and no more.
-    for a in (1, 3):
-        with pytest.raises(ValueError):
-            vacancy_number(SIX_BOXES, ((3, 1),), a, 1)
-        with pytest.raises(ValueError):
-            vacancy_number(SIX_BOXES, SIX_RC.partitions + ((1,),), a, 1)
 
 
 def test_stable_vacancy_is_the_weight_gap():
@@ -67,7 +61,7 @@ def test_stable_vacancy_is_the_weight_gap():
         for a in range(1, rc.n):
             assert rc.vacancy(a, h) == rc.weight[a - 1] - rc.weight[a], (rc, a)
             for l in range(1, h + 1):
-                assert (vacancy_number(rc.spec, rc.partitions, a, l)
+                assert (rc.vacancy(a, l)
                         == oracle_vacancy(rc.partitions, L, rc.n, a, l)), (rc, a, l)
 
 
@@ -197,9 +191,14 @@ def test_admissibility_rejects_overrigged():
 
 
 def test_admissibility_rejects_wrong_sizes():
-    bad = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
-                              (((3, 0),), ((2, 0),), ((1, -1),)))
-    assert not bad.is_admissible()
+    # Component 1 holds three boxes where the factors and weight force four.
+    strings = (((3, 0),), ((2, 0),), ((1, -1),))
+    with pytest.raises(ValueError, match='component sizes are not the ones the weight forces'):
+        RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1), strings)
+    data = SIX_RC.to_json()
+    data['nu'] = [[list(string) for string in comp] for comp in strings]
+    with pytest.raises(ValueError, match='component sizes are not the ones the weight forces'):
+        RiggedConfiguration.from_json(data)
 
 
 def test_admissibility_matches_the_first_fit_scan():
@@ -222,6 +221,33 @@ def test_admissibility_matches_the_first_fit_scan():
             assert variant.is_admissible() == expected, variant
             verdicts[expected] += 1
     assert verdicts[True] > len(rcs) and verdicts[False] > 0
+
+
+def test_admissibility_reads_only_the_riggings(monkeypatch):
+    # The constructor owns the size rule, so is_admissible decides every
+    # configuration of sweep_rcs and each one-step rigging shift of it
+    # without reading the forced sizes.
+    variants = []
+    for rc in sweep_rcs():
+        variants.append(rc)
+        for a, comp in enumerate(rc.strings, start=1):
+            for idx, (l, x) in enumerate(comp):
+                for shift in (-1, 1):
+                    strings = list(rc.strings)
+                    strings[a - 1] = comp[:idx] + ((l, x + shift),) + comp[idx + 1:]
+                    variants.append(RiggedConfiguration(rc.spec, rc.weight, strings))
+
+    def refuse(*_args):
+        raise AssertionError('is_admissible read the forced sizes')
+
+    monkeypatch.setattr('kostka.rc._config_sizes', refuse)
+    monkeypatch.setattr('kostka.rc.forced_sizes', refuse)
+    verdicts = Counter()
+    for variant in variants:
+        expected = first_witness(variant) is not None
+        assert variant.is_admissible() == expected, variant
+        verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_no_computing_path_builds_the_witness_set(monkeypatch):

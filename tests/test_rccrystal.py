@@ -80,7 +80,8 @@ def test_operators_never_empty_a_letter():
     assert not over.is_admissible() and phi(over, 1) == 1
     with pytest.raises(InvariantError, match='empties letter 1'):
         f(over, 1)
-    wrong_size = RiggedConfiguration(spec, (1, 0), (((1, -1),),))
+    # The sizes are not forced, so only the unchecked constructor builds it.
+    wrong_size = RiggedConfiguration._trusted(spec, (1, 0), (((1, -1),),))
     assert not wrong_size.is_admissible()
     with pytest.raises(InvariantError, match='empties letter 2'):
         e(wrong_size, 1)
