@@ -65,9 +65,9 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     """component_vacancy memoized for RiggedConfiguration.vacancy, the
     public single-value lookup, which checks a and i.  No computing path
-    reads it: is_admissible, the convexity check and the bijection steps
-    compute the vacancy numbers of the configuration in front of them
-    with component_vacancy."""
+    reads it: is_admissible, the configuration builder and the bijection
+    steps compute the vacancy numbers of the configuration in front of
+    them with component_vacancy."""
     return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
 
 
