@@ -2,10 +2,10 @@
 
 Subcommands: `paths` and `rcs` list the two sides of the
 correspondence for a spec file, `poly` computes the graded counting
-polynomial by up to three independent methods, `map` converts a single
-element across the correspondence, `op` applies a raising or lowering
-operator to either kind of element, and `check` drives the randomized
-and exhaustive property suite.
+polynomial by up to three methods (only `paths` shares no code with the
+other two), `map` converts a single element across the correspondence,
+`op` applies a raising or lowering operator to either kind of element,
+and `check` drives the randomized and exhaustive property suite.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
@@ -70,17 +70,18 @@ def _spec_and_weight(data) -> tuple[CrystalSpec, tuple[int, ...]]:
 
 
 def _parse_element(data):
-    """A path or rigged configuration, told apart by its fields."""
+    """A path or an admissible rigged configuration, told apart by its fields."""
     if not isinstance(data, dict):
         raise InputError('element must be a JSON object')
+    if 'tableaux' not in data and 'nu' not in data:
+        raise InputError("element needs a 'tableaux' or 'nu' field")
     try:
-        if 'tableaux' in data:
-            return Path.from_json(data)
-        if 'nu' in data:
-            return RiggedConfiguration.from_json(data)
+        element = (Path if 'tableaux' in data else RiggedConfiguration).from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'bad element: {exc}')
-    raise InputError("element needs a 'tableaux' or 'nu' field")
+    if isinstance(element, RiggedConfiguration) and not element.is_admissible():
+        raise InputError('configuration is not admissible')
+    return element
 
 
 def _poly_json(poly: QPolynomial) -> dict:
@@ -90,25 +91,15 @@ def _poly_json(poly: QPolynomial) -> dict:
 
 def cmd_paths(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
-    elements = enumerate_paths(spec, weight)
-    if args.format == 'json':
-        print(json.dumps({'elements': [
-            {'path': p.to_json(), 'energy': tail_energy(p)} for p in elements]}))
-    else:
-        for p in elements:
-            print(f'{p}  D={tail_energy(p)}')
+    _emit_listing(args.format, 'path', 'energy', 'D',
+                  ((p, tail_energy(p)) for p in enumerate_paths(spec, weight)))
     return OK
 
 
 def cmd_rcs(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
-    elements = enumerate_rcs(spec, weight)
-    if args.format == 'json':
-        print(json.dumps({'elements': [
-            {'rc': rc.to_json(), 'cocharge': rc.cocharge()} for rc in elements]}))
-    else:
-        for rc in elements:
-            print(f'{rc}  cc={rc.cocharge()}')
+    _emit_listing(args.format, 'rc', 'cocharge', 'cc',
+                  ((rc, rc.cocharge()) for rc in enumerate_rcs(spec, weight)))
     return OK
 
 
@@ -139,6 +130,16 @@ def _emit_element(element, fmt: str) -> None:
         print(element)
 
 
+def _emit_listing(fmt: str, kind: str, stat: str, short: str, pairs) -> None:
+    """(element, statistic) pairs, as JSON under kind and stat or as text."""
+    if fmt == 'json':
+        print(json.dumps({'elements': [
+            {kind: element.to_json(), stat: value} for element, value in pairs]}))
+    else:
+        for element, value in pairs:
+            print(f'{element}  {short}={value}')
+
+
 def cmd_map(args) -> int:
     element = _parse_element(_load(args.spec))
     if args.direction == 'phi':
@@ -148,8 +149,6 @@ def cmd_map(args) -> int:
     else:
         if not isinstance(element, RiggedConfiguration):
             raise InputError('phi-inv expects a rigged configuration element')
-        if not element.is_admissible():
-            raise InputError('configuration is not admissible')
         result = rc_to_path(element)
     _emit_element(result, args.format)
     return OK
@@ -158,12 +157,9 @@ def cmd_map(args) -> int:
 def cmd_op(args) -> int:
     element = _parse_element(_load(args.spec))
     a = args.residue
-    is_path = isinstance(element, Path)
-    if not is_path and not element.is_admissible():
-        raise InputError('configuration is not admissible')
     if not 1 <= a <= element.spec.n - 1:
         raise InputError(f'operator index {a} outside 1..{element.spec.n - 1}')
-    if is_path:
+    if isinstance(element, Path):
         result = element.f(a) if args.operator == 'f' else element.e(a)
     else:
         result = (rccrystal.f if args.operator == 'f' else rccrystal.e)(element, a)
@@ -259,19 +255,17 @@ def check_spec(spec: CrystalSpec) -> str | None:
         else:
             class_poly[key] = (weight, x)
 
+    # Looked up per call, so wrappers installed after import are called.
+    moves = (('lowering', Path.f, rccrystal.f), ('raising', Path.e, rccrystal.e))
     for p in all_paths:
         rc = images[p]
         for a in range(1, n):
-            lowered, rc_lowered = p.f(a), rccrystal.f(rc, a)
-            if (lowered is None) != (rc_lowered is None):
-                return f'lowering at {a} defined on only one side of {p}'
-            if lowered is not None and images[lowered] != rc_lowered:
-                return f'lowering at {a} does not commute on {p}'
-            raised, rc_raised = p.e(a), rccrystal.e(rc, a)
-            if (raised is None) != (rc_raised is None):
-                return f'raising at {a} defined on only one side of {p}'
-            if raised is not None and images[raised] != rc_raised:
-                return f'raising at {a} does not commute on {p}'
+            for name, path_op, rc_op in moves:
+                moved, rc_moved = path_op(p, a), rc_op(rc, a)
+                if (moved is None) != (rc_moved is None):
+                    return f'{name} at {a} defined on only one side of {p}'
+                if moved is not None and images[moved] != rc_moved:
+                    return f'{name} at {a} does not commute on {p}'
             if p.phi(a) != rccrystal.phi(rc, a):
                 return f'phi at {a} disagrees across the map on {p}'
             if p.epsilon(a) != rccrystal.epsilon(rc, a):
@@ -297,7 +291,10 @@ def cmd_check(args) -> int:
     rows = []
     failures = 0
     for idx, spec in enumerate(instances):
-        detail = check_spec(spec)
+        try:
+            detail = check_spec(spec)
+        except InvariantError as exc:
+            detail = f'internal error: {exc}'
         if detail is not None:
             failures += 1
         rows.append((idx, spec, detail))

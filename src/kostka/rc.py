@@ -8,11 +8,12 @@ part length.  One witness tableau must serve every string of the
 configuration simultaneously.
 
 The module computes the generating polynomial of all rigged
-configurations graded by cocharge in two independent ways: direct
-enumeration and the alternating bound-tableau sum.  The enumeration
-counts the riggings of each configuration and builds no
-RiggedConfiguration: the cocharge of the bare configuration is shared by
-all of its riggings, and each rigging adds its sum of labels.
+configurations graded by cocharge in two ways, direct enumeration and
+the alternating bound-tableau sum, which share the configuration
+builder `enumerate_configurations`.  The enumeration counts the
+riggings of each configuration and builds no RiggedConfiguration: the
+cocharge of the bare configuration is shared by all of its riggings,
+and each rigging adds its sum of labels.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from kostka.crystal import CrystalSpec, Path
 from kostka.paths import enumerate_all_paths
 from kostka.qpoly import QPolynomial
 from kostka.rc import RiggedConfiguration
-from kostka import bijection, rccrystal
+from kostka import bijection, rc as rc_layer, rccrystal
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
 TWO_BOX = {'n': 2, 'factors': [[1, 1], [1, 1]], 'weight': [1, 1]}
@@ -200,12 +200,14 @@ def test_map_rejects_wrong_kind(tmp_path, capsys):
 
 
 def test_map_rejects_inadmissible(tmp_path, capsys):
+    # Reading an element admits it, so every command that takes one
+    # refuses an inadmissible configuration before looking at its kind.
     bad = {'n': 4, 'weight': [2, 2, 1, 1], 'factors': [[2, 2], [2, 1]],
            'nu': [[[1, 5]], [[1, 0], [1, 0]], [[1, 0]]]}
-    code, _, err = run(capsys, ['map', 'phi-inv', '--spec',
-                                write(tmp_path, 'rc.json', bad)])
-    assert code == 2
-    assert 'not admissible' in err
+    spec_file = write(tmp_path, 'rc.json', bad)
+    for argv in (['map', 'phi-inv'], ['map', 'phi'], ['op', 'f', '1']):
+        code, out, err = run(capsys, [*argv, '--spec', spec_file])
+        assert (code, out, err) == (2, '', 'error: configuration is not admissible\n')
 
 
 def test_configuration_files_need_the_forced_sizes(tmp_path, capsys):
@@ -365,6 +367,26 @@ def test_check_json_format(capsys):
     assert all(row['status'] == 'ok' for row in data['instances'])
 
 
+def test_check_reports_an_internal_error_per_spec(capsys, monkeypatch):
+    # phi one too high when epsilon > 0 makes f lower an empty letter; each
+    # spec that trips the invariant fails on its own row and the run goes on.
+    real = rccrystal.phi
+    monkeypatch.setattr(rccrystal, 'phi',
+                        lambda rc, a: real(rc, a) + (rccrystal.epsilon(rc, a) > 0))
+    argv = ['check', '--count', '1', '--max-n', '3', '--max-boxes', '2']
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, '')
+    lines = out.splitlines()
+    assert lines[-1] == 'checked 10 specs: 8 failures'
+    internal = [line.split()[0] for line in lines
+                if ' FAIL: internal error: lowering at ' in line and ' empties letter ' in line]
+    assert internal == ['[2]', '[6]', '[9]']
+    code, out, _ = run(capsys, argv + ['--format', 'json'])
+    rows = json.loads(out)['instances']
+    assert code == 1 and rows[2]['status'] == 'fail'
+    assert rows[2]['detail'].startswith('internal error: lowering at ')
+
+
 def test_check_budget_validation(capsys):
     bounds = 'error: check needs --max-boxes >= 1, --max-n >= 2 and --count >= 0\n'
     for argv in (['--max-n', '1'], ['--max-boxes', '0'], ['--count', '-1']):
@@ -428,6 +450,78 @@ def test_per_configuration_checks_have_teeth(monkeypatch):
     assert detail.startswith('insert/extract roundtrip failed on '), detail
     assert detail.endswith(' with 1'), detail
     assert cli.check_spec(spec) is None
+
+
+def _longer_first_raising(rc, a):
+    # rccrystal.e with ties broken toward longer strings.
+    negative = [(x, -l, idx) for idx, (l, x) in enumerate(rc.strings[a - 1]) if x < 0]
+    if not negative:
+        return None
+    x, neg_l, idx = min(negative)
+    l = -neg_l
+    return rccrystal._rebuild(rc, a, idx, (l - 1, x + 1) if l > 1 else None, 1, l - 1)
+
+
+def _overrigged_insert(real):
+    # insert_letter that leaves the string it grows in component 1 one
+    # above its vacancy number.
+    def insert(work, letter):
+        before = list(work.lengths[1])
+        real(work, letter)
+        grown = [idx for idx, l in enumerate(work.lengths[1])
+                 if idx == len(before) or l != before[idx]]
+        for idx in grown[:1]:
+            work.riggings[1][idx] += 1
+    return insert
+
+
+def _vacancy_faults(delta):
+    # component_vacancy off by delta(factors, a, i) in both modules that call it.
+    def fault(real):
+        return lambda factors, padded, a, i: real(factors, padded, a, i) + delta(factors, a, i)
+    return [(module, 'component_vacancy', fault) for module in (rc_layer, bijection)]
+
+
+SPEC_3_12 = CrystalSpec(3, ((1, 1), (2, 1)))
+# (id, spec, [(owner, name, fault from the real function)], first report)
+CHECK_FAULTS = [
+    ('path-phi', SPEC_3_12, [(Path, 'phi', lambda real: lambda p, a: real(p, a) + 1)],
+     'phi at 1 disagrees across the map on 1 (x) 1/2'),
+    ('path-epsilon', SPEC_3_12,
+     [(Path, 'epsilon', lambda real: lambda p, a: real(p, a) + (real(p, a) > 0))],
+     'epsilon at 2 disagrees across the map on 1 (x) 1/3'),
+    ('f-undefined', SPEC_3_12,
+     [(rccrystal, 'f', lambda real: lambda rc, a: None if rccrystal.phi(rc, a) == 1
+       else real(rc, a))],
+     'lowering at 1 defined on only one side of 1 (x) 1/2'),
+    ('e-undefined', SPEC_3_12,
+     [(rccrystal, 'e', lambda real: lambda rc, a: None if rccrystal.epsilon(rc, a) == 1
+       else real(rc, a))],
+     'raising at 2 defined on only one side of 1 (x) 1/3'),
+    ('e-ties', CrystalSpec(3, ((1, 1),) * 3),
+     [(rccrystal, 'e', lambda real: _longer_first_raising)],
+     'raising at 1 does not commute on 3 (x) 3 (x) 2'),
+    ('vacancy-shift', SPEC_3_12,
+     _vacancy_faults(lambda factors, a, i: -2 * ((a, i) == (1, 1))),
+     'energy 0 != cocharge -2 on 1 (x) 2/3'),
+    # The factor term min(s, i) read as s.
+    ('vacancy-width', CrystalSpec(2, ((1, 2), (1, 1))),
+     _vacancy_faults(lambda factors, a, i: sum(s - min(s, i) for r, s in factors if r == a)),
+     'image mismatch at weight (2, 1)'),
+    ('insert-rigging', SPEC_3_12, [(cli, 'insert_letter', _overrigged_insert)],
+     'insertion of 2 left (empty) inadmissible'),
+]
+
+
+@pytest.mark.parametrize('spec, faults, expected', [case[1:] for case in CHECK_FAULTS],
+                         ids=[case[0] for case in CHECK_FAULTS])
+def test_each_crystal_and_statistic_check_has_teeth(monkeypatch, spec, faults, expected):
+    # One fault per statement of check_spec that no other test pins; each
+    # must be the first report.  The symmetry statement is left out: only
+    # one fault applied alike across every method reaches it.
+    for owner, name, fault in faults:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert cli.check_spec(spec) == expected
 
 
 def test_spec_generators():
