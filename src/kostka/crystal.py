@@ -19,14 +19,31 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 
-def json_ints(value):
-    """An int, or nested tuples of ints from nested lists or tuples; a
-    float, a string or a bool where an integer belongs is a ValueError."""
+def json_int(value) -> int:
+    """value if it is an int; a float, a string, a bool or anything else
+    where an integer belongs is a ValueError."""
     if type(value) is int:
         return value
+    raise ValueError(f'expected an integer, got {value!r}')
+
+
+def json_ints(value):
+    """An int, or nested tuples of ints from nested lists or tuples, each
+    int read by json_int."""
     if isinstance(value, (list, tuple)):
         return tuple(map(json_ints, value))
-    raise ValueError(f'expected an integer, got {value!r}')
+    return json_int(value)
+
+
+def check_weight_entries(weight) -> tuple[int, ...]:
+    """The weight as a tuple of nonnegative ints, of any length, or
+    ValueError."""
+    weight = tuple(weight)
+    if any(type(x) is not int for x in weight):
+        raise ValueError('weight entries must be integers')
+    if any(x < 0 for x in weight):
+        raise ValueError('weight entries must be nonnegative')
+    return weight
 
 
 @dataclass(frozen=True)
@@ -120,11 +137,7 @@ class CrystalSpec:
         weight = tuple(weight)
         if len(weight) != self.n:
             raise ValueError(f'weight must have length {self.n}')
-        if any(type(x) is not int for x in weight):
-            raise ValueError('weight entries must be integers')
-        if any(x < 0 for x in weight):
-            raise ValueError('weight entries must be nonnegative')
-        return weight
+        return check_weight_entries(weight)
 
     def total_boxes(self) -> int:
         return sum(r * s for r, s in self.factors)

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
-from .crystal import CrystalSpec, json_ints
+from .crystal import CrystalSpec, check_weight_entries, json_int, json_ints
 from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
@@ -90,9 +90,11 @@ def _config_cocharge(partitions) -> int:
 # The witness set is the free product of its columns: column k ranges
 # over every c_k-subset of 1..c_{k-1}, independently of the others, and
 # bound(a, l) reads columns a and a+1 only.  No computation builds the
-# set: _walk_column advances the distinct partial rows by one column,
-# the configuration builder and is_admissible take that step column by
-# column, and bound_tableaux lists the set for display and for the tests.
+# set.  The configuration builder needs the distinct riggable profiles,
+# so it walks the partial rows one column at a time (_walk_column).
+# is_admissible needs only whether one witness fits, so it carries one
+# column, the greedy largest (_chain_column).  bound_tableaux lists the
+# set for display and for the tests.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class LowerBoundTableau:
 
     def __post_init__(self):
         cols = tuple(tuple(col) for col in self.columns)
-        weight = tuple(self.weight)
+        weight = check_weight_entries(self.weight)
         object.__setattr__(self, 'columns', cols)
         object.__setattr__(self, 'weight', weight)
         n = len(weight)
@@ -152,7 +154,7 @@ def column_heights(weight) -> list[int]:
 
 
 def count_bound_tableaux(weight) -> int:
-    heights = column_heights(tuple(weight))
+    heights = column_heights(check_weight_entries(weight))
     total = 1
     for k in range(1, len(heights)):
         total *= comb(heights[k - 1], heights[k])
@@ -164,7 +166,9 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
     in decreasing lexicographic order, the first column varying slowest.
 
     The set is a product of binomials in size and explodes quickly, so
-    a weight with more than cap tableaux is refused with a BudgetError.
+    a weight with more than cap tableaux is refused with a BudgetError,
+    and one with an entry that is not a nonnegative int with a
+    ValueError.
     """
     weight = tuple(weight)
     count = count_bound_tableaux(weight)
@@ -197,6 +201,8 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
 def _walk_column(partial, heights, k: int, finishing, starting) -> set:
     """One step of the walk over the witness tableaux of a weight, whose
     column_heights are heights: the distinct partial rows after column k.
+    The configuration builder takes it column by column to list the
+    riggable profiles; is_admissible runs _chain_column instead.
 
     A partial row is a pair (done, pending): the bounds of the finished
     entries, and the bounds so far of the entries of component k-1.
@@ -224,6 +230,36 @@ def _walk_column(partial, heights, k: int, finishing, starting) -> set:
     return grown
 
 
+def _chain_column(cnt, top: int, height: int, lows) -> list[int] | None:
+    """The pointwise-largest counting function f(l) = #{x in col : x <= l},
+    l = 0..top, of a height-subset col of 1..top with f(l) <= low +
+    cnt(l) at each pair (l, low) of lows, or None when no such col exists.
+
+    cnt is the counting function of the column before, indexed from 0 and
+    constant past its end, as f is past top.  Each length is capped, a
+    backward running min makes the caps nondecreasing, and each forward
+    step is limited to 1; the result is a counting function exactly when
+    it starts at 0 and ends at height.
+    """
+    f = [height] * (top + 1)
+    f[0] = 0
+    last = len(cnt) - 1
+    for l, low in lows.items():
+        cap = low + cnt[l if l < last else last]
+        i = l if l < top else top
+        if cap < f[i]:
+            f[i] = cap
+    for i in range(top, 0, -1):
+        if f[i - 1] > f[i]:
+            f[i - 1] = f[i]
+    if f[0] < 0:
+        return None
+    for i in range(1, top + 1):
+        if f[i] > f[i - 1] + 1:
+            f[i] = f[i - 1] + 1
+    return f if f[top] == height else None
+
+
 # ---------------------------------------------------------------------------
 # rigged configurations
 # ---------------------------------------------------------------------------
@@ -234,8 +270,9 @@ class RiggedConfiguration:
 
     Strings are kept sorted by decreasing length, then decreasing
     rigging, so equality is multiset equality.  The constructor refuses
-    component sizes other than forced_sizes, so admissibility is a
-    condition on the riggings alone.
+    lengths and riggings that are not ints, and component sizes other
+    than forced_sizes, so admissibility is a condition on the riggings
+    alone.
     """
 
     spec: CrystalSpec
@@ -249,7 +286,7 @@ class RiggedConfiguration:
             raise ValueError(f'expected {n - 1} components')
         canon = []
         for comp in self.strings:
-            comp = tuple(sorted([(l, x) for l, x in comp], reverse=True))
+            comp = tuple(sorted([(json_int(l), json_int(x)) for l, x in comp], reverse=True))
             if comp and comp[-1][0] < 1:
                 raise ValueError('string lengths must be positive')
             canon.append(comp)
@@ -284,9 +321,9 @@ class RiggedConfiguration:
     def vacancy(self, a: int, i: int) -> int:
         """Vacancy number of component a at part length i, which may
         exceed every part; the value may be negative."""
-        if not 1 <= a <= self.n - 1:
+        if not 1 <= json_int(a) <= self.n - 1:
             raise ValueError(f'component {a} outside 1..{self.n - 1}')
-        if i < 1:
+        if json_int(i) < 1:
             raise ValueError('part length must be positive')
         return spec_vacancy(self.spec, self.partitions, a, i)
 
@@ -296,23 +333,29 @@ class RiggedConfiguration:
 
     def is_admissible(self) -> bool:
         """Whether no rigging exceeds its vacancy number and one witness
-        tableau bounds every rigging from below."""
+        tableau bounds every rigging from below.
+
+        With cnt_k(l) the number of entries <= l in column k, bound(a, l)
+        is cnt_{a+1}(l) - cnt_a(l), so the strings of component a cap
+        cnt_{a+1} by their lowest riggings plus cnt_a.  A larger cnt_a only
+        loosens those caps, so a witness exists exactly when the chain of
+        largest columns (_chain_column) does, from column 1, forced because
+        c_0 = c_1, to the empty column n.
+        """
         factors = self.spec.factors
         padded = ((), *self.partitions, ())
-        heights = column_heights(self.weight)
-        partial = {((), ())}
-        finishing = ()
-        for k, comp in enumerate((*self.strings, ()), start=1):
+        heights = column_heights(self.weight) + [0]
+        cnt = range(heights[0] + 1)
+        for a, comp in enumerate(self.strings, start=1):
             # The strings of one length come by decreasing rigging.
             lowest: dict[int, int] = {}
             for l, x in comp:
-                if l not in lowest and x > component_vacancy(factors, padded, k, l):
+                if l not in lowest and x > component_vacancy(factors, padded, a, l):
                     return False
                 lowest[l] = x
-            partial = _walk_column(partial, heights, k, finishing, lowest)
-            if not partial:
+            cnt = _chain_column(cnt, heights[a], heights[a + 1], lowest)
+            if cnt is None:
                 return False
-            finishing = tuple(lowest.items())
         return True
 
     def to_json(self) -> dict:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -9,8 +10,8 @@ from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _walk_column,
-                       _witness_floor, bound_tableaux, column_heights,
+from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _chain_column,
+                       _walk_column, _witness_floor, bound_tableaux, column_heights,
                        count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
                        rc_polynomial)
@@ -46,6 +47,9 @@ def test_vacancy_validation():
         SIX_RC.vacancy(4, 1)
     with pytest.raises(ValueError):
         SIX_RC.vacancy(1, 0)
+    for a, i in ((1, 1.5), (1, 1.0), (1, True), (1.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match='expected an integer'):
+            SIX_RC.vacancy(a, i)
 
 
 def test_stable_vacancy_is_the_weight_gap():
@@ -128,6 +132,20 @@ def test_column_heights():
     assert column_heights((0, 1, 1, 1)) == [3, 3, 2, 1]
 
 
+@pytest.mark.parametrize('weight, message', [
+    ((1.5, 1, 1), 'integers'), ((1, 1, 1.0), 'integers'), ((1, True, 1), 'integers'),
+    ((1, 1, -1), 'nonnegative'),
+])
+def test_witness_set_checks_the_weight(weight, message):
+    # Worded as CrystalSpec.check_weight words it.
+    with pytest.raises(ValueError, match=f'weight entries must be {message}'):
+        count_bound_tableaux(weight)
+    with pytest.raises(ValueError, match=f'weight entries must be {message}'):
+        bound_tableaux(weight)
+    with pytest.raises(ValueError, match=f'weight entries must be {message}'):
+        LowerBoundTableau(((2, 1), (1,)), weight)
+
+
 def test_bound_cap_is_enforced():
     with pytest.raises(BudgetError):
         bound_tableaux((2, 2, 1, 1), cap=3)
@@ -175,6 +193,41 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
     assert {row for row, _pending in partial} == {
         row for row in rows if all(b <= x for b, x in zip(row, limits))}
     assert all(pending == () for _row, pending in partial)
+
+
+@given(st.data())
+def test_chain_column_is_the_largest_column_within_the_limits(data):
+    # The chain is feasible exactly when some listed witness tableau lies
+    # within the limits; its columns are then those of such a tableau and
+    # count, at every length, at least as many entries as any of them.
+    n = data.draw(st.integers(2, 6))
+    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    assume(count_bound_tableaux(weight) <= 2000)
+    heights = column_heights(weight)
+    keys = sorted(data.draw(st.sets(st.tuples(st.integers(1, n - 1),
+                                              st.integers(1, heights[0] + 2)), max_size=6)))
+    limits = data.draw(st.lists(st.integers(-3, 1), min_size=len(keys), max_size=len(keys)))
+    within = [t for t in bound_tableaux(weight)
+              if all(t.bound(a, l) <= x for (a, l), x in zip(keys, limits))]
+    lows = [{} for _ in range(n)]
+    for (a, l), limit in zip(keys, limits):
+        lows[a][l] = limit
+    chain = [list(range(heights[0] + 1))]
+    for a in range(1, n):
+        column = _chain_column(chain[-1], heights[a], heights[a + 1] if a + 1 < n else 0,
+                               lows[a])
+        if column is None:
+            assert within == []
+            return
+        chain.append(column)
+    columns = [tuple(l for l in range(len(f) - 1, 0, -1) if f[l] > f[l - 1])
+               for f in chain[:-1]]
+    assert LowerBoundTableau(columns, weight) in within
+    assert chain[-1] == [0] * (heights[n - 1] + 1)
+    for t in within:
+        for k, col in enumerate(t.columns):
+            counts = [sum(x <= l for x in col) for l in range(heights[k] + 1)]
+            assert all(c <= f for c, f in zip(counts, chain[k])), (t, k)
 
 
 def test_admissibility_golden():
@@ -250,6 +303,48 @@ def test_admissibility_reads_only_the_riggings(monkeypatch):
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
+@pytest.mark.parametrize('spec, weight, sample', [
+    (CrystalSpec(7, ((3, 2), (4, 1), (2, 2))), (2,) * 7, None),
+    (CrystalSpec(8, ((4, 2), (3, 2), (2, 1))), (2,) * 8, 800),
+])
+def test_admissibility_matches_the_builder_profiles(spec, weight, sample):
+    # Each configuration the walk yields, rigged at one of its riggable
+    # profiles and then with one entry lowered by 1, is admissible exactly
+    # when some profile lies at or below its lowest riggings.  At n = 8
+    # the first sample configurations stand for the rest.
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _parts, support, _vac, profiles in islice(
+            enumerate_configurations(spec, weight), sample):
+        profile = list(rng.choice(sorted(profiles)))
+        for lowered in (None, rng.randrange(len(support))):
+            lows = profile[:]
+            if lowered is not None:
+                lows[lowered] -= 1
+            strings = [[] for _ in range(spec.n - 1)]
+            for (a, l, m), low in zip(support, lows):
+                strings[a - 1] += [(l, low)] * m
+            rc = RiggedConfiguration(spec, weight, strings)
+            expected = any(all(b <= x for b, x in zip(v, lows)) for v in profiles)
+            assert rc.is_admissible() == expected, rc
+            verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_admissibility_runs_only_the_chain(monkeypatch):
+    # One decider: is_admissible neither walks the witness rows nor fills
+    # the walk's memo, which only the configuration builder reads.
+    rcs = sweep_rcs()
+
+    def refuse(*_args):
+        raise AssertionError('is_admissible walked the witness rows')
+
+    monkeypatch.setattr('kostka.rc._walk_column', refuse)
+    monkeypatch.setattr('kostka.rc._column_counts', refuse)
+    verdicts = Counter(rc.is_admissible() for rc in rcs)
+    assert verdicts == {True: len(rcs)}
+
+
 def test_no_computing_path_builds_the_witness_set(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError('the witness set was built')
@@ -296,6 +391,13 @@ def test_rejects_bad_strings():
                             (((0, 0),), ((2, 0),), ((1, -1),)))
     with pytest.raises(ValueError):
         RiggedConfiguration(SIX_BOXES, (2, 2, 1), (((1, 0),), (), ()))
+    # Lengths and riggings are ints, as from_json reads them.
+    spec = CrystalSpec(2, ((1, 1),) * 3)
+    for comp in (((1, 0.5), (1, 0)), ((1, 0), (1.0, 0)), ((1, True), (1, 0)),
+                 ((True, 0), (1, 0)), ((1, '0'), (1, 0))):
+        with pytest.raises(ValueError, match='expected an integer'):
+            RiggedConfiguration(spec, (1, 2), (comp,))
+    assert RiggedConfiguration(spec, (1, 2), (((1, 0), (1, 0)),)).cocharge() == 4
 
 
 @pytest.mark.parametrize('compute', [enumerate_paths, path_polynomial, enumerate_rcs,
