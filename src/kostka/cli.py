@@ -5,7 +5,10 @@ correspondence for a spec file, `poly` computes the graded counting
 polynomial by up to three methods (only `paths` shares no code with the
 other two), `map` converts a single element across the correspondence,
 `op` applies a raising or lowering operator to either kind of element,
-and `check` drives the randomized and exhaustive property suite.
+and `check` drives the randomized and exhaustive property suite.  `poly`
+and `check` build each weight's configurations once
+(`rc.configuration_list`); the rc-side listing and both rc-side
+polynomials read that one list.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
@@ -28,7 +31,8 @@ from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
-from .rc import RiggedConfiguration, enumerate_rcs, fermionic_polynomial, rc_polynomial
+from .rc import (RiggedConfiguration, _fermionic_polynomial_from, _rc_polynomial_from,
+                 _rcs_from, configuration_list, enumerate_rcs)
 
 OK = 0
 PROPERTY_FAILURE = 1
@@ -37,8 +41,10 @@ INPUT_ERROR = 2
 
 # The graded counting polynomial of a spec and weight by each method, in
 # the order `poly` prints them; `check` compares every one at every weight.
-METHODS = {'paths': path_polynomial, 'rc-enum': rc_polynomial,
-           'fermionic': fermionic_polynomial}
+# configs is the weight's configuration_list, which `paths` never calls.
+METHODS = {'paths': lambda spec, weight, configs: path_polynomial(spec, weight),
+           'rc-enum': lambda spec, weight, configs: _rc_polynomial_from(configs()),
+           'fermionic': lambda spec, weight, configs: _fermionic_polynomial_from(configs())}
 
 
 class InputError(Exception):
@@ -106,7 +112,8 @@ def cmd_rcs(args) -> int:
 def cmd_poly(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
     names = list(METHODS) if args.method == 'all' else [args.method]
-    values = {name: METHODS[name](spec, weight) for name in names}
+    configs = configuration_list(spec, weight)
+    values = {name: METHODS[name](spec, weight, configs) for name in names}
     if args.format == 'json':
         print(json.dumps({'polynomials':
                           {name: _poly_json(values[name]) for name in names}}))
@@ -218,7 +225,9 @@ def check_spec(spec: CrystalSpec) -> str | None:
     phi-inverse undoing phi makes phi injective.  f and e commuting with
     phi, with phi_a and epsilon_a equal across it, also fix how often f
     and e apply.  The per-weight image check runs first, so the per-path
-    pass sees each configuration once."""
+    pass sees each configuration once.  Each weight's configurations are
+    built once, into one list that the image check and the rc-side
+    methods read."""
     n = spec.n
     all_paths = enumerate_all_paths(spec)
     images: dict[Path, RiggedConfiguration] = {}
@@ -236,11 +245,12 @@ def check_spec(spec: CrystalSpec) -> str | None:
     class_poly: dict[tuple[int, ...], tuple[tuple[int, ...], QPolynomial]] = {}
     for weight in _compositions(spec.total_boxes(), n):
         group = by_weight.get(weight, [])
-        rcs = enumerate_rcs(spec, weight)
+        configs = configuration_list(spec, weight)
+        rcs = _rcs_from(spec, weight, configs())
         if len(rcs) != len(group) or {images[p] for p in group} != set(rcs):
             return f'image mismatch at weight {weight}'
         x = QPolynomial(Counter(energies[p] for p in group))
-        polys = {name: method(spec, weight) for name, method in METHODS.items()}
+        polys = {name: method(spec, weight, configs) for name, method in METHODS.items()}
         if any(poly != x for poly in polys.values()):
             detail = ', '.join(f'{name}={poly}' for name, poly in polys.items())
             return (f'polynomials disagree at weight {weight}: '

@@ -14,6 +14,13 @@ builder `enumerate_configurations`.  The enumeration counts the
 riggings of each configuration and builds no RiggedConfiguration: the
 cocharge of the bare configuration is shared by all of its riggings,
 and each rigging adds its sum of labels.
+
+The listing and both polynomials are each a function of the builder's
+output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`).
+`enumerate_rcs`, `rc_polynomial` and `fermionic_polynomial` run each
+over a fresh builder pass; `configuration_list` builds one weight's
+configurations once, so that a caller needing several of them, such as
+`kostka check` and `kostka poly`, reads one list.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
 from .crystal import CrystalSpec, check_weight_entries, json_int, json_ints
@@ -131,9 +138,9 @@ class LowerBoundTableau:
     def bound(self, a: int, i: int) -> int:
         """Lower bound for riggings of length-i strings in component a."""
         n = len(self.weight)
-        if not 1 <= a <= n - 1:
+        if not 1 <= json_int(a) <= n - 1:
             raise ValueError(f'component {a} outside 1..{n - 1}')
-        if i < 0:
+        if json_int(i) < 0:
             raise ValueError('length must be nonnegative')
         value = -sum(1 for x in self.columns[a - 1] if i >= x)
         if a <= n - 2:
@@ -148,8 +155,8 @@ class LowerBoundTableau:
 
 def column_heights(weight) -> list[int]:
     """Heights c_0, c_1, ..., c_{n-1} of the witness-tableau columns."""
-    weight = tuple(weight)
-    heights = [sum(weight[k:]) for k in range(1, len(weight))]
+    # c_k = weight[k] + ... + weight[n-1], one running sum from the end.
+    heights = [*accumulate(reversed(tuple(weight)[1:]))][::-1]
     return [heights[0] if heights else 0] + heights
 
 
@@ -513,6 +520,14 @@ def _riggings(support, vacancies, profiles):
     return assignments
 
 
+def configuration_list(spec: CrystalSpec, weight):
+    """The configurations of enumerate_configurations(spec, weight) as a
+    thunk: its first call builds them into a list, and every call returns
+    that list.  Nothing is built until it is called, and nothing outlives
+    the thunk."""
+    return cache(lambda: list(enumerate_configurations(spec, weight)))
+
+
 def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
 
@@ -524,8 +539,14 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     prefix that has none, are never built: they admit no rigging.
     """
     weight = spec.check_weight(weight)
+    return _rcs_from(spec, weight, enumerate_configurations(spec, weight))
+
+
+def _rcs_from(spec: CrystalSpec, weight: tuple, configs) -> list[RiggedConfiguration]:
+    """enumerate_rcs of a checked weight tuple, read off configs, the
+    output of enumerate_configurations(spec, weight)."""
     out: list[RiggedConfiguration] = []
-    for _parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
+    for _parts, support, vacancies, profiles in configs:
         for assignment in _riggings(support, vacancies, profiles):
             comps: list[list[tuple[int, int]]] = [[] for _ in range(spec.n - 1)]
             for (a, l, _m), riggings in zip(support, assignment):
@@ -543,8 +564,13 @@ def rc_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     rigging shares the cocharge of its bare configuration and adds the
     sum of its riggings.
     """
+    return _rc_polynomial_from(enumerate_configurations(spec, weight))
+
+
+def _rc_polynomial_from(configs) -> QPolynomial:
+    """rc_polynomial read off configs, the output of enumerate_configurations."""
     counts = Counter()
-    for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
+    for parts, support, vacancies, profiles in configs:
         base = _config_cocharge(parts)
         for assignment in _riggings(support, vacancies, profiles):
             counts[base + sum(map(sum, assignment))] += 1
@@ -570,8 +596,14 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     enumerate_configurations never builds one.  No witness tableau is
     built, and no budget applies.
     """
+    return _fermionic_polynomial_from(enumerate_configurations(spec, weight))
+
+
+def _fermionic_polynomial_from(configs) -> QPolynomial:
+    """fermionic_polynomial read off configs, the output of
+    enumerate_configurations."""
     result = Counter()
-    for parts, support, vacancies, profiles in enumerate_configurations(spec, weight):
+    for parts, support, vacancies, profiles in configs:
         signed: dict[tuple[int, ...], int] = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}

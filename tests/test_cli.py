@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -397,15 +398,40 @@ def test_check_runs_every_poly_method(monkeypatch):
     # A method that is off by a factor of q fails the check at the first
     # composition weight, (2, 0), whose polynomial is 1.
     spec = CrystalSpec(2, ((1, 1), (1, 1)))
-    for name in ('paths', 'rc-enum'):
+    for name in cli.METHODS:
         original = cli.METHODS[name]
         with monkeypatch.context() as patch:
             patch.setitem(cli.METHODS, name,
-                          lambda s, w: original(s, w) * QPolynomial.monomial(1))
+                          lambda s, w, c: original(s, w, c) * QPolynomial.monomial(1))
             detail = cli.check_spec(spec)
         assert detail.startswith('polynomials disagree at weight (2, 0): elements=1, ')
         assert f'{name}=q' in detail.split(', '), detail
     assert cli.check_spec(spec) is None
+
+
+def test_each_weight_builds_its_configurations_once(monkeypatch, tmp_path, capsys):
+    # The configuration builder that rc looks up, counting its calls per weight.
+    calls = Counter()
+    real = rc_layer.enumerate_configurations
+
+    def counting(spec, weight):
+        calls[tuple(weight)] += 1
+        return real(spec, weight)
+
+    monkeypatch.setattr(rc_layer, 'enumerate_configurations', counting)
+    spec = CrystalSpec(3, ((1, 1), (2, 1)))
+    assert cli.check_spec(spec) is None
+    weights = list(cli._compositions(spec.total_boxes(), spec.n))
+    assert len(weights) == 10
+    assert calls == Counter(weights)
+
+    spec_file = write(tmp_path, 's.json', SPEC43)
+    calls.clear()
+    assert run(capsys, ['poly', '--spec', spec_file])[0] == 0
+    assert calls == Counter([(2, 2, 1, 1)])
+    calls.clear()
+    assert run(capsys, ['poly', '--spec', spec_file, '--method', 'paths'])[0] == 0
+    assert not calls
 
 
 def test_check_reports_a_map_that_merges_two_paths(monkeypatch):

@@ -95,6 +95,11 @@ def test_bound_tableau_validation():
     with pytest.raises(ValueError):
         # entry 3 exceeds the range allowed for the last column
         LowerBoundTableau(((3, 2, 1), (3, 2), (3,)), (0, 1, 1, 1))
+    # bound reads both arguments as ints, as RiggedConfiguration.vacancy does.
+    tableau = bound_tableaux((1, 1, 1))[0]
+    for a, i in ((1, 1.5), (True, 2), (1.0, 1), (1, True), (0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            tableau.bound(a, i)
 
 
 @given(st.data())
