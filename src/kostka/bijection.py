@@ -16,7 +16,7 @@ step, while untouched strings keep their riggings verbatim.
 
 from __future__ import annotations
 
-from .crystal import CrystalSpec, Path, RectTableau
+from .crystal import CrystalSpec, Path, RectTableau, json_index
 from .errors import InvariantError
 from .rc import RiggedConfiguration, component_vacancy
 
@@ -106,9 +106,8 @@ def insert_letter(work: Working, letter: int) -> None:
     pick (growing a fresh length-zero string when none qualifies).
     Grown strings are re-rigged to be singular in the result.
     """
+    json_index(letter, work.n, 'letter')
     lengths, riggings = work.lengths, work.riggings
-    if not 1 <= letter <= work.n:
-        raise ValueError(f'letter {letter} outside 1..{work.n}')
     grown: list[tuple[int, int]] = []
     ceiling = float('inf')
     for a in range(letter - 1, 0, -1):
@@ -247,7 +246,8 @@ def rc_to_path(rc: RiggedConfiguration) -> Path:
             if any(x <= y for x, y in zip(letters, letters[1:])):
                 raise InvariantError(f'extracted letters {letters} do not decrease')
             columns.append(tuple(reversed(letters)))
+        # Checked for semistandardness; shape and alphabet hold by construction.
         tableaux.append(RectTableau(tuple(zip(*columns)), rc.n))
     if work.factors or any(work.lengths) or any(work.weight):
         raise InvariantError('configuration not exhausted')
-    return Path(rc.spec, tuple(tableaux))
+    return Path._trusted(rc.spec, tuple(tableaux))

@@ -12,8 +12,9 @@ polynomials read that one list.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
-2 on bad input.  No subcommand builds the witness-tableau set, so none
-takes a budget for it.
+2 on bad input.  `check` reports any exception inside one spec's checks
+as that spec's internal error and goes on.  No subcommand builds the
+witness-tableau set, so none takes a budget for it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 
 from . import rccrystal
 from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
-from .crystal import CrystalSpec, Path, json_ints
+from .crystal import CrystalSpec, Path, json_index, json_ints
 from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
@@ -163,9 +164,10 @@ def cmd_map(args) -> int:
 
 def cmd_op(args) -> int:
     element = _parse_element(_load(args.spec))
-    a = args.residue
-    if not 1 <= a <= element.spec.n - 1:
-        raise InputError(f'operator index {a} outside 1..{element.spec.n - 1}')
+    try:
+        a = json_index(args.residue, element.spec.n - 1, 'operator index')
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if isinstance(element, Path):
         result = element.f(a) if args.operator == 'f' else element.e(a)
     else:
@@ -303,23 +305,22 @@ def cmd_check(args) -> int:
     for idx, spec in enumerate(instances):
         try:
             detail = check_spec(spec)
-        except InvariantError as exc:
-            detail = f'internal error: {exc}'
+        except Exception as exc:
+            kind = '' if isinstance(exc, InvariantError) else f'{type(exc).__name__}: '
+            detail = f'internal error: {kind}{exc}'
         if detail is not None:
             failures += 1
-        rows.append((idx, spec, detail))
+        rows.append((idx, spec.to_json(), detail))
     if args.format == 'json':
         print(json.dumps({'failures': failures, 'instances': [
-            {'id': idx, 'n': spec.n,
-             'factors': [list(f) for f in spec.factors],
+            {'id': idx, **fields,
              'status': 'fail' if detail else 'ok',
              **({'detail': detail} if detail else {})}
-            for idx, spec, detail in rows]}))
+            for idx, fields, detail in rows]}))
     else:
-        for idx, spec, detail in rows:
-            factors = json.dumps([list(f) for f in spec.factors])
+        for idx, fields, detail in rows:
             status = f'FAIL: {detail}' if detail else 'ok'
-            print(f'[{idx}] n={spec.n} factors={factors} {status}')
+            print(f"[{idx}] n={fields['n']} factors={json.dumps(fields['factors'])} {status}")
         verdict = f'{failures} failures' if failures else 'all properties hold'
         print(f'checked {len(rows)} specs: {verdict}')
     return PROPERTY_FAILURE if failures else OK

@@ -10,12 +10,14 @@ cancel, leaving a residue i^p (i+1)^q.  f_i turns the rightmost
 unmatched i into i+1 and e_i turns the leftmost unmatched i+1 into i;
 when the needed letter is absent the operator is undefined and None is
 returned.
+Every index argument (operator index, component, letter, height) is read
+by json_index: a bool, a float or an int out of range is a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 
@@ -25,6 +27,13 @@ def json_int(value) -> int:
     if type(value) is int:
         return value
     raise ValueError(f'expected an integer, got {value!r}')
+
+
+def json_index(value, top: int, noun: str) -> int:
+    """value if it is an int (read by json_int) in 1..top, else ValueError."""
+    if not 1 <= json_int(value) <= top:
+        raise ValueError(f'{noun} {value} outside 1..{top}')
+    return value
 
 
 def json_ints(value):
@@ -205,11 +214,7 @@ class Path:
         return len(_bracket(self, i)[1])
 
     def to_json(self) -> dict:
-        return {
-            'n': self.spec.n,
-            'factors': [list(f) for f in self.spec.factors],
-            'tableaux': [t.to_json() for t in self.tableaux],
-        }
+        return {**self.spec.to_json(), 'tableaux': [t.to_json() for t in self.tableaux]}
 
     @classmethod
     def from_json(cls, data) -> 'Path':
@@ -227,8 +232,7 @@ def _bracket(path: Path, i: int):
     Brackets path.word() and returns the two lists of unmatched
     positions in it, (unmatched_i, unmatched_i1), each in word order.
     """
-    if not 1 <= i <= path.spec.n - 1:
-        raise ValueError(f'operator index {i} outside 1..{path.spec.n - 1}')
+    json_index(i, path.spec.n - 1, 'operator index')
     unmatched_i: list[int] = []
     open_stack: list[int] = []
     for pos, letter in enumerate(path.word()):
@@ -271,16 +275,16 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
     return Path._trusted(path.spec, tuple(tabs))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     """All column-strict r x s tableaux over {1..n}, in a fixed order.
 
     Each column is a strictly increasing r-subset of {1..n}.  Columns
     that weakly increase along every row are in lexicographic order, so
-    each tableau is a multiset of s columns, taken in that order.
+    each tableau is a multiset of s columns, taken in that order.  The
+    cache is typed, so a float or bool height never hits an int's entry.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f'height {r} outside 1..{n}')
+    json_index(r, n, 'height')
     if s < 1:
         raise ValueError('width must be positive')
     columns = combinations(range(1, n + 1), r)

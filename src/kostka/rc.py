@@ -32,7 +32,7 @@ from functools import cache, cached_property
 from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 from math import comb
 
-from .crystal import CrystalSpec, check_weight_entries, json_int, json_ints
+from .crystal import CrystalSpec, check_weight_entries, json_index, json_int, json_ints
 from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
@@ -138,8 +138,7 @@ class LowerBoundTableau:
     def bound(self, a: int, i: int) -> int:
         """Lower bound for riggings of length-i strings in component a."""
         n = len(self.weight)
-        if not 1 <= json_int(a) <= n - 1:
-            raise ValueError(f'component {a} outside 1..{n - 1}')
+        json_index(a, n - 1, 'component')
         if json_int(i) < 0:
             raise ValueError('length must be nonnegative')
         value = -sum(1 for x in self.columns[a - 1] if i >= x)
@@ -328,8 +327,7 @@ class RiggedConfiguration:
     def vacancy(self, a: int, i: int) -> int:
         """Vacancy number of component a at part length i, which may
         exceed every part; the value may be negative."""
-        if not 1 <= json_int(a) <= self.n - 1:
-            raise ValueError(f'component {a} outside 1..{self.n - 1}')
+        json_index(a, self.n - 1, 'component')
         if json_int(i) < 1:
             raise ValueError('part length must be positive')
         return spec_vacancy(self.spec, self.partitions, a, i)

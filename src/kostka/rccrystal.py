@@ -17,6 +17,7 @@ result is admissible, as an internal invariant.
 
 from __future__ import annotations
 
+from .crystal import json_index
 from .errors import InvariantError
 from .rc import RiggedConfiguration
 
@@ -75,9 +76,7 @@ def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     shorter strings.  The target loses a box and its rigging rises by
     one more; a length-zero string disappears.
     """
-    n = rc.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f'component {a} outside 1..{n - 1}')
+    json_index(a, rc.n - 1, 'component')
     comp = rc.strings[a - 1]
     negative = [(x, l, idx) for idx, (l, x) in enumerate(comp) if x < 0]
     if not negative:
@@ -107,7 +106,5 @@ def epsilon(rc: RiggedConfiguration, a: int) -> int:
     Closed form: minus the smallest rigging of the component, zero when
     none is negative.
     """
-    n = rc.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f'component {a} outside 1..{n - 1}')
+    json_index(a, rc.n - 1, 'component')
     return -min(0, min((x for _, x in rc.strings[a - 1]), default=0))

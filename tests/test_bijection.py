@@ -251,10 +251,13 @@ def test_insert_extract_roundtrip():
 
 
 def test_letter_validation():
-    with pytest.raises(ValueError):
-        insert_letter(Working(3), 0)
-    with pytest.raises(ValueError):
-        insert_letter(Working(3), 4)
+    for letter in (0, 4):
+        with pytest.raises(ValueError, match=f'^letter {letter} outside 1..3$'):
+            insert_letter(Working(3), letter)
+    # True would insert a 1 and 1.0 fail on a list index, if they were read.
+    for letter in (True, 1.0):
+        with pytest.raises(ValueError, match='expected an integer'):
+            insert_letter(Working(3), letter)
     with pytest.raises(ValueError):
         extract_letter(Working(3))
     with pytest.raises(ValueError):

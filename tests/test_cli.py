@@ -388,6 +388,34 @@ def test_check_reports_an_internal_error_per_spec(capsys, monkeypatch):
     assert rows[2]['detail'].startswith('internal error: lowering at ')
 
 
+def test_check_reports_any_exception_per_spec(capsys, monkeypatch):
+    # A ValueError inside the checks of every n = 3 spec fails exactly those
+    # rows, each naming the exception's type, and the other rows still run.
+    real = rccrystal.epsilon
+
+    def faulty(rc, a):
+        if rc.n == 3:
+            raise ValueError('injected fault')
+        return real(rc, a)
+    monkeypatch.setattr(rccrystal, 'epsilon', faulty)
+    argv = ['check', '--count', '2', '--max-n', '3', '--max-boxes', '3', '--seed', '5']
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, '')
+    *lines, verdict = out.splitlines()
+    assert len(lines) == 21 and verdict == 'checked 21 specs: 12 failures'
+    for line in lines:
+        expected = ('FAIL: internal error: ValueError: injected fault'
+                    if ' n=3 ' in line else 'ok')
+        assert line.split(' factors=')[1].endswith(f'] {expected}'), line
+    code, out, _ = run(capsys, argv + ['--format', 'json'])
+    rows = json.loads(out)['instances']
+    assert code == 1 and sum(row['n'] == 3 for row in rows) == 12
+    for row in rows:
+        assert row['status'] == ('fail' if row['n'] == 3 else 'ok'), row
+        assert row.get('detail') == ('internal error: ValueError: injected fault'
+                                     if row['n'] == 3 else None), row
+
+
 def test_check_budget_validation(capsys):
     bounds = 'error: check needs --max-boxes >= 1, --max-n >= 2 and --count >= 0\n'
     for argv in (['--max-n', '1'], ['--max-boxes', '0'], ['--count', '-1']):

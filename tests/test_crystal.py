@@ -88,10 +88,14 @@ def test_lowering_golden():
 
 def test_operator_index_range():
     p = Path(CrystalSpec(3, ((1, 1),)), (RectTableau(((1,),), 3),))
-    with pytest.raises(ValueError):
-        p.f(0)
-    with pytest.raises(ValueError):
-        p.f(3)
+    for op in (Path.f, Path.e, Path.phi, Path.epsilon):
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=f'^operator index {i} outside 1..2$'):
+                op(p, i)
+        # p.f(1.0) must not build a tableau entry 2.0, which from_json refuses.
+        for i in (True, 1.0):
+            with pytest.raises(ValueError, match='expected an integer'):
+                op(p, i)
 
 
 def test_enumeration_counts():
@@ -100,8 +104,14 @@ def test_enumeration_counts():
     assert len(enumerate_crystal(2, 1, 3)) == 3
     assert len(enumerate_crystal(3, 1, 3)) == 1
     assert len(enumerate_crystal(2, 2, 4)) == 20
-    with pytest.raises(ValueError):
-        enumerate_crystal(4, 1, 3)
+    for r in (0, 4):
+        with pytest.raises(ValueError, match=f'^height {r} outside 1..3$'):
+            enumerate_crystal(r, 1, 3)
+    # Height 1 is cached by now; a float or bool height must still be read.
+    assert enumerate_crystal(1, 1, 3)
+    for r in (True, 1.0):
+        with pytest.raises(ValueError, match='expected an integer'):
+            enumerate_crystal(r, 1, 3)
     with pytest.raises(ValueError):
         enumerate_crystal(1, 0, 3)
 

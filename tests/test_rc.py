@@ -41,10 +41,9 @@ def test_vacancy_goldens():
 
 
 def test_vacancy_validation():
-    with pytest.raises(ValueError):
-        SIX_RC.vacancy(0, 1)
-    with pytest.raises(ValueError):
-        SIX_RC.vacancy(4, 1)
+    for a in (0, 4):
+        with pytest.raises(ValueError, match=f'^component {a} outside 1..3$'):
+            SIX_RC.vacancy(a, 1)
     with pytest.raises(ValueError):
         SIX_RC.vacancy(1, 0)
     for a, i in ((1, 1.5), (1, 1.0), (1, True), (1.0, 1), (True, 1)):
@@ -100,6 +99,9 @@ def test_bound_tableau_validation():
     for a, i in ((1, 1.5), (True, 2), (1.0, 1), (1, True), (0, 1), (1, -1)):
         with pytest.raises(ValueError):
             tableau.bound(a, i)
+    for a in (0, 3):
+        with pytest.raises(ValueError, match=f'^component {a} outside 1..2$'):
+            tableau.bound(a, 1)
 
 
 @given(st.data())

@@ -88,14 +88,13 @@ def test_operators_never_empty_a_letter():
 
 
 def test_residue_validation():
-    with pytest.raises(ValueError):
-        f(RC44, 0)
-    with pytest.raises(ValueError):
-        f(RC44, 4)
-    with pytest.raises(ValueError):
-        e(RC44, 0)
-    with pytest.raises(ValueError):
-        phi(RC44, 4)
+    for op in (f, e, phi, epsilon):
+        for a in (0, 4):
+            with pytest.raises(ValueError, match=f'^component {a} outside 1..3$'):
+                op(RC44, a)
+        for a in (True, 1.0):
+            with pytest.raises(ValueError, match='expected an integer'):
+                op(RC44, a)
 
 
 def test_operators_invert_each_other():
