@@ -215,7 +215,7 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
     """
     work = Working(path.spec.n)
     for t in reversed(path.tableaux):
-        s = t.ncols
+        s = t.shape[1]
         for c in range(s - 1, -1, -1):
             for j, letter in enumerate(t.column(c)):
                 insert_letter(work, letter)

@@ -12,6 +12,10 @@ when the needed letter is absent the operator is undefined and None is
 returned.
 Every index argument (operator index, component, letter, height) is read
 by json_index: a bool, a float or an int out of range is a ValueError.
+A tableau's entries, alphabet size and a spec's fields must be ints too.
+A tableau stores its shape and its hash when it is built, since the
+energy layer keys its memos and transfer-matrix states by tableaux; the
+hash is the one the dataclass would compute, hash((rows, n)).
 """
 
 from __future__ import annotations
@@ -57,7 +61,11 @@ def check_weight_entries(weight) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RectTableau:
-    """A column-strict rectangular tableau over {1..n}."""
+    """A column-strict rectangular tableau over {1..n}.
+
+    Construction also stores `shape`, the pair (rows, columns), and the
+    hash, so neither is recomputed when the tableau is read or looked up.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     n: int
@@ -65,6 +73,7 @@ class RectTableau:
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, 'rows', rows)
+        n = json_int(self.n)
         if not rows:
             raise ValueError('tableau needs at least one row')
         s = len(rows[0])
@@ -74,26 +83,28 @@ class RectTableau:
             raise ValueError('tableau needs at least one column')
         for row in rows:
             for x in row:
-                if not 1 <= x <= self.n:
-                    raise ValueError(f'entry {x} outside alphabet 1..{self.n}')
+                if type(x) is not int or not 1 <= x <= n:
+                    json_int(x)     # a non-int entry gets json_int's message
+                    raise ValueError(f'entry {x} outside alphabet 1..{n}')
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError('rows must weakly increase')
         for j in range(s):
             col = [row[j] for row in rows]
             if any(a >= b for a, b in zip(col, col[1:])):
                 raise ValueError('columns must strictly increase')
+        object.__setattr__(self, 'shape', (len(rows), s))
+        object.__setattr__(self, '_hash', hash((rows, n)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        return self.shape[1]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
@@ -133,12 +144,11 @@ class CrystalSpec:
     def __post_init__(self):
         factors = tuple((r, s) for r, s in self.factors)
         object.__setattr__(self, 'factors', factors)
-        if self.n < 2:
+        if json_int(self.n) < 2:
             raise ValueError('alphabet size must be at least 2')
         for r, s in factors:
-            if not 1 <= r <= self.n - 1:
-                raise ValueError(f'factor height {r} outside 1..{self.n - 1}')
-            if s < 1:
+            json_index(r, self.n - 1, 'factor height')
+            if json_int(s) < 1:
                 raise ValueError(f'factor width {s} must be positive')
 
     def check_weight(self, weight) -> tuple[int, ...]:
@@ -261,10 +271,11 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
     # Each factor's letters are its rows, bottom row first: find the
     # factor k holding the position, then its row and column.
     for k, t in enumerate(path.tableaux):
-        if pos < t.nrows * t.ncols:
+        r, s = t.shape
+        if pos < r * s:
             break
-        pos -= t.nrows * t.ncols
-    ri, ci = t.nrows - 1 - pos // t.ncols, pos % t.ncols
+        pos -= r * s
+    ri, ci = r - 1 - pos // s, pos % s
     rows = [list(row) for row in t.rows]
     rows[ri][ci] = new_letter
     # The constructor re-checks semistandardness, which the bracketing
@@ -282,10 +293,11 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     Each column is a strictly increasing r-subset of {1..n}.  Columns
     that weakly increase along every row are in lexicographic order, so
     each tableau is a multiset of s columns, taken in that order.  The
-    cache is typed, so a float or bool height never hits an int's entry.
+    cache is typed, so a float or bool height or width never hits an
+    int's entry.
     """
     json_index(r, n, 'height')
-    if s < 1:
+    if json_int(s) < 1:
         raise ValueError('width must be positive')
     columns = combinations(range(1, n + 1), r)
     return tuple(RectTableau(tuple(zip(*cols)), n)

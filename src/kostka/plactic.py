@@ -9,9 +9,10 @@ equivalence: swapping the two factors must preserve the Schensted
 product.  That characterization is turned into a lookup table per pair
 of shapes, built once and cached.  `rmatrix` and `local_energy` are
 memoized per ordered pair of tableaux, so each runs one Schensted product
-per distinct pair for the life of the process.  Like the tables, the
-memos hold at most sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of
-shapes met.
+per distinct pair for the life of the process.  A tableau carries its
+shape and its hash from construction, so a memo lookup reads both
+without rehashing the rows.  Like the tables, the memos hold at most
+sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of shapes met.
 
 `carry` is the one transport step: a factor meets the factors carried
 up to it, adds their local energies and lets them pass.  `tail_energy`

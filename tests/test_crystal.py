@@ -1,6 +1,9 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
+from kostka.bijection import path_to_rc, rc_to_path
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
 from kostka.paths import enumerate_all_paths
 
@@ -31,19 +34,31 @@ def test_tableau_validation():
         RectTableau(((1, 2), (1, 3)), 3)     # column repeats
     with pytest.raises(ValueError):
         RectTableau(((1,), (2, 3)), 3)       # ragged
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='^entry 4 outside alphabet 1..3$'):
         RectTableau(((4,),), 3)              # letter too big
     with pytest.raises(ValueError):
         RectTableau((), 3)
+    # A bool entry would equal, and hash like, the int tableau it mimics.
+    for rows, n, bad in ((((1.0,),), 3, '1.0'), (((True,),), 3, 'True'),
+                         (((1, 2), (2, 3.0)), 3, '3.0'),
+                         (((1,),), 3.0, '3.0'), (((1,),), True, 'True')):
+        with pytest.raises(ValueError, match=f'^expected an integer, got {bad}$'):
+            RectTableau(rows, n)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         CrystalSpec(1, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='^factor height 4 outside 1..3$'):
         CrystalSpec(4, ((4, 1),))            # height must stay below n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='^factor width 0 must be positive$'):
         CrystalSpec(3, ((1, 0),))
+    # Each of these built before, and from_json refused its JSON.
+    for n, factors, bad in ((3.0, ((1, 1),), '3.0'), (True, (), 'True'),
+                            (3, ((True, 1),), 'True'), (3, ((1.0, 1),), '1.0'),
+                            (3, ((1, True),), 'True'), (3, ((1, 2.0),), '2.0')):
+        with pytest.raises(ValueError, match=f'^expected an integer, got {bad}$'):
+            CrystalSpec(n, factors)
     assert CrystalSpec(3, ()).total_boxes() == 0
     assert CrystalSpec(4, ((2, 2), (2, 1))).total_boxes() == 6
 
@@ -112,13 +127,49 @@ def test_enumeration_counts():
     for r in (True, 1.0):
         with pytest.raises(ValueError, match='expected an integer'):
             enumerate_crystal(r, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='^width must be positive$'):
         enumerate_crystal(1, 0, 3)
+    # Width 1 is cached too; a float or bool width is refused, not cached.
+    for s in (True, 1.0):
+        with pytest.raises(ValueError, match=f'^expected an integer, got {s}$'):
+            enumerate_crystal(1, s, 3)
 
 
 def test_enumeration_is_deduplicated():
     tabs = enumerate_crystal(2, 2, 3)
     assert len(set(tabs)) == len(tabs)
+
+
+def test_tableau_hash_and_shape_are_stored():
+    shapes = [(r, s) for r in (1, 2, 3) for s in (1, 2)]
+    crystal = {t: t for shape in shapes for t in enumerate_crystal(*shape, 4)}
+    for t in crystal:
+        assert hash(t) == hash((t.rows, t.n))
+        assert t.shape == (t.nrows, t.ncols) == (len(t.rows), len(t.rows[0]))
+        copy = RectTableau.from_json(t.to_json(), t.n)
+        assert copy == t and copy is not t and hash(copy) == hash(t)
+        assert crystal[copy] is t
+    for shape in shapes:
+        assert all(t.shape == shape for t in enumerate_crystal(*shape, 4))
+    t = enumerate_crystal(2, 2, 4)[0]
+    with pytest.raises(FrozenInstanceError):
+        t.shape = (1, 4)
+    with pytest.raises(FrozenInstanceError):
+        t._hash = 0
+    assert t.shape == (2, 2) and hash(t) == hash((t.rows, t.n))
+
+
+def test_tableaux_from_operators_and_bijection_hash_as_enumerated():
+    for spec, p in family_paths():
+        crystals = {t: t for r, s in set(spec.factors)
+                    for t in enumerate_crystal(r, s, spec.n)}
+        images = [p.f(i) for i in range(1, spec.n)] + [p.e(i) for i in range(1, spec.n)]
+        images.append(rc_to_path(path_to_rc(p)))
+        for image in filter(None, images):
+            for t, (r, s) in zip(image.tableaux, spec.factors):
+                assert t.shape == (r, s)
+                assert hash(t) == hash(crystals[t]) == hash((t.rows, t.n))
+                assert crystals[t] == t
 
 
 def test_bracketing_matches_repeated_cancellation():
