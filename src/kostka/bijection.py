@@ -1,5 +1,5 @@
-"""Bijection between highest-weight-free tensor paths and rigged
-configurations.
+"""Bijection between every tensor path, highest weight or not, and the
+rigged configurations.
 
 The path-to-configuration direction peels the leftmost factor one box
 at a time: a width-s factor splits into its leftmost column and the

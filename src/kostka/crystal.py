@@ -12,10 +12,12 @@ when the needed letter is absent the operator is undefined and None is
 returned.
 Every index argument (operator index, component, letter, height) is read
 by json_index: a bool, a float or an int out of range is a ValueError.
-A tableau's entries, alphabet size and a spec's fields must be ints too.
-A tableau stores its shape and its hash when it is built, since the
-energy layer keys its memos and transfer-matrix states by tableaux; the
-hash is the one the dataclass would compute, hash((rows, n)).
+A tableau's entries, alphabet size and a spec's fields must be ints too,
+and a weight is a nonempty tuple of nonnegative ints (the empty weight
+is refused).  A tableau stores its shape and its hash when it is built,
+since the energy layer keys its memos and transfer-matrix states by
+tableaux; its size is read from `shape` alone, and the hash is the one
+the dataclass would compute, hash((rows, n)).
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ def json_ints(value):
 
 
 def check_weight_entries(weight) -> tuple[int, ...]:
-    """The weight as a tuple of nonnegative ints, of any length, or
+    """The weight as a tuple of nonnegative ints, of any length but 0, or
     ValueError."""
     weight = tuple(weight)
+    if not weight:
+        raise ValueError('weight must have at least one entry')
     if any(type(x) is not int for x in weight):
         raise ValueError('weight entries must be integers')
     if any(x < 0 for x in weight):
@@ -97,14 +101,6 @@ class RectTableau:
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def nrows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.shape[1]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)

@@ -28,9 +28,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
-from math import comb
+from math import comb, prod
 
 from .crystal import CrystalSpec, check_weight_entries, json_index, json_int, json_ints
 from .errors import BudgetError
@@ -42,11 +42,11 @@ DEFAULT_BOUND_CAP = 10 ** 6
 def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
     """Required size of each component partition, indices a = 1..n-1.
 
-    Entry a-1 holds sum(weight[a:]) minus the boxes the factors place
-    above level a.
+    Entry a-1 holds c_a of column_heights minus the boxes the factors
+    place above level a.
     """
-    weight = spec.check_weight(weight)
-    return [sum(weight[a:]) - sum([s * (r - a) for r, s in spec.factors if r > a])
+    heights = column_heights(spec.check_weight(weight))
+    return [heights[a] - sum([s * (r - a) for r, s in spec.factors if r > a])
             for a in range(1, spec.n)]
 
 
@@ -96,7 +96,9 @@ def _config_cocharge(partitions) -> int:
 #
 # The witness set is the free product of its columns: column k ranges
 # over every c_k-subset of 1..c_{k-1}, independently of the others, and
-# bound(a, l) reads columns a and a+1 only.  No computation builds the
+# bound(a, l) reads columns a and a+1 only.  column_heights lists c_0..c_n,
+# with c_0 = c_1 and the empty column c_n = 0, so every reader takes the
+# pair of heights it needs from that one list.  No computation builds the
 # set.  The configuration builder needs the distinct riggable profiles,
 # so it walks the partial rows one column at a time (_walk_column).
 # is_admissible needs only whether one witness fits, so it carries one
@@ -153,18 +155,17 @@ class LowerBoundTableau:
 
 
 def column_heights(weight) -> list[int]:
-    """Heights c_0, c_1, ..., c_{n-1} of the witness-tableau columns."""
-    # c_k = weight[k] + ... + weight[n-1], one running sum from the end.
-    heights = [*accumulate(reversed(tuple(weight)[1:]))][::-1]
-    return [heights[0] if heights else 0] + heights
+    """Heights c_0, c_1, ..., c_n of the witness-tableau columns of a
+    nonempty weight of length n: c_k = weight[k] + ... + weight[n-1]
+    (0-indexed weight), so column n is empty, and c_0 = c_1."""
+    # One running sum from the end, starting at the empty column n.
+    heights = [*accumulate(reversed(tuple(weight)[1:]), initial=0)][::-1]
+    return [heights[0], *heights]
 
 
 def count_bound_tableaux(weight) -> int:
     heights = column_heights(check_weight_entries(weight))
-    total = 1
-    for k in range(1, len(heights)):
-        total *= comb(heights[k - 1], heights[k])
-    return total
+    return prod(comb(top, height) for top, height in zip(heights, heights[1:]))
 
 
 def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
@@ -182,11 +183,11 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
         raise BudgetError(
             f'{count} bound tableaux exceed the cap of {cap}; '
             f'raise the cap explicitly to proceed')
-    # Subsets of a decreasing range come out decreasing, in decreasing
-    # lexicographic order.
+    # Columns 1..n-1, since column n is empty.  Subsets of a decreasing
+    # range come out decreasing, in decreasing lexicographic order.
     heights = column_heights(weight)
-    per_column = [combinations(range(heights[k - 1], 0, -1), heights[k])
-                  for k in range(1, len(heights))]
+    per_column = [combinations(range(top, 0, -1), height)
+                  for top, height in zip(heights, heights[1:-1])]
     return tuple(LowerBoundTableau(cols, weight) for cols in iproduct(*per_column))
 
 
@@ -204,24 +205,23 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
     return tuple((added, tuple(starts)) for added, starts in out.items())
 
 
-def _walk_column(partial, heights, k: int, finishing, starting) -> set:
-    """One step of the walk over the witness tableaux of a weight, whose
-    column_heights are heights: the distinct partial rows after column k.
-    The configuration builder takes it column by column to list the
-    riggable profiles; is_admissible runs _chain_column instead.
+def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
+    """One step of the walk over the witness tableaux of a weight: the
+    distinct partial rows after column k, a height-subset of 1..top, where
+    top and height are c_{k-1} and c_k of column_heights.  The
+    configuration builder takes it column by column to list the riggable
+    profiles; is_admissible runs _chain_column, on the same pair, instead.
 
     A partial row is a pair (done, pending): the bounds of the finished
     entries, and the bounds so far of the entries of component k-1.
     Column k adds to the entries of components k-1 and k only, so it
-    makes those of component k-1 final (column n = len(heights) is
-    empty) and starts those of component k.  finishing lists the pairs
-    (l, limit) of the entries of component k-1 and starting the lengths
-    of those of component k; a row is dropped as soon as a final bound
-    exceeds its limit.  From {((), ())}, columns 1..n leave the rows
+    makes those of component k-1 final and starts those of component k.
+    finishing lists the pairs (l, limit) of the entries of component k-1
+    and starting the lengths of those of component k; a row is dropped as
+    soon as a final bound exceeds its limit.  From {((), ())}, columns 1..n leave the rows
     (done, ()) of the witness tableaux that lie at or below the limits.
     """
-    counts = _column_counts(heights[k - 1], heights[k] if k < len(heights) else 0,
-                            tuple(l for l, _ in finishing), tuple(starting))
+    counts = _column_counts(top, height, tuple(l for l, _ in finishing), tuple(starting))
     grown = set()
     for done, pending in partial:
         for added, starts in counts:
@@ -320,7 +320,7 @@ class RiggedConfiguration:
     def n(self) -> int:
         return self.spec.n
 
-    @cached_property
+    @property
     def partitions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(l for l, _ in comp) for comp in self.strings)
 
@@ -349,7 +349,7 @@ class RiggedConfiguration:
         """
         factors = self.spec.factors
         padded = ((), *self.partitions, ())
-        heights = column_heights(self.weight) + [0]
+        heights = column_heights(self.weight)
         cnt = range(heights[0] + 1)
         for a, comp in enumerate(self.strings, start=1):
             # The strings of one length come by decreasing rigging.
@@ -415,16 +415,15 @@ def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...]):
     return None if any(sz < 0 for sz in sizes) else sizes
 
 
-def _witness_floor(heights, a: int, l: int) -> int:
+def _witness_floor(top: int, below: int, l: int) -> int:
     """min(t.bound(a, l)) over the witness tableaux t of a weight, read
-    off its column_heights.
+    off the heights top = c_a and below = c_{a+1} of columns a and a+1.
 
     The columns are independent: column a holds at most min(l, c_a)
     entries <= l, and column a+1, a c_{a+1}-subset of 1..c_a, at least
     c_{a+1} - max(c_a - l, 0) of them.
     """
-    below = heights[a + 1] if a + 1 < len(heights) else 0
-    return max(0, below - max(heights[a] - l, 0)) - min(l, heights[a])
+    return max(0, below - max(top - l, 0)) - min(l, top)
 
 
 def enumerate_configurations(spec: CrystalSpec, weight):
@@ -464,7 +463,8 @@ def enumerate_configurations(spec: CrystalSpec, weight):
         for parts, groups in _partitions_of(size):
             padded = ((),) * a + (parts, ())
             level.append((parts, [((a, l, m), component_vacancy(spec.factors, padded, a, l),
-                                   _witness_floor(heights, a, l)) for l, m in groups]))
+                                   _witness_floor(heights[a], heights[a + 1], l))
+                                  for l, m in groups]))
         options.append(level)
 
     def extend(prefix, finished, pending, partial):
@@ -473,8 +473,9 @@ def enumerate_configurations(spec: CrystalSpec, weight):
         their vacancy numbers short of the overlap with nu^(a), and the
         partial witness rows after column a-1."""
         a = len(prefix) + 1
+        top, height = heights[a - 1], heights[a]
         if a == spec.n:
-            partial = _walk_column(partial, heights, a, [(key[1], p) for key, p in pending], ())
+            partial = _walk_column(partial, top, height, [(key[1], p) for key, p in pending], ())
             if partial:
                 entries = finished + pending
                 yield (prefix, [key for key, _p in entries], [p for _key, p in entries],
@@ -492,7 +493,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
                 started.append((key, p))
             else:
                 done = [(key, p + sum([min(key[1], x) for x in parts])) for key, p in pending]
-                grown = _walk_column(partial, heights, a, [(key[1], p) for key, p in done],
+                grown = _walk_column(partial, top, height, [(key[1], p) for key, p in done],
                                      [key[1] for key, _p in started])
                 if grown:
                     yield from extend(prefix + (parts,), finished + done, started, grown)

@@ -58,8 +58,8 @@ def _join(left, right):
 def _edit_single(path, word_pos, new_letter):
     """Rewrite one letter of a one-factor path, addressed by word position."""
     t = path.tableaux[0]
-    row_from_bottom, col = divmod(word_pos, t.ncols)
-    ri = t.nrows - 1 - row_from_bottom
+    row_from_bottom, col = divmod(word_pos, len(t.rows[0]))
+    ri = len(t.rows) - 1 - row_from_bottom
     rows = [list(row) for row in t.rows]
     rows[ri][col] = new_letter
     return Path(path.spec, (RectTableau(tuple(tuple(r) for r in rows), t.n),))

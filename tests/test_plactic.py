@@ -65,7 +65,7 @@ def test_products_are_semistandard(shape, shape2, n):
     for b, b2 in all_pairs(shape, shape2, n):
         t = product(b, b2)
         assert semistandard(t)
-        assert sum(map(len, t)) == b.nrows * b.ncols + b2.nrows * b2.ncols
+        assert sum(map(len, t)) == len(b.word()) + len(b2.word())
 
 
 def test_rmatrix_swaps_shapes_and_preserves_product():

@@ -18,7 +18,7 @@ from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _chain_column,
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
-                     oracle_rc_polynomial, oracle_vacancy, partitions_of,
+                     oracle_rc_polynomial, oracle_sizes, oracle_vacancy, partitions_of,
                      strings_by_length, subset_fermionic, sweep_rcs,
                      unfiltered_fermionic)
 
@@ -31,6 +31,17 @@ def test_forced_sizes():
     spec = CrystalSpec(6, ((1, 1), (2, 1), (2, 3)))
     assert forced_sizes(spec, (2, 2, 2, 1, 1, 1)) == [3, 5, 3, 2, 1]
     assert forced_sizes(SIX_BOXES, (2, 2, 1, 1)) == [4, 2, 1]
+
+
+def test_forced_sizes_match_the_oracle_on_the_sweep():
+    # forced_sizes reads c_a off column_heights; the oracle sums the
+    # weight and the factor multiplicities itself.
+    checked = mismatched = 0
+    for spec in sweep_specs(4, 5):
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            checked += 1
+            mismatched += forced_sizes(spec, weight) != oracle_sizes(spec, weight)
+    assert (checked, mismatched) == (4171, 0)
 
 
 def test_vacancy_goldens():
@@ -135,8 +146,17 @@ def test_witness_set_for_hook_weight():
 
 
 def test_column_heights():
-    assert column_heights((2, 2, 1, 1)) == [4, 4, 2, 1]
-    assert column_heights((0, 1, 1, 1)) == [3, 3, 2, 1]
+    # c_0 = c_1, and the empty column c_n = 0 ends the list.
+    assert column_heights((2, 2, 1, 1)) == [4, 4, 2, 1, 0]
+    assert column_heights((0, 1, 1, 1)) == [3, 3, 2, 1, 0]
+    assert column_heights((3,)) == [0, 0]
+
+
+def test_witness_set_refuses_the_empty_weight():
+    # The empty weight has no column list; the three refuse it alike.
+    for build in (count_bound_tableaux, bound_tableaux, lambda w: LowerBoundTableau((), w)):
+        with pytest.raises(ValueError, match='^weight must have at least one entry$'):
+            build(())
 
 
 @pytest.mark.parametrize('weight, message', [
@@ -176,7 +196,8 @@ def test_witness_floor_is_the_least_bound(data):
     heights = column_heights(weight)
     a = data.draw(st.integers(1, n - 1))
     l = data.draw(st.integers(1, heights[1] + 1))
-    assert _witness_floor(heights, a, l) == min(t.bound(a, l) for t in bound_tableaux(weight))
+    assert (_witness_floor(heights[a], heights[a + 1], l)
+            == min(t.bound(a, l) for t in bound_tableaux(weight)))
 
 
 @given(st.data())
@@ -195,7 +216,7 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
         by_component[a].append((l, limit))
     partial = {((), ())}
     for k in range(1, n + 1):
-        partial = _walk_column(partial, heights, k, by_component[k - 1],
+        partial = _walk_column(partial, heights[k - 1], heights[k], by_component[k - 1],
                                [l for l, _limit in by_component[k]])
     assert {row for row, _pending in partial} == {
         row for row in rows if all(b <= x for b, x in zip(row, limits))}
@@ -221,8 +242,7 @@ def test_chain_column_is_the_largest_column_within_the_limits(data):
         lows[a][l] = limit
     chain = [list(range(heights[0] + 1))]
     for a in range(1, n):
-        column = _chain_column(chain[-1], heights[a], heights[a + 1] if a + 1 < n else 0,
-                               lows[a])
+        column = _chain_column(chain[-1], heights[a], heights[a + 1], lows[a])
         if column is None:
             assert within == []
             return
