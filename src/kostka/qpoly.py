@@ -8,7 +8,9 @@ coefficient-wise comparison.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
+
+from .crystal import json_int
 
 
 class QPolynomial:
@@ -62,19 +64,6 @@ class QPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial({0: other})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = QPolynomial({0: other})
@@ -97,16 +86,6 @@ class QPolynomial:
         """Evaluate at a numeric value of q."""
         return sum(c * value ** e for e, c in self.coeffs.items())
 
-    def degree(self):
-        """Largest exponent, or None for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else None
-
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def coefficient(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
-
     def to_list(self) -> tuple[int, list[int]]:
         """Serialize as (minimum exponent, ascending coefficient list).
 
@@ -116,10 +95,6 @@ class QPolynomial:
             return (0, [])
         lo, hi = min(self.coeffs), max(self.coeffs)
         return (lo, [self.coeffs.get(e, 0) for e in range(lo, hi + 1)])
-
-    @classmethod
-    def from_list(cls, min_exponent: int, coeffs) -> 'QPolynomial':
-        return cls({min_exponent + k: c for k, c in enumerate(coeffs)})
 
     def __str__(self):
         if not self.coeffs:
@@ -145,15 +120,18 @@ class QPolynomial:
         return f'QPolynomial({self.coeffs!r})'
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def qbinom(m: int, p: int) -> QPolynomial:
     """Gaussian binomial [m+p choose m]_q.
 
     Generating function of partitions with at most m parts, each part at
     most p.  m must be nonnegative; a negative p yields the zero
     polynomial when m > 0 (no partition has a negative part) and 1 when
-    m = 0 (the empty partition, vacuously in every box).
+    m = 0 (the empty partition, vacuously in every box).  Both must be
+    ints, and the cache is typed, so a float or bool argument is refused
+    and never hits an int's entry.
     """
+    m, p = json_int(m), json_int(p)
     if m < 0:
         raise ValueError(f'number of parts must be nonnegative, got {m}')
     if m == 0:

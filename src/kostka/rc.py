@@ -42,10 +42,10 @@ DEFAULT_BOUND_CAP = 10 ** 6
 def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
     """Required size of each component partition, indices a = 1..n-1.
 
-    Entry a-1 holds c_a of column_heights minus the boxes the factors
+    Entry a-1 holds c_a of _column_heights minus the boxes the factors
     place above level a.
     """
-    heights = column_heights(spec.check_weight(weight))
+    heights = _column_heights(spec.check_weight(weight))
     return [heights[a] - sum([s * (r - a) for r, s in spec.factors if r > a])
             for a in range(1, spec.n)]
 
@@ -96,14 +96,14 @@ def _config_cocharge(partitions) -> int:
 #
 # The witness set is the free product of its columns: column k ranges
 # over every c_k-subset of 1..c_{k-1}, independently of the others, and
-# bound(a, l) reads columns a and a+1 only.  column_heights lists c_0..c_n,
+# bound(a, l) reads columns a and a+1 only.  _column_heights lists c_0..c_n,
 # with c_0 = c_1 and the empty column c_n = 0, so every reader takes the
 # pair of heights it needs from that one list.  No computation builds the
 # set.  The configuration builder needs the distinct riggable profiles,
 # so it walks the partial rows one column at a time (_walk_column).
 # is_admissible needs only whether one witness fits, so it carries one
 # column, the greedy largest (_chain_column).  bound_tableaux lists the
-# set for display and for the tests.
+# set for the tests and for the benchmark's witness-tableau probe.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -126,13 +126,13 @@ class LowerBoundTableau:
         n = len(weight)
         if len(cols) != n - 1:
             raise ValueError(f'expected {n - 1} columns')
-        heights = column_heights(weight)
+        heights = _column_heights(weight)
         for k, col in enumerate(cols, start=1):
             if len(col) != heights[k]:
                 raise ValueError(f'column {k} must have height {heights[k]}')
             bound = heights[k - 1]
             for x in col:
-                if not 1 <= x <= bound:
+                if not 1 <= json_int(x) <= bound:
                     raise ValueError(f'column {k} entry {x} outside 1..{bound}')
             if any(x <= y for x, y in zip(col, col[1:])):
                 raise ValueError('columns must strictly decrease')
@@ -154,7 +154,7 @@ class LowerBoundTableau:
                      for j in range(height))
 
 
-def column_heights(weight) -> list[int]:
+def _column_heights(weight) -> list[int]:
     """Heights c_0, c_1, ..., c_n of the witness-tableau columns of a
     nonempty weight of length n: c_k = weight[k] + ... + weight[n-1]
     (0-indexed weight), so column n is empty, and c_0 = c_1."""
@@ -164,7 +164,7 @@ def column_heights(weight) -> list[int]:
 
 
 def count_bound_tableaux(weight) -> int:
-    heights = column_heights(check_weight_entries(weight))
+    heights = _column_heights(check_weight_entries(weight))
     return prod(comb(top, height) for top, height in zip(heights, heights[1:]))
 
 
@@ -185,7 +185,7 @@ def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTabl
             f'raise the cap explicitly to proceed')
     # Columns 1..n-1, since column n is empty.  Subsets of a decreasing
     # range come out decreasing, in decreasing lexicographic order.
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     per_column = [combinations(range(top, 0, -1), height)
                   for top, height in zip(heights, heights[1:-1])]
     return tuple(LowerBoundTableau(cols, weight) for cols in iproduct(*per_column))
@@ -208,7 +208,7 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
 def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
     """One step of the walk over the witness tableaux of a weight: the
     distinct partial rows after column k, a height-subset of 1..top, where
-    top and height are c_{k-1} and c_k of column_heights.  The
+    top and height are c_{k-1} and c_k of _column_heights.  The
     configuration builder takes it column by column to list the riggable
     profiles; is_admissible runs _chain_column, on the same pair, instead.
 
@@ -349,7 +349,7 @@ class RiggedConfiguration:
         """
         factors = self.spec.factors
         padded = ((), *self.partitions, ())
-        heights = column_heights(self.weight)
+        heights = _column_heights(self.weight)
         cnt = range(heights[0] + 1)
         for a, comp in enumerate(self.strings, start=1):
             # The strings of one length come by decreasing rigging.
@@ -453,7 +453,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     sizes = _config_sizes(spec, weight)
     if sizes is None:
         return
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     # Per component, each partition with its support entries, their
     # vacancy numbers short of the overlaps with both neighbours, and
     # their floors.

@@ -534,6 +534,16 @@ def oracle_path_polynomial(spec, weight):
     return QPolynomial(Counter(oracle_tail_energy(b) for b in enumerate_paths(spec, weight)))
 
 
+def macmahon_polynomial(weight):
+    """The q-multinomial of the weight, prod_i qbinom(mu_i, mu_{i+1} + ...
+    + mu_n): by MacMahon, the major-index count of the words of content
+    mu, and so the energy polynomial of (1,1)^L at the weight mu."""
+    out = QPolynomial.one()
+    for i, m in enumerate(weight):
+        out = out * qbinom(m, sum(weight[i + 1:]))
+    return out
+
+
 def oracle_rc_polynomial(spec, weight):
     """Sum of q^cocharge over the rigged configurations of the weight,
     configuration by configuration."""

@@ -8,7 +8,7 @@ from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
 from kostka.paths import enumerate_all_paths
-from kostka.qpoly import QPolynomial
+from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration
 from kostka import bijection, rc as rc_layer, rccrystal
 
@@ -132,6 +132,22 @@ def test_poly_json(tmp_path, capsys):
     assert set(polys) == {'paths', 'rc-enum', 'fermionic'}
     for value in polys.values():
         assert value == {'min_exponent': 0, 'coefficients': [2, 4, 1]}
+
+
+def test_poly_json_after_a_refused_float_qbinom(tmp_path, capsys):
+    # The fermionic sum reads qbinom(2, 2) here; a float call before it
+    # is refused and leaves the memo holding ints only.
+    with pytest.raises(ValueError, match='^expected an integer, got 2.0$'):
+        qbinom(2.0, 2)
+    spec = {'n': 3, 'factors': [[1, 1]] * 4, 'weight': [2, 1, 1]}
+    code, out, _ = run(capsys, ['poly', '--spec', write(tmp_path, 's.json', spec),
+                                '--format', 'json'])
+    assert code == 0
+    polys = json.loads(out)['polynomials']
+    assert set(polys) == {'paths', 'rc-enum', 'fermionic'}
+    for value in polys.values():
+        assert value == polys['paths']
+        assert type(value['min_exponent']) is int
 
 
 def test_map_phi(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from kostka import crystal, paths, plactic
@@ -7,7 +9,7 @@ from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import fermionic_polynomial
 
-from oracles import N6_SPEC, oracle_path_polynomial
+from oracles import N6_SPEC, macmahon_polynomial, oracle_path_polynomial
 
 
 def test_two_box_weights():
@@ -146,3 +148,45 @@ def test_polynomial_matches_fermionic_on_many_factors(spec, weight, paths_count)
     target = path_polynomial(spec, weight)
     assert target(1) == paths_count
     assert fermionic_polynomial(spec, weight) == target
+
+
+def test_one_box_paths_match_macmahon_on_the_sweep():
+    # A closed form sharing no code with path_polynomial: every
+    # composition weight of (1,1)^L with 2 <= n <= 4 and L <= 7.
+    pairs = 0
+    for n in range(2, 5):
+        for boxes in range(8):
+            spec = CrystalSpec(n, ((1, 1),) * boxes)
+            for weight in _compositions(boxes, n):
+                assert path_polynomial(spec, weight) == macmahon_polynomial(weight), \
+                    (spec, weight)
+                pairs += 1
+    assert pairs == 486
+
+
+@pytest.mark.parametrize('weight', [(4, 4, 4), (5, 5, 5), (3, 3, 3, 3), (2, 2, 2, 2, 2)])
+def test_one_box_paths_match_macmahon_at_larger_weights(weight):
+    spec = CrystalSpec(len(weight), ((1, 1),) * sum(weight))
+    target = macmahon_polynomial(weight)
+    assert path_polynomial(spec, weight) == target
+    if weight == (5, 5, 5):
+        assert fermionic_polynomial(spec, weight) == target
+
+
+def test_polynomial_does_not_depend_on_the_factor_order():
+    # The R-matrix makes every order of the factors an isomorphic
+    # crystal with the same energy: each multi-shape spec of
+    # sweep_specs(4, 5) at each partition weight, in every other order.
+    cases = 0
+    for spec in sweep_specs(4, 5):
+        if len(set(spec.factors)) < 2:
+            continue
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            if any(a < b for a, b in zip(weight, weight[1:])):
+                continue
+            target = path_polynomial(spec, weight)
+            for order in set(permutations(spec.factors)) - {spec.factors}:
+                assert path_polynomial(CrystalSpec(spec.n, order), weight) == target, \
+                    (spec, order, weight)
+                cases += 1
+    assert cases == 1230

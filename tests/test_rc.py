@@ -11,7 +11,7 @@ from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _chain_column,
-                       _walk_column, _witness_floor, bound_tableaux, column_heights,
+                       _column_heights, _walk_column, _witness_floor, bound_tableaux,
                        count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
                        rc_polynomial)
@@ -34,7 +34,7 @@ def test_forced_sizes():
 
 
 def test_forced_sizes_match_the_oracle_on_the_sweep():
-    # forced_sizes reads c_a off column_heights; the oracle sums the
+    # forced_sizes reads c_a off _column_heights; the oracle sums the
     # weight and the factor multiplicities itself.
     checked = mismatched = 0
     for spec in sweep_specs(4, 5):
@@ -105,6 +105,13 @@ def test_bound_tableau_validation():
     with pytest.raises(ValueError):
         # entry 3 exceeds the range allowed for the last column
         LowerBoundTableau(((3, 2, 1), (3, 2), (3,)), (0, 1, 1, 1))
+    # Entries are read as RectTableau reads them: a float or a bool equal
+    # to an int entry is refused, not stored.
+    for entry in (1.0, True, '1'):
+        with pytest.raises(ValueError, match=f'^expected an integer, got {entry!r}$'):
+            LowerBoundTableau(((entry,),), (1, 1))
+        with pytest.raises(ValueError, match='^expected an integer'):
+            LowerBoundTableau(((4, 3, 2, entry), (4, 3), (1,)), (2, 2, 1, 1))
     # bound reads both arguments as ints, as RiggedConfiguration.vacancy does.
     tableau = bound_tableaux((1, 1, 1))[0]
     for a, i in ((1, 1.5), (True, 2), (1.0, 1), (1, True), (0, 1), (1, -1)):
@@ -121,7 +128,7 @@ def test_bound_tableau_rows_decrease_automatically(data):
     # decrease without the constructor checking it.
     n = data.draw(st.integers(2, 5))
     weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     columns = []
     for k in range(1, n):
         shuffled = data.draw(st.permutations(range(1, heights[k - 1] + 1)))
@@ -147,9 +154,9 @@ def test_witness_set_for_hook_weight():
 
 def test_column_heights():
     # c_0 = c_1, and the empty column c_n = 0 ends the list.
-    assert column_heights((2, 2, 1, 1)) == [4, 4, 2, 1, 0]
-    assert column_heights((0, 1, 1, 1)) == [3, 3, 2, 1, 0]
-    assert column_heights((3,)) == [0, 0]
+    assert _column_heights((2, 2, 1, 1)) == [4, 4, 2, 1, 0]
+    assert _column_heights((0, 1, 1, 1)) == [3, 3, 2, 1, 0]
+    assert _column_heights((3,)) == [0, 0]
 
 
 def test_witness_set_refuses_the_empty_weight():
@@ -193,7 +200,7 @@ def test_witness_floor_is_the_least_bound(data):
     n = data.draw(st.integers(2, 5))
     weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     assume(count_bound_tableaux(weight) <= 2000)
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     a = data.draw(st.integers(1, n - 1))
     l = data.draw(st.integers(1, heights[1] + 1))
     assert (_witness_floor(heights[a], heights[a + 1], l)
@@ -205,7 +212,7 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
     n = data.draw(st.integers(2, 6))
     weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     assume(count_bound_tableaux(weight) <= 2000)
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     keys = sorted(data.draw(st.sets(st.tuples(st.integers(1, n - 1),
                                               st.integers(1, heights[0] + 2)), max_size=6)))
     limits = data.draw(st.lists(st.integers(-3, 1), min_size=len(keys), max_size=len(keys)))
@@ -231,7 +238,7 @@ def test_chain_column_is_the_largest_column_within_the_limits(data):
     n = data.draw(st.integers(2, 6))
     weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     assume(count_bound_tableaux(weight) <= 2000)
-    heights = column_heights(weight)
+    heights = _column_heights(weight)
     keys = sorted(data.draw(st.sets(st.tuples(st.integers(1, n - 1),
                                               st.integers(1, heights[0] + 2)), max_size=6)))
     limits = data.draw(st.lists(st.integers(-3, 1), min_size=len(keys), max_size=len(keys)))
