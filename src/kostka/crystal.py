@@ -289,10 +289,10 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     Each column is a strictly increasing r-subset of {1..n}.  Columns
     that weakly increase along every row are in lexicographic order, so
     each tableau is a multiset of s columns, taken in that order.  The
-    cache is typed, so a float or bool height or width never hits an
-    int's entry.
+    cache is typed, so a float or bool height, width or alphabet size
+    never hits an int's entry.
     """
-    json_index(r, n, 'height')
+    json_index(r, json_int(n), 'height')
     if json_int(s) < 1:
         raise ValueError('width must be positive')
     columns = combinations(range(1, n + 1), r)

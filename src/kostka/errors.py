@@ -8,5 +8,5 @@ class InvariantError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A computation would exceed a caller-set budget such as the
-    witness-tableau cap."""
+    """A computation would exceed a fixed budget, such as the cap on the
+    witness tableaux that bound_tableaux lists."""

@@ -122,25 +122,30 @@ class QPolynomial:
 
 @lru_cache(maxsize=None, typed=True)
 def qbinom(m: int, p: int) -> QPolynomial:
-    """Gaussian binomial [m+p choose m]_q.
+    """Gaussian binomial [m+p choose m]_q, the product over i = 1..m of
+    (1 - q^(p+i)) / (1 - q^i).
 
     Generating function of partitions with at most m parts, each part at
     most p.  m must be nonnegative; a negative p yields the zero
     polynomial when m > 0 (no partition has a negative part) and 1 when
     m = 0 (the empty partition, vacuously in every box).  Both must be
     ints, and the cache is typed, so a float or bool argument is refused
-    and never hits an int's entry.
+    and never hits an int's entry.  The product is multiplied out one
+    factor at a time; each partial product is a Gaussian binomial, so
+    each division is exact.  No value depends on what the cache holds.
     """
     m, p = json_int(m), json_int(p)
     if m < 0:
         raise ValueError(f'number of parts must be nonnegative, got {m}')
-    if m == 0:
-        return QPolynomial.one()
-    if p < 0:
+    if m > 0 and p < 0:
         return QPolynomial.zero()
-    if p == 0:
-        return QPolynomial.one()
-    # Pascal recurrence: split on whether the partition has m parts.
-    # Fewer than m -> qbinom(m-1, p); exactly m -> strip the first
-    # column (q^m) and recurse on width p-1.
-    return qbinom(m - 1, p) + qbinom(m, p - 1).shift(m)
+    coeffs = [1]
+    for i in range(1, m + 1):
+        # Times 1 - q^(p+i), then divided by 1 - q^i: g[k] = f[k] + g[k-i].
+        coeffs += [0] * (p + i)
+        for k in range(len(coeffs) - 1, p + i - 1, -1):
+            coeffs[k] -= coeffs[k - p - i]
+        for k in range(i, len(coeffs)):
+            coeffs[k] += coeffs[k - i]
+        del coeffs[len(coeffs) - i:]
+    return QPolynomial(dict(enumerate(coeffs)))

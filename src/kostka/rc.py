@@ -148,11 +148,6 @@ class LowerBoundTableau:
             value += sum(1 for x in self.columns[a] if i >= x)
         return value
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        height = len(self.columns[0]) if self.columns else 0
-        return tuple(tuple(col[j] for col in self.columns if j < len(col))
-                     for j in range(height))
-
 
 def _column_heights(weight) -> list[int]:
     """Heights c_0, c_1, ..., c_n of the witness-tableau columns of a
@@ -168,21 +163,20 @@ def count_bound_tableaux(weight) -> int:
     return prod(comb(top, height) for top, height in zip(heights, heights[1:]))
 
 
-def bound_tableaux(weight, cap: int = DEFAULT_BOUND_CAP) -> tuple[LowerBoundTableau, ...]:
+def bound_tableaux(weight) -> tuple[LowerBoundTableau, ...]:
     """The full witness set for a weight, in a fixed order: the columns
     in decreasing lexicographic order, the first column varying slowest.
 
     The set is a product of binomials in size and explodes quickly, so
-    a weight with more than cap tableaux is refused with a BudgetError,
-    and one with an entry that is not a nonnegative int with a
-    ValueError.
+    a weight with more than DEFAULT_BOUND_CAP tableaux is refused with a
+    BudgetError, and one with an entry that is not a nonnegative int
+    with a ValueError.
     """
     weight = tuple(weight)
     count = count_bound_tableaux(weight)
-    if count > cap:
+    if count > DEFAULT_BOUND_CAP:
         raise BudgetError(
-            f'{count} bound tableaux exceed the cap of {cap}; '
-            f'raise the cap explicitly to proceed')
+            f'{count} bound tableaux exceed the cap of {DEFAULT_BOUND_CAP}')
     # Columns 1..n-1, since column n is empty.  Subsets of a decreasing
     # range come out decreasing, in decreasing lexicographic order.
     heights = _column_heights(weight)
@@ -439,7 +433,8 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     Configurations come in the order of the product of the component
     partitions, each in decreasing lexicographic order.
 
-    Components are chosen nu^(1), nu^(2), ... depth first.  The vacancy
+    Components are chosen nu^(1), nu^(2), ... depth first, and last
+    nu^(n), whose one choice is the empty partition.  The vacancy
     numbers of component a depend only on nu^(a-1), nu^(a) and
     nu^(a+1), so choosing nu^(a+1) makes them final, and each prefix
     advances its partial witness rows by column a+1 (_walk_column) right
@@ -454,9 +449,10 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     if sizes is None:
         return
     heights = _column_heights(weight)
-    # Per component, each partition with its support entries, their
-    # vacancy numbers short of the overlaps with both neighbours, and
-    # their floors.
+    # Per component 1..n, component n being the one empty partition, each
+    # partition with its support entries, their vacancy numbers short of
+    # the overlaps with both neighbours, and their floors.
+    sizes.append(0)
     options = []
     for a, size in enumerate(sizes, start=1):
         level = []
@@ -473,14 +469,12 @@ def enumerate_configurations(spec: CrystalSpec, weight):
         their vacancy numbers short of the overlap with nu^(a), and the
         partial witness rows after column a-1."""
         a = len(prefix) + 1
-        top, height = heights[a - 1], heights[a]
-        if a == spec.n:
-            partial = _walk_column(partial, top, height, [(key[1], p) for key, p in pending], ())
-            if partial:
-                entries = finished + pending
-                yield (prefix, [key for key, _p in entries], [p for _key, p in entries],
-                       {row for row, _pending in partial})
+        if a > spec.n:
+            # Every column is walked; drop the empty nu^(n).
+            yield (prefix[:-1], [key for key, _p in finished], [p for _key, p in finished],
+                   {row for row, _pending in partial})
             return
+        top, height = heights[a - 1], heights[a]
         # The overlap of nu^(a+1) with any length is at most its size.
         room = sizes[a] if a < len(sizes) else 0
         left = prefix[-1] if prefix else ()

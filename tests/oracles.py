@@ -10,7 +10,7 @@ literally over witness subsets.
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
 
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc)
@@ -542,6 +542,18 @@ def macmahon_polynomial(weight):
     for i, m in enumerate(weight):
         out = out * qbinom(m, sum(weight[i + 1:]))
     return out
+
+
+def in_support(spec, weight):
+    """Whether X(B, mu) is nonzero, by dominance alone: mu, sorted
+    decreasingly, must be dominated by lambda(B), whose j-th part sums the
+    widths s of the factors (r, s) with r >= j.  B has the weights of its
+    top classical component B(lambda(B)), and the weights of B(lambda) are
+    the rearrangements of the partitions that lambda dominates."""
+    top = [sum(s for r, s in spec.factors if r >= j) for j in range(1, spec.n + 1)]
+    mu = sorted(weight, reverse=True)
+    return sum(mu) == sum(top) and all(
+        x <= y for x, y in zip(accumulate(mu), accumulate(top)))
 
 
 def oracle_rc_polynomial(spec, weight):

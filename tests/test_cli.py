@@ -7,9 +7,9 @@ import pytest
 from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path
-from kostka.paths import enumerate_all_paths
+from kostka.paths import enumerate_all_paths, path_polynomial
 from kostka.qpoly import QPolynomial, qbinom
-from kostka.rc import RiggedConfiguration
+from kostka.rc import RiggedConfiguration, fermionic_polynomial
 from kostka import bijection, rc as rc_layer, rccrystal
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
@@ -148,6 +148,20 @@ def test_poly_json_after_a_refused_float_qbinom(tmp_path, capsys):
     for value in polys.values():
         assert value == polys['paths']
         assert type(value['min_exponent']) is int
+
+
+def test_poly_on_five_hundred_boxes(tmp_path, capsys):
+    # The fermionic sum reads qbinom(1, 498) here, on a cold cache.
+    spec = CrystalSpec(2, ((1, 1),) * 500)
+    qbinom.cache_clear()
+    assert fermionic_polynomial(spec, (499, 1)) == path_polynomial(spec, (499, 1))
+    qbinom.cache_clear()
+    data = {'n': 2, 'factors': [[1, 1]] * 500, 'weight': [499, 1]}
+    code, out, _ = run(capsys, ['poly', '--spec', write(tmp_path, 's.json', data)])
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(': ')[0] for line in lines] == ['paths', 'rc-enum', 'fermionic']
+    assert len({line.split(': ')[1] for line in lines}) == 1
 
 
 def test_map_phi(tmp_path, capsys):

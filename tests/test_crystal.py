@@ -133,6 +133,11 @@ def test_enumeration_counts():
     for s in (True, 1.0):
         with pytest.raises(ValueError, match=f'^expected an integer, got {s}$'):
             enumerate_crystal(1, s, 3)
+    # The alphabet size is read as an int before it bounds the height or
+    # reaches range().
+    for n in (2.0, True, '2'):
+        with pytest.raises(ValueError, match=f'^expected an integer, got {n!r}$'):
+            enumerate_crystal(1, 1, n)
 
 
 def test_enumeration_is_deduplicated():

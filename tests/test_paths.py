@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -7,9 +8,9 @@ from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, enumerate_crystal
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import fermionic_polynomial
+from kostka.rc import fermionic_polynomial, rc_polynomial
 
-from oracles import N6_SPEC, macmahon_polynomial, oracle_path_polynomial
+from oracles import N6_SPEC, in_support, macmahon_polynomial, oracle_path_polynomial
 
 
 def test_two_box_weights():
@@ -190,3 +191,18 @@ def test_polynomial_does_not_depend_on_the_factor_order():
                     (spec, order, weight)
                 cases += 1
     assert cases == 1230
+
+
+def test_each_method_is_nonzero_exactly_on_the_dominated_weights():
+    # in_support reads only the factor shapes and the weight. Every
+    # composition weight of sweep_specs(4, 4), zero or not, for all three
+    # methods; sweep_specs(4, 5) (4,171 weights) also holds but costs about
+    # five times as much.
+    counts = Counter()
+    for spec in sweep_specs(4, 4):
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            expected = in_support(spec, weight)
+            for method in (path_polynomial, rc_polynomial, fermionic_polynomial):
+                assert bool(method(spec, weight)) == expected, (method, spec, weight)
+            counts[expected] += 1
+    assert counts == {True: 976, False: 166}

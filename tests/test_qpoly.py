@@ -96,6 +96,14 @@ def test_qbinom_other_pascal_recurrence(m, p):
     assert qbinom(m, p) == qbinom(m, p - 1) + qbinom(m - 1, p).shift(p)
 
 
+def test_qbinom_does_not_depend_on_the_cache():
+    # A cold cache gives what a warm one gives, at any p: no call stack
+    # grows with the arguments.
+    qbinom.cache_clear()
+    assert qbinom(1, 600) == QPolynomial(dict.fromkeys(range(601), 1))
+    assert qbinom(2, 1000)(1) == comb(1002, 2)
+
+
 def test_qbinom_coefficients_are_partition_counts():
     # coefficient of q^k counts partitions of k inside the box
     poly = qbinom(3, 3)

@@ -10,9 +10,9 @@ from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
-from kostka.rc import (LowerBoundTableau, RiggedConfiguration, _chain_column,
-                       _column_heights, _walk_column, _witness_floor, bound_tableaux,
-                       count_bound_tableaux, enumerate_configurations,
+from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
+                       _chain_column, _column_heights, _walk_column, _witness_floor,
+                       bound_tableaux, count_bound_tableaux, enumerate_configurations,
                        enumerate_rcs, fermionic_polynomial, forced_sizes,
                        rc_polynomial)
 
@@ -122,6 +122,13 @@ def test_bound_tableau_validation():
             tableau.bound(a, 1)
 
 
+def _rows(tableau):
+    """The rows of a witness tableau, top first, read off its columns."""
+    height = len(tableau.columns[0]) if tableau.columns else 0
+    return tuple(tuple(col[j] for col in tableau.columns if j < len(col))
+                 for j in range(height))
+
+
 @given(st.data())
 def test_bound_tableau_rows_decrease_automatically(data):
     # Column k is any c_k-subset of 1..c_{k-1}; the rows then weakly
@@ -134,14 +141,14 @@ def test_bound_tableau_rows_decrease_automatically(data):
         shuffled = data.draw(st.permutations(range(1, heights[k - 1] + 1)))
         columns.append(tuple(sorted(shuffled[:heights[k]], reverse=True)))
     tableau = LowerBoundTableau(columns, weight)
-    for row in tableau.rows():
+    for row in _rows(tableau):
         assert all(x >= y for x, y in zip(row, row[1:]))
 
 
 def test_witness_set_for_hook_weight():
     ts = bound_tableaux((0, 1, 1, 1))
     assert len(ts) == count_bound_tableaux((0, 1, 1, 1)) == 6
-    rows = {t.rows() for t in ts}
+    rows = {_rows(t) for t in ts}
     assert rows == {
         ((3, 3, 2), (2, 2), (1,)),
         ((3, 3, 2), (2, 1), (1,)),
@@ -181,8 +188,11 @@ def test_witness_set_checks_the_weight(weight, message):
 
 
 def test_bound_cap_is_enforced():
-    with pytest.raises(BudgetError):
-        bound_tableaux((2, 2, 1, 1), cap=3)
+    # (2^8) has 681,080,400 witness tableaux, so the budget refuses it
+    # before any is listed.
+    assert count_bound_tableaux((2,) * 8) == 681_080_400 > DEFAULT_BOUND_CAP
+    with pytest.raises(BudgetError, match='^681080400 bound tableaux exceed the cap of 1000000$'):
+        bound_tableaux((2,) * 8)
 
 
 @pytest.mark.parametrize('consumer', [enumerate_rcs, fermionic_polynomial])
