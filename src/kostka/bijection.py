@@ -12,6 +12,15 @@ All selection rules measure singularity (rigging equal to vacancy
 number) in the configuration as it is *before* the step; freshly
 changed strings are re-rigged against the configuration *after* the
 step, while untouched strings keep their riggings verbatim.
+
+Objects are checked at the boundaries.  The maps take a checked path or
+configuration, and what the steps build from it skips the constructor
+checks: `Working.freeze` builds its spec with `CrystalSpec._trusted` and
+its configuration with `RiggedConfiguration._trusted`, and `rc_to_path`
+builds its path with `Path._trusted`.  Inside, a broken invariant raises
+InvariantError: `path_to_rc` compares the image's spec and weight with
+the path's, and `rc_to_path` checks that each column's letters decrease
+and builds each tableau with the checked `RectTableau`.
 """
 
 from __future__ import annotations
@@ -49,14 +58,18 @@ class Working:
 
     def singular(self, a: int, low, high) -> list[tuple[int, int]]:
         """(length, index) of each singular string of component a, length in low..high."""
-        return [(l, idx) for idx, (l, x) in enumerate(zip(self.lengths[a], self.riggings[a]))
-                if low <= l <= high and x == self.vacancy(a, l)]
+        factors, lengths = self.factors, self.lengths
+        out = []
+        for idx, (l, x) in enumerate(zip(lengths[a], self.riggings[a])):
+            if low <= l <= high and x == component_vacancy(factors, lengths, a, l):
+                out.append((l, idx))
+        return out
 
     def freeze(self) -> RiggedConfiguration:
         """The state as a RiggedConfiguration; the configuration puts the
         strings of each component in canonical order."""
         return RiggedConfiguration._trusted(
-            CrystalSpec(self.n, tuple(reversed(self.factors))), tuple(self.weight),
+            CrystalSpec._trusted(self.n, tuple(reversed(self.factors))), tuple(self.weight),
             [zip(ls, xs) for ls, xs in zip(self.lengths[1:-1], self.riggings[1:-1])])
 
 

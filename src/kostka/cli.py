@@ -282,8 +282,10 @@ def check_spec(spec: CrystalSpec) -> str | None:
                 return f'phi at {a} disagrees across the map on {p}'
             if p.epsilon(a) != rccrystal.epsilon(rc, a):
                 return f'epsilon at {a} disagrees across the map on {p}'
+        # A round trip that passes leaves the state equal to rc, so one
+        # state serves every letter.
+        work = Working(rc)
         for letter in range(1, n + 1):
-            work = Working(rc)
             insert_letter(work, letter)
             if not work.freeze().is_admissible():
                 return f'insertion of {letter} left {rc} inadmissible'

@@ -18,6 +18,12 @@ is refused).  A tableau stores its shape and its hash when it is built,
 since the energy layer keys its memos and transfer-matrix states by
 tableaux; its size is read from `shape` alone, and the hash is the one
 the dataclass would compute, hash((rows, n)).
+Input is checked at the boundaries: the constructors and `from_json`
+run every check.  Objects the package builds from checked ones skip
+them through a `_trusted` constructor: `Path._trusted` for enumerated
+and operated paths, `CrystalSpec._trusted` for the specs the bijection's
+splits and merges make from a checked spec's factors, and, in `rc`,
+`RiggedConfiguration._trusted`.  The CLI calls none of them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import le, lt
 
 
 def json_int(value) -> int:
@@ -90,11 +97,10 @@ class RectTableau:
                 if type(x) is not int or not 1 <= x <= n:
                     json_int(x)     # a non-int entry gets json_int's message
                     raise ValueError(f'entry {x} outside alphabet 1..{n}')
-            if any(a > b for a, b in zip(row, row[1:])):
+            if not all(map(le, row, row[1:])):
                 raise ValueError('rows must weakly increase')
-        for j in range(s):
-            col = [row[j] for row in rows]
-            if any(a >= b for a, b in zip(col, col[1:])):
+        for upper, lower in zip(rows, rows[1:]):
+            if not all(map(lt, upper, lower)):
                 raise ValueError('columns must strictly increase')
         object.__setattr__(self, 'shape', (len(rows), s))
         object.__setattr__(self, '_hash', hash((rows, n)))
@@ -146,6 +152,16 @@ class CrystalSpec:
             json_index(r, self.n - 1, 'factor height')
             if json_int(s) < 1:
                 raise ValueError(f'factor width {s} must be positive')
+
+    @classmethod
+    def _trusted(cls, n: int, factors: tuple) -> 'CrystalSpec':
+        """A spec built without re-running the checks, from a checked
+        spec's alphabet size and a tuple of (height, width) tuples that the
+        bijection's splits and merges made from its factors."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, 'n', n)
+        object.__setattr__(spec, 'factors', factors)
+        return spec
 
     def check_weight(self, weight) -> tuple[int, ...]:
         """The weight as a tuple of n nonnegative ints, or ValueError."""

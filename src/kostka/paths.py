@@ -23,30 +23,41 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
     """All elements of the tensor product with the given letter counts.
 
     Backtracks over factors left to right, pruning any prefix whose
-    letter usage already exceeds the target weight.  Each crystal
-    element is paired with its weight once per call.
+    letter usage already exceeds the target weight.  The backtracking
+    keeps an explicit stack, one entry per factor, so a long tensor
+    product does not exhaust the interpreter's recursion limit.  Each
+    crystal element is paired with its weight once per call.
     """
     weight = spec.check_weight(weight)
     if spec.total_boxes() != sum(weight):
         return []
+    if not spec.factors:
+        return [Path._trusted(spec, ())]
 
     weighted = {shape: [(t, t.weight()) for t in enumerate_crystal(*shape, spec.n)]
                 for shape in set(spec.factors)}
     factors = [weighted[shape] for shape in spec.factors]
     out: list[Path] = []
-    chosen = []
-
-    def extend(idx, remaining):
-        if idx == len(factors):
-            out.append(Path._trusted(spec, tuple(chosen)))
-            return
-        for t, w in factors[idx]:
+    # stack[k]: the untried elements of factor k and the letters factors
+    # k, k+1, ... must use; chosen[k]: the element taken for factor k.
+    stack = [(iter(factors[0]), weight)]
+    chosen = [None]
+    while stack:
+        untried, remaining = stack[-1]
+        for t, w in untried:
             if all(x <= y for x, y in zip(w, remaining)):
-                chosen.append(t)
-                extend(idx + 1, tuple([y - x for x, y in zip(w, remaining)]))
-                chosen.pop()
-
-    extend(0, weight)
+                break
+        else:
+            stack.pop()
+            chosen.pop()
+            continue
+        chosen[-1] = t
+        if len(stack) == len(factors):
+            out.append(Path._trusted(spec, tuple(chosen)))
+        else:
+            stack.append((iter(factors[len(stack)]),
+                          tuple([y - x for x, y in zip(w, remaining)])))
+            chosen.append(None)
     return out
 
 

@@ -62,7 +62,9 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
     for r, s in factors:
         if r == a:
             total += s if s < i else i
-    for l in (*padded[a - 1], *padded[a + 1]):
+    for l in padded[a - 1]:
+        total += l if l < i else i
+    for l in padded[a + 1]:
         total += l if l < i else i
     for l in padded[a]:
         total -= 2 * l if l < i else 2 * i

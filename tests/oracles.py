@@ -130,6 +130,35 @@ def semistandard(rows):
                     for j in range(len(lower))))
 
 
+def tableau_error(rows, n):
+    """The message of the ValueError that RectTableau(rows, n) raises, or
+    None when it accepts them: its checks written out in their order,
+    with each column listed and checked on its own."""
+    rows = tuple(tuple(row) for row in rows)
+    if type(n) is not int:
+        return f'expected an integer, got {n!r}'
+    if not rows:
+        return 'tableau needs at least one row'
+    s = len(rows[0])
+    if any(len(row) != s for row in rows):
+        return 'rows must all have the same length'
+    if s == 0:
+        return 'tableau needs at least one column'
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                return f'expected an integer, got {x!r}'
+            if not 1 <= x <= n:
+                return f'entry {x} outside alphabet 1..{n}'
+        if any(a > b for a, b in zip(row, row[1:])):
+            return 'rows must weakly increase'
+    for j in range(s):
+        col = [row[j] for row in rows]
+        if any(a >= b for a, b in zip(col, col[1:])):
+            return 'columns must strictly increase'
+    return None
+
+
 def row_insert(rows, x):
     """Schensted row insertion of the letter x into rows, written out: x
     bumps the leftmost entry of a row that exceeds it into the next row

@@ -373,6 +373,42 @@ def test_working_vacancies_match_the_frozen_configuration(monkeypatch):
     assert set(checked) == set(STEPS)
 
 
+def test_singular_strings_and_frozen_specs_match_the_checked_objects(monkeypatch):
+    # After every step of path_to_rc and rc_to_path on every path of
+    # sweep_specs(3, 4): Working.singular lists exactly the strings whose
+    # rigging is the frozen configuration's vacancy number, and the
+    # trusted spec of freeze() is the spec the checked constructor builds.
+    checked = Counter()
+
+    def checking(step):
+        def run(work, *args):
+            out = step(work, *args)
+            rc = work.freeze()
+            for a in range(1, rc.n):
+                pairs = list(enumerate(zip(work.lengths[a], work.riggings[a])))
+                for low, high in ((1, float('inf')), (1, 1), (2, 3)):
+                    assert work.singular(a, low, high) == [
+                        (l, idx) for idx, (l, x) in pairs
+                        if low <= l <= high and x == rc.vacancy(a, l)], (rc, a, low)
+            spec = rc.spec
+            assert type(spec.n) is int and type(spec.factors) is tuple
+            assert all(type(f) is tuple for f in spec.factors)
+            built = CrystalSpec(spec.n, spec.factors)
+            assert built == spec and hash(built) == hash(spec), spec
+            checked[step.__name__] += 1
+            return out
+        return run
+
+    for name in STEPS:
+        monkeypatch.setattr(bijection, name, checking(getattr(bijection, name)))
+    for spec in cli.sweep_specs(3, 4):
+        for p in enumerate_all_paths(spec):
+            rc = path_to_rc(p)
+            assert rc_to_path(rc) == p
+            assert CrystalSpec(rc.spec.n, rc.spec.factors) == rc.spec == p.spec
+    assert set(checked) == set(STEPS)
+
+
 def test_frozen_configurations_pass_the_constructor_checks():
     # Working.freeze builds its configuration without the constructor's
     # checks; the checked constructor changes nothing.

@@ -608,6 +608,42 @@ def test_each_crystal_and_statistic_check_has_teeth(monkeypatch, spec, faults, e
     assert cli.check_spec(spec) == expected
 
 
+def _extract_breaking_letter(letter):
+    # extract_letter that adds a string of length 1 to component 1 after
+    # it extracts the given letter.
+    def fault(real):
+        def extract(work):
+            out = real(work)
+            if out == letter:
+                work.riggings[1].append(0)
+                work.lengths[1].append(1)
+            return out
+        return extract
+    return fault
+
+
+def _insert_swapping_letter(letter, other):
+    # insert_letter that inserts other when asked for letter.
+    def fault(real):
+        return lambda work, x: real(work, other if x == letter else x)
+    return fault
+
+
+@pytest.mark.parametrize('spec', [SPEC_3_12, CrystalSpec(4, ((2, 1), (1, 2)))])
+def test_check_spec_names_a_later_failing_letter(monkeypatch, spec):
+    # check_spec runs a path's letter round trips on one state; a fault
+    # that only a later letter meets is still reported with that letter.
+    n = spec.n
+    first = bijection.path_to_rc(enumerate_all_paths(spec)[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, 'extract_letter', _extract_breaking_letter(n)(cli.extract_letter))
+        assert cli.check_spec(spec) == f'insert/extract roundtrip failed on {first} with {n}'
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, 'insert_letter', _insert_swapping_letter(2, 1)(cli.insert_letter))
+        assert cli.check_spec(spec) == f'insert/extract roundtrip failed on {first} with 2'
+    assert cli.check_spec(spec) is None
+
+
 def test_spec_generators():
     rng = random.Random(0)
     for _ in range(40):

@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,8 @@ from kostka.bijection import path_to_rc, rc_to_path
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
 from kostka.paths import enumerate_all_paths
 
-from oracles import naive_residue, recursive_e, recursive_eps, recursive_f, recursive_phi
+from oracles import (naive_residue, recursive_e, recursive_eps, recursive_f, recursive_phi,
+                     tableau_error)
 
 # small tensor products used for exhaustive cross-checks
 FAMILIES = [
@@ -44,6 +46,49 @@ def test_tableau_validation():
                          (((1,),), 3.0, '3.0'), (((1,),), True, 'True')):
         with pytest.raises(ValueError, match=f'^expected an integer, got {bad}$'):
             RectTableau(rows, n)
+
+
+def _refusal(rows, n):
+    """The message RectTableau(rows, n) raises, or None if it is built."""
+    try:
+        t = RectTableau(rows, n)
+    except ValueError as exc:
+        return str(exc)
+    assert t.rows == tuple(map(tuple, rows)) and t.n == n
+    return None
+
+
+def test_tableau_validation_matches_the_column_by_column_check():
+    # Every r x s array with r, s <= 3 and entries 0..n+1, for n = 2 and,
+    # up to six entries, n = 3: refused with the same first message, or
+    # accepted alike.
+    seen = set()
+    for n in (2, 3):
+        for r, s in product(range(1, 4), repeat=2):
+            if n == 3 and r * s > 6:
+                continue
+            for entries in product(range(n + 2), repeat=r * s):
+                rows = tuple(entries[k * s:(k + 1) * s] for k in range(r))
+                expected = tableau_error(rows, n)
+                assert _refusal(rows, n) == expected, rows
+                seen.add(expected)
+    assert {None, 'entry 4 outside alphabet 1..3', 'rows must weakly increase',
+            'columns must strictly increase'} <= seen
+    # A float or bool entry at each place of an accepted and of a refused
+    # array, ragged and empty rows, and a float or bool alphabet size.
+    odd = []
+    for base in (((1, 1, 2), (2, 3, 3)), ((2, 1, 0), (1, 1, 4))):
+        for k, x in product(range(6), (1.0, 2.5, True, False)):
+            entries = [*base[0], *base[1]]
+            entries[k] = x
+            odd.append((tuple(entries[:3]), tuple(entries[3:])))
+    for r in range(1, 4):
+        for lengths in product(range(4), repeat=r):
+            odd.append(tuple(tuple(range(k + 1, k + 1 + l)) for k, l in enumerate(lengths)))
+    odd.append(())
+    for rows in odd:
+        for n in (3, 3.0, True):
+            assert _refusal(rows, n) == tableau_error(rows, n), (rows, n)
 
 
 def test_spec_validation():

@@ -1,10 +1,11 @@
+import json
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from kostka import crystal, paths, plactic
-from kostka.cli import _compositions, sweep_specs
+from kostka.cli import _compositions, main, sweep_specs
 from kostka.crystal import CrystalSpec, Path, enumerate_crystal
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
@@ -64,6 +65,29 @@ def test_enumeration_respects_weight():
     spec = CrystalSpec(4, ((2, 2), (2, 1)))
     for p in enumerate_paths(spec, (2, 2, 1, 1)):
         assert p.weight() == (2, 2, 1, 1)
+
+
+def test_enumeration_lists_paths_in_the_order_of_all_paths():
+    # Backtracking over factors left to right lists the paths of a weight
+    # in the order enumerate_all_paths lists every path.
+    for spec in sweep_specs(3, 4) + [CrystalSpec(4, ((2, 1), (1, 2), (1, 1)))]:
+        everything = enumerate_all_paths(spec)
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            assert enumerate_paths(spec, weight) == [
+                p for p in everything if p.weight() == weight], (spec, weight)
+
+
+def test_enumeration_of_a_thousand_factors(tmp_path, capsys):
+    # One stack entry per factor, not one interpreter frame.
+    spec = CrystalSpec(2, ((1, 1),) * 1000)
+    only = enumerate_paths(spec, (1000, 0))
+    assert len(only) == 1 and all(t.rows == ((1,),) for t in only[0].tableaux)
+    data = {'n': 2, 'factors': [[1, 1]] * 1000, 'weight': [1000, 0]}
+    spec_file = tmp_path / 's.json'
+    spec_file.write_text(json.dumps(data))
+    assert main(['paths', '--spec', str(spec_file)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ' (x) '.join(['1'] * 1000) + '  D=0\n' and err == ''
 
 
 def test_path_polynomial_counts_at_one():

@@ -61,3 +61,13 @@ def test_bijection_does_not_import_the_vacancy_memo(module):
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert 'spec_vacancy' not in imported
+
+
+def test_cli_calls_no_trusted_constructor():
+    # Every CLI input goes through a checked constructor; the _trusted
+    # constructors serve only objects the package builds itself.
+    source = Path(kostka.__file__).parent / 'cli.py'
+    tree = ast.parse(source.read_text(), filename=str(source))
+    found = [f'cli.py:{node.lineno}' for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == '_trusted']
+    assert found == []
