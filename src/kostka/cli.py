@@ -27,7 +27,7 @@ from collections import Counter
 
 from . import rccrystal
 from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
-from .crystal import CrystalSpec, Path, json_index, json_ints
+from .crystal import CrystalSpec, Path, depth_first, json_index, json_ints
 from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
@@ -58,7 +58,7 @@ def _load(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f'cannot read {path}: {exc}')
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for json.load
         raise InputError(f'{path} is not valid JSON: {exc}')
 
 
@@ -181,12 +181,13 @@ def cmd_op(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts parts, in decreasing lexicographic order."""
+    def step(k, state):
+        firsts = range(state[1], -1, -1) if k < parts - 1 else (state[1],)
+        return [(first, state[1] - first) for first in firsts]
+
+    for branch in depth_first((None, total), parts, step):
+        yield tuple([first for first, _left in branch])
 
 
 def random_spec(rng: random.Random, max_n: int, max_boxes: int) -> CrystalSpec:

@@ -24,6 +24,8 @@ them through a `_trusted` constructor: `Path._trusted` for enumerated
 and operated paths, `CrystalSpec._trusted` for the specs the bijection's
 splits and merges make from a checked spec's factors, and, in `rc`,
 `RiggedConfiguration._trusted`.  The CLI calls none of them.
+`depth_first` is the package's one backtracker: the paths of a weight,
+the configurations of `rc` and the weights `kostka check` visits.
 """
 
 from __future__ import annotations
@@ -316,3 +318,23 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
                  for cols in combinations_with_replacement(columns, s)
                  if all(x <= y for left, right in zip(cols, cols[1:])
                         for x, y in zip(left, right)))
+
+
+def depth_first(root, depth: int, step):
+    """The branches of depth steps below root, depth first, each a fresh
+    list of its states below root; step(d, state) yields, in order, the
+    states one step below a state d steps down.  An explicit stack holds
+    one iterator per level, so no recursion limit bounds the depth."""
+    branch = [root] + [None] * depth
+    levels = [iter((root,))]
+    while levels:
+        d = len(levels) - 1
+        for state in levels[-1]:
+            branch[d] = state
+            if d == depth:
+                yield branch[1:]
+            else:
+                levels.append(iter(step(d, state)))
+                break
+        else:
+            levels.pop()

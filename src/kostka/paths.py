@@ -1,8 +1,8 @@
 """Enumeration of paths of a prescribed weight and the polynomial they
 generate, graded by the tail energy.
 
-`enumerate_paths` lists the paths; `kostka paths` and `kostka check` call
-`tail_energy` on each one, because they need every path's energy.
+`enumerate_paths` lists the paths, the branches of crystal.depth_first;
+`kostka paths` and `kostka check` call `tail_energy` on every path.
 `path_polynomial` needs only the energy distribution and builds no path:
 it runs a transfer matrix over the factors instead, whose steps are the
 same `plactic.carry` that `tail_energy` folds over one path.
@@ -14,51 +14,31 @@ from collections import Counter, defaultdict
 from itertools import product
 from operator import attrgetter
 
-from .crystal import CrystalSpec, Path, enumerate_crystal
+from .crystal import CrystalSpec, Path, depth_first, enumerate_crystal
 from .plactic import carry, local_energy
 from .qpoly import QPolynomial
 
 
 def enumerate_paths(spec: CrystalSpec, weight) -> list[Path]:
-    """All elements of the tensor product with the given letter counts.
-
-    Backtracks over factors left to right, pruning any prefix whose
-    letter usage already exceeds the target weight.  The backtracking
-    keeps an explicit stack, one entry per factor, so a long tensor
-    product does not exhaust the interpreter's recursion limit.  Each
-    crystal element is paired with its weight once per call.
-    """
+    """All elements of the tensor product with the given letter counts,
+    one crystal.depth_first branch each over the factors left to right,
+    pruning any prefix whose letter usage already exceeds the weight.
+    Each crystal element is paired with its weight once per call."""
     weight = spec.check_weight(weight)
     if spec.total_boxes() != sum(weight):
         return []
-    if not spec.factors:
-        return [Path._trusted(spec, ())]
-
     weighted = {shape: [(t, t.weight()) for t in enumerate_crystal(*shape, spec.n)]
                 for shape in set(spec.factors)}
     factors = [weighted[shape] for shape in spec.factors]
-    out: list[Path] = []
-    # stack[k]: the untried elements of factor k and the letters factors
-    # k, k+1, ... must use; chosen[k]: the element taken for factor k.
-    stack = [(iter(factors[0]), weight)]
-    chosen = [None]
-    while stack:
-        untried, remaining = stack[-1]
-        for t, w in untried:
+
+    def step(k, state):
+        remaining = state[1]
+        for t, w in factors[k]:
             if all(x <= y for x, y in zip(w, remaining)):
-                break
-        else:
-            stack.pop()
-            chosen.pop()
-            continue
-        chosen[-1] = t
-        if len(stack) == len(factors):
-            out.append(Path._trusted(spec, tuple(chosen)))
-        else:
-            stack.append((iter(factors[len(stack)]),
-                          tuple([y - x for x, y in zip(w, remaining)])))
-            chosen.append(None)
-    return out
+                yield t, tuple([y - x for x, y in zip(w, remaining)])
+
+    return [Path._trusted(spec, tuple([t for t, _left in branch]))
+            for branch in depth_first((None, weight), len(factors), step)]
 
 
 def enumerate_all_paths(spec: CrystalSpec) -> list[Path]:

@@ -9,11 +9,11 @@ configuration simultaneously.
 
 The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two ways, direct enumeration and
-the alternating bound-tableau sum, which share the configuration
-builder `enumerate_configurations`.  The enumeration counts the
-riggings of each configuration and builds no RiggedConfiguration: the
-cocharge of the bare configuration is shared by all of its riggings,
-and each rigging adds its sum of labels.
+the alternating bound-tableau sum, which share the configuration builder
+`enumerate_configurations`, one crystal.depth_first step per component.
+The enumeration counts the riggings of each configuration and builds no
+RiggedConfiguration: the cocharge of the bare configuration is shared by
+all of its riggings, and each rigging adds its sum of labels.
 
 The listing and both polynomials are each a function of the builder's
 output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`).
@@ -32,7 +32,8 @@ from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 from math import comb, prod
 
-from .crystal import CrystalSpec, check_weight_entries, json_index, json_int, json_ints
+from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_index, json_int,
+                      json_ints)
 from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
@@ -435,16 +436,18 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     Configurations come in the order of the product of the component
     partitions, each in decreasing lexicographic order.
 
-    Components are chosen nu^(1), nu^(2), ... depth first, and last
-    nu^(n), whose one choice is the empty partition.  The vacancy
-    numbers of component a depend only on nu^(a-1), nu^(a) and
-    nu^(a+1), so choosing nu^(a+1) makes them final, and each prefix
-    advances its partial witness rows by column a+1 (_walk_column) right
-    then.  A prefix whose rows are all gone extends to no configuration
-    with a riggable profile, and none of its extensions is built.  A
-    prefix is also dropped early when even the largest overlap nu^(a+1)
-    can add leaves a vacancy number of nu^(a) below its floor, the
-    least bound(a, l) over all witness tableaux (_witness_floor).
+    Components are chosen nu^(1), nu^(2), ... one crystal.depth_first
+    step each, and last nu^(n), whose one choice is the empty partition.
+    A state holds only its own level: nu^(a), the entries of nu^(a-1) it
+    makes final, its own entries short of the overlap with nu^(a+1), and
+    the partial witness rows after column a; the leaf joins the branch.
+    The vacancy numbers of component a depend only on nu^(a-1), nu^(a)
+    and nu^(a+1), so choosing nu^(a+1) makes them final and advances the
+    rows by column a+1 (_walk_column).  A prefix is dropped when no row
+    is left, since then no extension has a riggable profile, or when
+    even the largest overlap nu^(a+1) can add leaves a vacancy number of
+    nu^(a) below its floor, the least bound(a, l) over all witness
+    tableaux (_witness_floor).
     """
     weight = spec.check_weight(weight)
     sizes = _config_sizes(spec, weight)
@@ -465,21 +468,12 @@ def enumerate_configurations(spec: CrystalSpec, weight):
                                   for l, m in groups]))
         options.append(level)
 
-    def extend(prefix, finished, pending, partial):
-        """Extensions of the prefix nu^(1..a-1), given the entries and
-        vacancy numbers of nu^(1..a-2), the entries of nu^(a-1) with
-        their vacancy numbers short of the overlap with nu^(a), and the
-        partial witness rows after column a-1."""
-        a = len(prefix) + 1
-        if a > spec.n:
-            # Every column is walked; drop the empty nu^(n).
-            yield (prefix[:-1], [key for key, _p in finished], [p for _key, p in finished],
-                   {row for row, _pending in partial})
-            return
+    def step(d, state):
+        left, _final, pending, partial = state
+        a = d + 1
         top, height = heights[a - 1], heights[a]
         # The overlap of nu^(a+1) with any length is at most its size.
         room = sizes[a] if a < len(sizes) else 0
-        left = prefix[-1] if prefix else ()
         for parts, entries in options[a - 1]:
             started = []
             for key, own, floor in entries:
@@ -492,9 +486,12 @@ def enumerate_configurations(spec: CrystalSpec, weight):
                 grown = _walk_column(partial, top, height, [(key[1], p) for key, p in done],
                                      [key[1] for key, _p in started])
                 if grown:
-                    yield from extend(prefix + (parts,), finished + done, started, grown)
+                    yield parts, done, started, grown
 
-    yield from extend((), [], [], {((), ())})
+    for branch in depth_first(((), [], [], {((), ())}), spec.n, step):
+        finished = [entry for state in branch for entry in state[1]]
+        yield (tuple([state[0] for state in branch[:-1]]), [key for key, _p in finished],
+               [p for _key, p in finished], {row for row, _pending in branch[-1][3]})
 
 
 def _riggings(support, vacancies, profiles):

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -164,6 +165,22 @@ def test_poly_on_five_hundred_boxes(tmp_path, capsys):
     assert len({line.split(': ')[1] for line in lines}) == 1
 
 
+def test_poly_on_a_thousand_letters(tmp_path, capsys):
+    data = {'n': 1000, 'factors': [[1, 1]], 'weight': [0] * 999 + [1]}
+    code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 's.json', data)])
+    assert (code, err) == (0, '')
+    assert out.splitlines() == ['paths: 1', 'rc-enum: 1', 'fermionic: 1']
+
+
+def test_compositions_in_decreasing_lexicographic_order():
+    for total in range(7):
+        for parts in range(1, 5):
+            expected = sorted((c for c in product(range(total + 1), repeat=parts)
+                               if sum(c) == total), reverse=True)
+            assert list(cli._compositions(total, parts)) == expected
+    assert len(list(cli._compositions(1, 1000))) == 1000
+
+
 def test_map_phi(tmp_path, capsys):
     code, out, _ = run(capsys, ['map', 'phi', '--spec',
                                 write(tmp_path, 'b.json', EXB_PATH_JSON)])
@@ -323,6 +340,13 @@ def test_bad_input_reports(tmp_path, capsys):
     code, _, err = run(capsys, ['map', 'phi', '--spec',
                                 write(tmp_path, 'e.json', vague)])
     assert code == 2 and "'tableaux' or 'nu'" in err
+
+    nested = tmp_path / 'nested.json'
+    nested.write_text('[' * 100_000 + ']' * 100_000)
+    for argv in (['paths'], ['map', 'phi']):
+        code, out, err = run(capsys, [*argv, '--spec', str(nested)])
+        assert (code, out) == (2, '') and 'not valid JSON' in err
+        assert err.startswith('error: ') and err.count('\n') == 1
 
     whole = {'n': 3, 'factors': [[2, 1], [1, 1]], 'weight': '210'}
     code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 'f.json', whole)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kostka.bijection import path_to_rc, rc_to_path
-from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
+from kostka.crystal import CrystalSpec, Path, RectTableau, depth_first, enumerate_crystal
 from kostka.paths import enumerate_all_paths
 
 from oracles import (naive_residue, recursive_e, recursive_eps, recursive_f, recursive_phi,
@@ -183,6 +183,24 @@ def test_enumeration_counts():
     for n in (2.0, True, '2'):
         with pytest.raises(ValueError, match=f'^expected an integer, got {n!r}$'):
             enumerate_crystal(1, 1, n)
+
+
+def test_depth_first_edge_cases():
+    assert list(depth_first('root', 0, None)) == [[]]
+    assert list(depth_first('root', 3, lambda d, state: ())) == []
+    # One iterator per level, not one interpreter frame.
+    chain = list(depth_first(0, 5000, lambda d, state: [state + 1]))
+    assert chain == [list(range(1, 5001))]
+    # Preorder: each state's subtree in full before its next sibling, and
+    # each branch a fresh list.
+    visits = []
+
+    def step(d, state):
+        visits.append((d, state))
+        return [state + letter for letter in 'ab']
+
+    assert list(depth_first('', 2, step)) == [['a', 'aa'], ['a', 'ab'], ['b', 'ba'], ['b', 'bb']]
+    assert visits == [(0, ''), (1, 'a'), (1, 'b')]
 
 
 def test_enumeration_is_deduplicated():

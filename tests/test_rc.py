@@ -620,6 +620,24 @@ def test_rc_polynomial_matches_the_per_configuration_sum_on_the_sweep():
     assert pairs == 4171
 
 
+def test_configurations_come_in_decreasing_order_on_the_sweep():
+    # The documented order: the product of the component partitions, each
+    # in decreasing lexicographic order, so the tuples strictly decrease.
+    for spec in sweep_specs(4, 5):
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            parts = [config[0] for config in enumerate_configurations(spec, weight)]
+            assert all(x > y for x, y in zip(parts, parts[1:])), (spec, weight)
+
+
+@pytest.mark.parametrize('weight', [(1,) + (0,) * 999, (0,) * 999 + (1,)])
+def test_a_thousand_components(weight):
+    # One stack entry per component, not one interpreter frame.
+    spec = CrystalSpec(1000, ((1, 1),))
+    assert rc_polynomial(spec, weight) == fermionic_polynomial(spec, weight) == 1
+    only = enumerate_rcs(spec, weight)
+    assert len(only) == 1 and len(only[0].strings) == 999
+
+
 def test_rc_polynomial_matches_the_per_configuration_sum_at_n6():
     weights = [mu + (0,) * (6 - len(mu)) for mu in partitions_of(13) if len(mu) <= 6]
     for weight in weights:

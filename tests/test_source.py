@@ -71,3 +71,29 @@ def test_cli_calls_no_trusted_constructor():
     found = [f'cli.py:{node.lineno}' for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == '_trusted']
     assert found == []
+
+
+def test_only_bounded_functions_call_themselves():
+    # Backtracking runs on crystal.depth_first's explicit stack.  These are
+    # the functions that read their own name, each with what bounds its depth.
+    expected = [
+        'cli.py sweep_specs.extend',    # one level per factor, at most box_cap
+        'crystal.py json_ints',         # the nesting that json.load accepts
+        'rc.py _partitions_of.rec',     # one level per distinct part, fewer than sqrt(2 * size)
+    ]
+    found = []
+
+    def visit(node, prefix, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(isinstance(inner, ast.Name) and inner.id == child.name
+                       for inner in ast.walk(child)):
+                    found.append(f'{source.name} {name}')
+                visit(child, name + '.', source)
+            else:
+                visit(child, prefix, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), '', source)
+    assert found == expected
