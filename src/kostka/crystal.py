@@ -30,6 +30,7 @@ the configurations of `rc` and the weights `kostka check` visits.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -38,10 +39,12 @@ from operator import le, lt
 
 def json_int(value) -> int:
     """value if it is an int; a float, a string, a bool or anything else
-    where an integer belongs is a ValueError."""
+    where an integer belongs is a ValueError.  Its message shows the value
+    through reprlib, so a short value reads as its repr and a long string
+    or a long list is cut to a few dozen characters."""
     if type(value) is int:
         return value
-    raise ValueError(f'expected an integer, got {value!r}')
+    raise ValueError(f'expected an integer, got {reprlib.repr(value)}')
 
 
 def json_index(value, top: int, noun: str) -> int:

@@ -13,7 +13,10 @@ the alternating bound-tableau sum, which share the configuration builder
 `enumerate_configurations`, one crystal.depth_first step per component.
 The enumeration counts the riggings of each configuration and builds no
 RiggedConfiguration: the cocharge of the bare configuration is shared by
-all of its riggings, and each rigging adds its sum of labels.
+all of its riggings, and each rigging adds its sum of labels.  The
+alternating sum reads only the minimal riggable profiles of each
+configuration, which is exact, and multiplies the q-binomials of each
+distinct (pairs, shift) key once (fermionic_polynomial).
 
 The listing and both polynomials are each a function of the builder's
 output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`).
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 from math import comb, prod
+from operator import le
 
 from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_index, json_int,
                       json_ints)
@@ -82,16 +86,23 @@ def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
 
 
-def _overlap(lam, kappa) -> int:
-    """Q(lam, kappa): the sum of min(x, y) over parts x of lam, y of kappa."""
-    return sum(min(x, y) for x in lam for y in kappa)
-
-
 def _config_cocharge(partitions) -> int:
     """Cocharge of the unrigged configuration: the sum over a of
-    Q(nu^a, nu^a) less that of Q(nu^a, nu^(a+1))."""
-    return (sum(_overlap(p, p) for p in partitions)
-            - sum(_overlap(p, q) for p, q in zip(partitions, partitions[1:])))
+    Q(nu^a, nu^a) less that of Q(nu^a, nu^(a+1)), where Q(lam, kappa) is
+    the sum of min(x, y) over parts x of lam, y of kappa.
+
+    One pass over every part, longest first: each pair of parts
+    contributes the length of the later one, so a part x of component a
+    adds x once for itself, twice per part of nu^(a) before it, and
+    takes x once per part of nu^(a-1) or nu^(a+1) before it.
+    """
+    seen = [0] * (len(partitions) + 2)
+    total = 0
+    for x, a in sorted([(x, a) for a, parts in enumerate(partitions, start=1)
+                        for x in parts], reverse=True):
+        total += x * (2 * seen[a] + 1 - seen[a - 1] - seen[a + 1])
+        seen[a] += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +598,64 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     without a riggable profile contributes nothing, and
     enumerate_configurations never builds one.  No witness tableau is
     built, and no budget applies.
+
+    Of those, only the minimal profiles enter, the ones with no other
+    profile pointwise below them.  This is exact too: the signed sum is
+    inclusion-exclusion for the union of the rigging boxes [v, P], one per
+    profile v, with P the vacancy numbers, and the box of a profile above
+    another lies inside that one's box, so it adds nothing to the union.
+    Each signed term is count * q^shift times the product of
+    qbinom(m, p - low) over its entries, where shift is the cocharge plus
+    the sum of m * low; the terms are grouped by shift and the sorted pairs
+    (m, p - low) with p > low (the others are factors of 1), and each
+    distinct group multiplies its q-binomials once.
     """
     return _fermionic_polynomial_from(enumerate_configurations(spec, weight))
+
+
+def _minimal_profiles(profiles) -> list[tuple[int, ...]]:
+    """The profiles with no other profile pointwise below them, by
+    increasing sum.  The profiles are distinct, so one below another has a
+    smaller sum and comes first, and one above a dropped profile is above
+    a kept one too."""
+    minimal = []
+    for v in sorted(profiles, key=sum):
+        if not any(all(map(le, u, v)) for u in minimal):
+            minimal.append(v)
+    return minimal
 
 
 def _fermionic_polynomial_from(configs) -> QPolynomial:
     """fermionic_polynomial read off configs, the output of
     enumerate_configurations."""
-    result = Counter()
+    # Signed counts per key (sorted pairs (m, p - low) with p > low, shift).
+    groups = Counter()
     for parts, support, vacancies, profiles in configs:
         signed: dict[tuple[int, ...], int] = {}
-        for v in profiles:
+        for v in _minimal_profiles(profiles):
             updates = {v: signed.get(v, 0) + 1}
             for u, c in signed.items():
-                w = tuple(max(x, y) for x, y in zip(u, v))
+                w = tuple([x if x > y else y for x, y in zip(u, v)])
                 updates[w] = updates.get(w, signed.get(w, 0)) - c
             signed.update(updates)
             signed = {u: c for u, c in signed.items() if c != 0}
         base = _config_cocharge(parts)
         for bounds, count in signed.items():
-            term = QPolynomial.monomial(
-                base + sum(m * low for (_a, _l, m), low in zip(support, bounds)),
-                count)
-            for (a, l, m), low, p in zip(support, bounds, vacancies):
-                term = term * qbinom(m, p - low)
-            result.update(term.coeffs)
+            shift = base
+            pairs = []
+            for (_a, _l, m), low, p in zip(support, bounds, vacancies):
+                shift += m * low
+                if p > low:
+                    pairs.append((m, p - low))
+            pairs.sort()
+            groups[tuple(pairs), shift] += count
+    result = Counter()
+    for (pairs, shift), count in groups.items():
+        if not count:
+            continue
+        term = QPolynomial.one()
+        for m, d in pairs:
+            term = term * qbinom(m, d)
+        for e, c in term.coeffs.items():
+            result[e + shift] += count * c
     return QPolynomial(result)

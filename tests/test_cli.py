@@ -348,6 +348,13 @@ def test_bad_input_reports(tmp_path, capsys):
         assert (code, out) == (2, '') and 'not valid JSON' in err
         assert err.startswith('error: ') and err.count('\n') == 1
 
+    # One tableau entry that is a list of 200,000 ones gets a short line.
+    huge = json.loads(json.dumps(EXB_PATH_JSON))
+    huge['tableaux'][0][0][0] = [1] * 200_000
+    code, out, err = run(capsys, ['map', 'phi', '--spec', write(tmp_path, 'h.json', huge)])
+    assert (code, out) == (2, '')
+    assert err == 'error: bad element: expected an integer, got (1, 1, 1, 1, 1, 1, ...)\n'
+
     whole = {'n': 3, 'factors': [[2, 1], [1, 1]], 'weight': '210'}
     code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 'f.json', whole)])
     assert (code, out) == (2, '')

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kostka.bijection import path_to_rc, rc_to_path
-from kostka.crystal import CrystalSpec, Path, RectTableau, depth_first, enumerate_crystal
+from kostka.crystal import (CrystalSpec, Path, RectTableau, depth_first, enumerate_crystal,
+                            json_int)
 from kostka.paths import enumerate_all_paths
 
 from oracles import (naive_residue, recursive_e, recursive_eps, recursive_f, recursive_phi,
@@ -89,6 +90,19 @@ def test_tableau_validation_matches_the_column_by_column_check():
     for rows in odd:
         for n in (3, 3.0, True):
             assert _refusal(rows, n) == tableau_error(rows, n), (rows, n)
+
+
+def test_json_int_message_is_bounded():
+    # A short value keeps its exact repr in the message.
+    for bad in (2.0, True, '210', None, -1.5, [1, 2], [1] * 6, (1,), {'a': 1}, 'x' * 28):
+        with pytest.raises(ValueError) as caught:
+            json_int(bad)
+        assert str(caught.value) == f'expected an integer, got {bad!r}'
+    # A long one is cut: 200,000 entries, or a string of 600,000 digits.
+    for bad in ([1] * 200_000, [[1] * 200_000], '1' * 600_000):
+        with pytest.raises(ValueError, match='^expected an integer, got ') as caught:
+            json_int(bad)
+        assert len(str(caught.value)) < 80
 
 
 def test_spec_validation():

@@ -11,10 +11,10 @@ from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _chain_column, _column_heights, _walk_column, _witness_floor,
-                       bound_tableaux, count_bound_tableaux, enumerate_configurations,
-                       enumerate_rcs, fermionic_polynomial, forced_sizes,
-                       rc_polynomial)
+                       _chain_column, _column_heights, _config_cocharge, _minimal_profiles,
+                       _walk_column, _witness_floor, bound_tableaux, count_bound_tableaux,
+                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
+                       forced_sizes, rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
@@ -571,9 +571,33 @@ def test_pruned_enumeration_keeps_every_riggable_configuration():
     assert kept > 0
 
 
+# The heaviest rc-poly benchmark item: 21 configurations with up to 19
+# riggable profiles each, and 90 witness tableaux.
+HEAVIEST_RC_POLY = (CrystalSpec(4, ((1, 1), (1, 2), (1, 1), (1, 4), (2, 1))), (4, 2, 2, 2))
+
+
+def _is_dominated(v, profiles) -> bool:
+    """Whether another of the profiles lies pointwise below v."""
+    return any(u != v and all(x <= y for x, y in zip(u, v)) for u in profiles)
+
+
+def _dominated_configurations(spec, weight) -> int:
+    """How many configurations of the builder have a riggable profile
+    pointwise above another, one that the fermionic sum drops."""
+    return sum(any(_is_dominated(v, profiles) for v in profiles)
+               for *_config, profiles in enumerate_configurations(spec, weight))
+
+
 def test_fermionic_matches_unfiltered_dp():
+    # The oracle runs the DP on every distinct profile of every witness
+    # tableau; the sum drops the unriggable and the non-minimal ones.
     cases = [(spec, weight) for spec in sweep_specs(4, 4)
              for weight in _compositions(spec.total_boxes(), spec.n)]
+    assert sum(_dominated_configurations(*case) for case in cases) == 110
+    spec, weight = HEAVIEST_RC_POLY
+    assert count_bound_tableaux(weight) == 90
+    assert max(len(profiles) for *_c, profiles in enumerate_configurations(spec, weight)) == 19
+    assert _dominated_configurations(spec, weight) > 0
     cases += [
         (CrystalSpec(5, ((2, 1), (1, 2), (1, 1))), (1, 1, 1, 1, 1)),
         (CrystalSpec(5, ((2, 1), (1, 2), (1, 1))), (0, 1, 2, 0, 2)),
@@ -581,10 +605,43 @@ def test_fermionic_matches_unfiltered_dp():
         (CrystalSpec(5, ((3, 1), (1, 2), (1, 1))), (1, 0, 2, 1, 2)),
         (CrystalSpec(5, ((2, 2), (2, 1), (1, 1), (1, 1))), (2, 2, 2, 1, 1)),
         (CrystalSpec(5, ((3, 1), (1, 2), (1, 1), (2, 1))), (1, 2, 2, 1, 2)),
+        HEAVIEST_RC_POLY,
     ]
     for spec, weight in cases:
         assert fermionic_polynomial(spec, weight) == unfiltered_fermionic(spec, weight), \
             (spec, weight)
+
+
+def _dropped_profiles(spec, weight) -> int:
+    """How many profiles _minimal_profiles drops over the configurations
+    of a weight, each of its outputs checked against the definition."""
+    dropped = 0
+    for *_config, profiles in enumerate_configurations(spec, weight):
+        minimal = _minimal_profiles(profiles)
+        assert sorted(minimal) == sorted(v for v in profiles
+                                         if not _is_dominated(v, profiles)), profiles
+        assert [sum(v) for v in minimal] == sorted(sum(v) for v in minimal)
+        dropped += len(profiles) - len(minimal)
+    return dropped
+
+
+def test_minimal_profiles_are_the_undominated_ones():
+    # Keeping a dominated profile leaves the polynomial as it is, so the
+    # filter is pinned here, against the definition.
+    assert sum(_dropped_profiles(spec, weight) for spec in sweep_specs(4, 4)
+               for weight in _compositions(spec.total_boxes(), spec.n)) == 110
+    assert _dropped_profiles(*HEAVIEST_RC_POLY) > 0
+
+
+def test_config_cocharge_matches_the_cartan_double_sum_on_the_sweep():
+    # Every configuration of the forced sizes, riggable or not.
+    checked = 0
+    for spec in sweep_specs(4, 4):
+        for weight in _compositions(spec.total_boxes(), spec.n):
+            for parts in full_configurations(spec, weight):
+                assert _config_cocharge(parts) == oracle_config_cc(parts, spec.n), parts
+                checked += 1
+    assert checked == 9318
 
 
 @pytest.mark.parametrize('spec, weight', N5_SPECS)
