@@ -11,12 +11,15 @@ The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two ways, direct enumeration and
 the alternating bound-tableau sum, which share the configuration builder
 `enumerate_configurations`, one crystal.depth_first step per component.
-The enumeration counts the riggings of each configuration and builds no
-RiggedConfiguration: the cocharge of the bare configuration is shared by
-all of its riggings, and each rigging adds its sum of labels.  The
-alternating sum reads only the minimal riggable profiles of each
-configuration, which is exact, and multiplies the q-binomials of each
-distinct (pairs, shift) key once (fermionic_polynomial).
+The builder yields each configuration with its minimal riggable witness
+profiles only, which is exact for both methods: the riggings are the
+union of one box per riggable profile, and the box of a profile above
+another lies inside that one's box.  The enumeration counts the riggings
+of each configuration and builds no RiggedConfiguration: the cocharge of
+the bare configuration is shared by all of its riggings, and each
+rigging adds its sum of labels.  The alternating sum is
+inclusion-exclusion over the same boxes, and multiplies the q-binomials
+of each distinct (pairs, shift) key once (fermionic_polynomial).
 
 The listing and both polynomials are each a function of the builder's
 output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`).
@@ -113,8 +116,9 @@ def _config_cocharge(partitions) -> int:
 # bound(a, l) reads columns a and a+1 only.  _column_heights lists c_0..c_n,
 # with c_0 = c_1 and the empty column c_n = 0, so every reader takes the
 # pair of heights it needs from that one list.  No computation builds the
-# set.  The configuration builder needs the distinct riggable profiles,
-# so it walks the partial rows one column at a time (_walk_column).
+# set.  The configuration builder needs the minimal riggable profiles,
+# so it walks the partial rows one column at a time (_walk_column), each
+# column over its undominated options only (_column_counts).
 # is_admissible needs only whether one witness fits, so it carries one
 # column, the greedy largest (_chain_column).  bound_tableaux lists the
 # set for the tests and for the benchmark's witness-tableau probe.
@@ -199,26 +203,50 @@ def bound_tableaux(weight) -> tuple[LowerBoundTableau, ...]:
     return tuple(LowerBoundTableau(cols, weight) for cols in iproduct(*per_column))
 
 
+def _minimal_profiles(profiles) -> list[tuple[int, ...]]:
+    """The profiles with no other profile pointwise below them, by
+    increasing sum.  The profiles are distinct, so one below another has a
+    smaller sum and comes first, and one above a dropped profile is above
+    a kept one too.  The builder reads it twice: on the options of each
+    witness column (_column_counts) and on the rows left at each leaf."""
+    minimal = []
+    for v in sorted(profiles, key=sum):
+        if not any(all(map(le, u, v)) for u in minimal):
+            minimal.append(v)
+    return minimal
+
+
 @cache
 def _column_counts(top: int, height: int, finishing: tuple[int, ...],
                    starting: tuple[int, ...]) -> tuple:
     """How one witness column, a height-subset col of 1..top, enters
-    the bounds: pairs of its counts #{x in col : x <= l} at the
-    finishing lengths and the distinct negated counts at the starting
-    lengths that go with them, over every such col."""
-    out: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for col in combinations(range(1, top + 1), height):
-        added = tuple(bisect_right(col, l) for l in finishing)
-        out.setdefault(added, set()).add(tuple(-bisect_right(col, l) for l in starting))
-    return tuple((added, tuple(starts)) for added, starts in out.items())
+    the bounds: pairs (added, start) of its counts #{x in col : x <= l} at
+    the finishing lengths and its negated counts at the starting lengths.
+
+    Only the pairs that no other pair lies pointwise below are kept.  The
+    columns are independent, so a pair at or above another raises every
+    bound it touches at least as much, for every choice of the other
+    columns: each profile it gives lies at or above the one the lower pair
+    gives, which is riggable whenever it is.  The kept pairs thus still
+    give every minimal riggable profile.  Each added comes once: the
+    pointwise maximum of two counting functions is one, so the columns
+    with the same added have a largest counting function, and its start
+    lies below theirs.
+    """
+    k = len(finishing)
+    return tuple((pair[:k], pair[k:]) for pair in _minimal_profiles({
+        tuple([bisect_right(col, l) for l in finishing]
+              + [-bisect_right(col, l) for l in starting])
+        for col in combinations(range(1, top + 1), height)}))
 
 
 def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
     """One step of the walk over the witness tableaux of a weight: the
     distinct partial rows after column k, a height-subset of 1..top, where
     top and height are c_{k-1} and c_k of _column_heights.  The
-    configuration builder takes it column by column to list the riggable
-    profiles; is_admissible runs _chain_column, on the same pair, instead.
+    configuration builder takes it column by column to list the minimal
+    riggable profiles; is_admissible runs _chain_column, on the same pair,
+    instead.
 
     A partial row is a pair (done, pending): the bounds of the finished
     entries, and the bounds so far of the entries of component k-1.
@@ -226,21 +254,22 @@ def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
     makes those of component k-1 final and starts those of component k.
     finishing lists the pairs (l, limit) of the entries of component k-1
     and starting the lengths of those of component k; a row is dropped as
-    soon as a final bound exceeds its limit.  From {((), ())}, columns 1..n leave the rows
-    (done, ()) of the witness tableaux that lie at or below the limits.
+    soon as a final bound exceeds its limit.  Column k takes only the
+    undominated options of _column_counts, so from {((), ())}, columns
+    1..n leave rows (done, ()) of witness tableaux that lie at or below
+    the limits, among them every minimal such row.
     """
     counts = _column_counts(top, height, tuple(l for l, _ in finishing), tuple(starting))
     grown = set()
     for done, pending in partial:
-        for added, starts in counts:
+        for added, start in counts:
             final = []
             for p, c, (_l, limit) in zip(pending, added, finishing):
                 if p + c > limit:
                     break
                 final.append(p + c)
             else:
-                row = done + tuple(final)
-                grown.update((row, start) for start in starts)
+                grown.add((done + tuple(final), start))
     return grown
 
 
@@ -436,16 +465,18 @@ def _witness_floor(top: int, below: int, l: int) -> int:
 
 def enumerate_configurations(spec: CrystalSpec, weight):
     """The configurations with a riggable witness profile, each with its
-    string support, vacancy numbers and riggable profiles.
+    string support, vacancy numbers and minimal riggable profiles.
 
     Yields (partitions, support, vacancies, profiles): support lists the
     triples (a, l, multiplicity) of each component in turn, lengths
     decreasing, and vacancies the vacancy number of each triple.  A
     profile lists bound(a, l) of one witness tableau for every support
-    entry, in support order; profiles is the nonempty set of distinct
-    ones with no bound above the vacancy number of its entry.
-    Configurations come in the order of the product of the component
-    partitions, each in decreasing lexicographic order.
+    entry, in support order.  It is riggable when no bound is above the
+    vacancy number of its entry, and minimal when no other riggable
+    profile lies pointwise below it; profiles is the nonempty list of the
+    distinct minimal riggable ones, by increasing sum.  Configurations
+    come in the order of the product of the component partitions, each in
+    decreasing lexicographic order.
 
     Components are chosen nu^(1), nu^(2), ... one crystal.depth_first
     step each, and last nu^(n), whose one choice is the empty partition.
@@ -458,7 +489,10 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     is left, since then no extension has a riggable profile, or when
     even the largest overlap nu^(a+1) can add leaves a vacancy number of
     nu^(a) below its floor, the least bound(a, l) over all witness
-    tableaux (_witness_floor).
+    tableaux (_witness_floor).  The walk takes only the undominated
+    options of each column (_column_counts), which leaves every minimal
+    riggable profile; the leaf keeps the minimal ones of the rows it is
+    left with (_minimal_profiles).
     """
     weight = spec.check_weight(weight)
     sizes = _config_sizes(spec, weight)
@@ -502,7 +536,8 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     for branch in depth_first(((), [], [], {((), ())}), spec.n, step):
         finished = [entry for state in branch for entry in state[1]]
         yield (tuple([state[0] for state in branch[:-1]]), [key for key, _p in finished],
-               [p for _key, p in finished], {row for row, _pending in branch[-1][3]})
+               [p for _key, p in finished],
+               _minimal_profiles({row for row, _pending in branch[-1][3]}))
 
 
 def _riggings(support, vacancies, profiles):
@@ -535,9 +570,11 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     """The complete set of rigged configurations, in a fixed order.
 
     For each configuration, rigging assignments are enumerated inside
-    the box [bound, vacancy] of each of its distinct riggable witness
+    the box [bound, vacancy] of each of its minimal riggable witness
     profiles (enumerate_configurations), and deduplicated across
-    profiles.  No witness tableau is built, and no budget applies.
+    profiles.  The box of any other riggable profile lies inside one of
+    these, so no assignment is lost.  No witness tableau is built, and no
+    budget applies.
     Configurations without a riggable profile, and every extension of a
     prefix that has none, are never built: they admit no rigging.
     """
@@ -600,10 +637,11 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     built, and no budget applies.
 
     Of those, only the minimal profiles enter, the ones with no other
-    profile pointwise below them.  This is exact too: the signed sum is
-    inclusion-exclusion for the union of the rigging boxes [v, P], one per
-    profile v, with P the vacancy numbers, and the box of a profile above
-    another lies inside that one's box, so it adds nothing to the union.
+    profile pointwise below them, which are the ones the builder yields.
+    This is exact too: the signed sum is inclusion-exclusion for the union
+    of the rigging boxes [v, P], one per profile v, with P the vacancy
+    numbers, and the box of a profile above another lies inside that
+    one's box, so it adds nothing to the union.
     Each signed term is count * q^shift times the product of
     qbinom(m, p - low) over its entries, where shift is the cocharge plus
     the sum of m * low; the terms are grouped by shift and the sorted pairs
@@ -613,26 +651,14 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     return _fermionic_polynomial_from(enumerate_configurations(spec, weight))
 
 
-def _minimal_profiles(profiles) -> list[tuple[int, ...]]:
-    """The profiles with no other profile pointwise below them, by
-    increasing sum.  The profiles are distinct, so one below another has a
-    smaller sum and comes first, and one above a dropped profile is above
-    a kept one too."""
-    minimal = []
-    for v in sorted(profiles, key=sum):
-        if not any(all(map(le, u, v)) for u in minimal):
-            minimal.append(v)
-    return minimal
-
-
 def _fermionic_polynomial_from(configs) -> QPolynomial:
     """fermionic_polynomial read off configs, the output of
-    enumerate_configurations."""
+    enumerate_configurations, whose profiles are already minimal."""
     # Signed counts per key (sorted pairs (m, p - low) with p > low, shift).
     groups = Counter()
     for parts, support, vacancies, profiles in configs:
         signed: dict[tuple[int, ...], int] = {}
-        for v in _minimal_profiles(profiles):
+        for v in profiles:
             updates = {v: signed.get(v, 0) + 1}
             for u, c in signed.items():
                 w = tuple([x if x > y else y for x, y in zip(u, v)])

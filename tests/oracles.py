@@ -469,11 +469,11 @@ def unfiltered_fermionic(spec, weight):
     weight = tuple(weight)
     n = spec.n
     L = oracle_multiplicities(spec)
+    tableaux = bound_tableaux(weight)
     result = QPolynomial.zero()
     for parts in full_configurations(spec, weight):
         triples = strings_by_length(parts)
-        profiles = {tuple(t.bound(a, length) for a, length, _m in triples)
-                    for t in bound_tableaux(weight)}
+        profiles = {tuple(t.bound(a, length) for a, length, _m in triples) for t in tableaux}
         signed = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}

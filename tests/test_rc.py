@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -11,10 +11,10 @@ from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _chain_column, _column_heights, _config_cocharge, _minimal_profiles,
-                       _walk_column, _witness_floor, bound_tableaux, count_bound_tableaux,
-                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
-                       forced_sizes, rc_polynomial)
+                       _chain_column, _column_counts, _column_heights, _config_cocharge,
+                       _minimal_profiles, _walk_column, _witness_floor, bound_tableaux,
+                       count_bound_tableaux, enumerate_configurations, enumerate_rcs,
+                       fermionic_polynomial, forced_sizes, rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
@@ -217,6 +217,11 @@ def test_witness_floor_is_the_least_bound(data):
             == min(t.bound(a, l) for t in bound_tableaux(weight)))
 
 
+def _is_dominated(v, profiles) -> bool:
+    """Whether another of the profiles lies pointwise below v."""
+    return any(u != v and all(x <= y for x, y in zip(u, v)) for u in profiles)
+
+
 @given(st.data())
 def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
     n = data.draw(st.integers(2, 6))
@@ -235,9 +240,30 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
     for k in range(1, n + 1):
         partial = _walk_column(partial, heights[k - 1], heights[k], by_component[k - 1],
                                [l for l, _limit in by_component[k]])
-    assert {row for row, _pending in partial} == {
-        row for row in rows if all(b <= x for b, x in zip(row, limits))}
+    # The walk keeps rows of listed tableaux within the limits, among them
+    # every one with no other such row pointwise below it.
+    within = {row for row in rows if all(b <= x for b, x in zip(row, limits))}
+    walked = {row for row, _pending in partial}
+    assert {row for row in within if not _is_dominated(row, within)} <= walked <= within
     assert all(pending == () for _row, pending in partial)
+
+
+@given(st.data())
+def test_column_options_are_the_undominated_columns(data):
+    # Against every height-subset of 1..top: the options are exactly the
+    # (added, start) pairs with no other pair pointwise below, each once,
+    # and no two share their added.
+    top = data.draw(st.integers(0, 8))
+    height = data.draw(st.integers(0, top))
+    lengths = st.lists(st.integers(0, top + 1), max_size=4).map(tuple)
+    finishing, starting = data.draw(lengths), data.draw(lengths)
+    pairs = {tuple([sum(x <= l for x in col) for l in finishing]
+                   + [-sum(x <= l for x in col) for l in starting])
+             for col in combinations(range(1, top + 1), height)}
+    counts = _column_counts(top, height, finishing, starting)
+    assert len({added for added, _start in counts}) == len(counts)
+    assert sorted(added + start for added, start in counts) == sorted(
+        v for v in pairs if not _is_dominated(v, pairs))
 
 
 @given(st.data())
@@ -518,22 +544,41 @@ def test_fermionic_matches_literal_subset_sum():
         assert fermionic_polynomial(spec, weight) == subset_fermionic(spec, weight)
 
 
+def _riggable_profiles(spec, weight):
+    """Per configuration of the forced sizes, in the builder's order, the
+    triple (parts, vacancies, riggable): the oracle's vacancy numbers of
+    its support and the distinct profiles of the listed witness tableaux
+    with no bound above them.  Configurations with none are left out."""
+    L = oracle_multiplicities(spec)
+    tableaux = bound_tableaux(weight)
+    bounds = {}
+    for parts in full_configurations(spec, weight):
+        support = strings_by_length(parts)
+        vacancies = [oracle_vacancy(parts, L, spec.n, a, l) for a, l, _m in support]
+        for a, l, _m in support:
+            if (a, l) not in bounds:
+                bounds[a, l] = [t.bound(a, l) for t in tableaux]
+        every = set(zip(*[bounds[a, l] for a, l, _m in support])) if support else {()}
+        riggable = {v for v in every if all(low <= p for low, p in zip(v, vacancies))}
+        if riggable:
+            yield parts, vacancies, riggable
+
+
 def test_bound_profiles_are_the_riggable_ones():
-    # Exactly the distinct profiles with no bound above its vacancy
-    # number: none above it, and none dropped that meets it.
+    # Exactly the distinct riggable profiles (no bound above its vacancy
+    # number) that no other riggable profile lies pointwise below: none
+    # above a vacancy number, none dropped that meets one, none dominated.
     meets = 0
     for spec in sweep_specs(4, 4):
         if spec.n != 4:
             continue
-        L = oracle_multiplicities(spec)
         for weight in _compositions(spec.total_boxes(), 4):
-            tableaux = bound_tableaux(weight)
-            configs = enumerate_configurations(spec, weight)
-            for parts, support, _vac, profiles in configs:
-                vacancies = [oracle_vacancy(parts, L, 4, a, l) for a, l, _m in support]
-                every = {tuple(t.bound(a, l) for a, l, _m in support) for t in tableaux}
-                assert profiles == {v for v in every
-                                    if all(low <= p for low, p in zip(v, vacancies))}
+            configs = list(enumerate_configurations(spec, weight))
+            oracle = list(_riggable_profiles(spec, weight))
+            assert [c[0] for c in configs] == [parts for parts, _v, _r in oracle]
+            for (*_config, profiles), (_parts, vacancies, riggable) in zip(configs, oracle):
+                assert sorted(profiles) == sorted(
+                    v for v in riggable if not _is_dominated(v, riggable))
                 meets += sum(any(low == p for low, p in zip(v, vacancies))
                              for v in profiles)
     assert meets > 0
@@ -576,16 +621,11 @@ def test_pruned_enumeration_keeps_every_riggable_configuration():
 HEAVIEST_RC_POLY = (CrystalSpec(4, ((1, 1), (1, 2), (1, 1), (1, 4), (2, 1))), (4, 2, 2, 2))
 
 
-def _is_dominated(v, profiles) -> bool:
-    """Whether another of the profiles lies pointwise below v."""
-    return any(u != v and all(x <= y for x, y in zip(u, v)) for u in profiles)
-
-
 def _dominated_configurations(spec, weight) -> int:
-    """How many configurations of the builder have a riggable profile
-    pointwise above another, one that the fermionic sum drops."""
-    return sum(any(_is_dominated(v, profiles) for v in profiles)
-               for *_config, profiles in enumerate_configurations(spec, weight))
+    """How many configurations have a riggable profile of a listed witness
+    tableau pointwise above another, one that the builder drops."""
+    return sum(any(_is_dominated(v, riggable) for v in riggable)
+               for _parts, _v, riggable in _riggable_profiles(spec, weight))
 
 
 def test_fermionic_matches_unfiltered_dp():
@@ -596,7 +636,7 @@ def test_fermionic_matches_unfiltered_dp():
     assert sum(_dominated_configurations(*case) for case in cases) == 110
     spec, weight = HEAVIEST_RC_POLY
     assert count_bound_tableaux(weight) == 90
-    assert max(len(profiles) for *_c, profiles in enumerate_configurations(spec, weight)) == 19
+    assert max(len(riggable) for *_c, riggable in _riggable_profiles(spec, weight)) == 19
     assert _dominated_configurations(spec, weight) > 0
     cases += [
         (CrystalSpec(5, ((2, 1), (1, 2), (1, 1))), (1, 1, 1, 1, 1)),
@@ -613,21 +653,28 @@ def test_fermionic_matches_unfiltered_dp():
 
 
 def _dropped_profiles(spec, weight) -> int:
-    """How many profiles _minimal_profiles drops over the configurations
-    of a weight, each of its outputs checked against the definition."""
+    """How many profiles _minimal_profiles drops from the riggable
+    profiles of the listed witness tableaux over the configurations of a
+    weight, each of its outputs checked against the definition and
+    against the builder's profiles."""
     dropped = 0
-    for *_config, profiles in enumerate_configurations(spec, weight):
-        minimal = _minimal_profiles(profiles)
-        assert sorted(minimal) == sorted(v for v in profiles
-                                         if not _is_dominated(v, profiles)), profiles
+    configs = list(enumerate_configurations(spec, weight))
+    oracle = list(_riggable_profiles(spec, weight))
+    assert [c[0] for c in configs] == [parts for parts, _v, _r in oracle]
+    for (*_config, profiles), (_parts, _v, riggable) in zip(configs, oracle):
+        minimal = _minimal_profiles(riggable)
+        assert sorted(minimal) == sorted(v for v in riggable
+                                         if not _is_dominated(v, riggable)), riggable
         assert [sum(v) for v in minimal] == sorted(sum(v) for v in minimal)
-        dropped += len(profiles) - len(minimal)
+        assert sorted(profiles) == sorted(minimal)
+        dropped += len(riggable) - len(minimal)
     return dropped
 
 
 def test_minimal_profiles_are_the_undominated_ones():
-    # Keeping a dominated profile leaves the polynomial as it is, so the
-    # filter is pinned here, against the definition.
+    # Keeping a dominated profile leaves the polynomials as they are, so
+    # the filter and the builder's profiles are pinned here, against the
+    # definition on the listed witness tableaux.
     assert sum(_dropped_profiles(spec, weight) for spec in sweep_specs(4, 4)
                for weight in _compositions(spec.total_boxes(), spec.n)) == 110
     assert _dropped_profiles(*HEAVIEST_RC_POLY) > 0
@@ -664,6 +711,16 @@ def test_three_methods_agree_at_n6():
         assert fermionic_polynomial(N6_SPEC, weight) == target, weight
         assert rc_polynomial(N6_SPEC, weight) == target, weight
     assert path_polynomial(N6_SPEC, (3, 2, 2, 2, 2, 2))(1) == 935
+
+
+def test_three_methods_agree_at_n7():
+    # A heavy spec: 7,875 elements and 526 configurations, up to 49 minimal
+    # profiles each.
+    spec, weight = CrystalSpec(7, ((3, 2), (4, 1), (2, 2))), (2,) * 7
+    target = path_polynomial(spec, weight)
+    assert target(1) == 7875
+    assert rc_polynomial(spec, weight) == target
+    assert fermionic_polynomial(spec, weight) == target
 
 
 def test_rc_polynomial_matches_the_per_configuration_sum_on_the_sweep():
