@@ -11,10 +11,10 @@ The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two ways, direct enumeration and
 the alternating bound-tableau sum, which share the configuration builder
 `enumerate_configurations`, one crystal.depth_first step per component.
-The builder yields each configuration with its minimal riggable witness
-profiles only, which is exact for both methods: the riggings are the
-union of one box per riggable profile, and the box of a profile above
-another lies inside that one's box.  The enumeration counts the riggings
+The builder yields each configuration with its distinct minimal
+riggable witness profiles, in walk order, which is exact for both
+methods: the riggings are the union of one box per riggable profile, and
+the box of a profile above another lies inside that one's box.  The enumeration counts the riggings
 of each configuration and builds no RiggedConfiguration: the cocharge of
 the bare configuration is shared by all of its riggings, and each
 rigging adds its sum of labels.  The alternating sum is
@@ -118,7 +118,8 @@ def _config_cocharge(partitions) -> int:
 # pair of heights it needs from that one list.  No computation builds the
 # set.  The configuration builder needs the minimal riggable profiles,
 # so it walks the partial rows one column at a time (_walk_column), each
-# column over its undominated options only (_column_counts).
+# column over its undominated options only (_column_counts); the rows it
+# is left with are those profiles, each once, in a plain list.
 # is_admissible needs only whether one witness fits, so it carries one
 # column, the greedy largest (_chain_column).  bound_tableaux lists the
 # set for the tests and for the benchmark's witness-tableau probe.
@@ -207,8 +208,9 @@ def _minimal_profiles(profiles) -> list[tuple[int, ...]]:
     """The profiles with no other profile pointwise below them, by
     increasing sum.  The profiles are distinct, so one below another has a
     smaller sum and comes first, and one above a dropped profile is above
-    a kept one too.  The builder reads it twice: on the options of each
-    witness column (_column_counts) and on the rows left at each leaf."""
+    a kept one too.  The builder reads it on the options of each witness
+    column (_column_counts); the rows those options give are minimal
+    already (_walk_column)."""
     minimal = []
     for v in sorted(profiles, key=sum):
         if not any(all(map(le, u, v)) for u in minimal):
@@ -227,11 +229,11 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
     columns are independent, so a pair at or above another raises every
     bound it touches at least as much, for every choice of the other
     columns: each profile it gives lies at or above the one the lower pair
-    gives, which is riggable whenever it is.  The kept pairs thus still
-    give every minimal riggable profile.  Each added comes once: the
-    pointwise maximum of two counting functions is one, so the columns
-    with the same added have a largest counting function, and its start
-    lies below theirs.
+    gives, which is riggable whenever it is.  The kept pairs thus give
+    every minimal riggable profile, and no other (_walk_column).  Each
+    added comes once: the pointwise maximum of two counting functions is
+    one, so the columns with the same added have a largest counting
+    function, and its start lies below theirs.
     """
     k = len(finishing)
     return tuple((pair[:k], pair[k:]) for pair in _minimal_profiles({
@@ -240,13 +242,12 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
         for col in combinations(range(1, top + 1), height)}))
 
 
-def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
+def _walk_column(partial, top: int, height: int, finishing, starting) -> list:
     """One step of the walk over the witness tableaux of a weight: the
-    distinct partial rows after column k, a height-subset of 1..top, where
-    top and height are c_{k-1} and c_k of _column_heights.  The
-    configuration builder takes it column by column to list the minimal
-    riggable profiles; is_admissible runs _chain_column, on the same pair,
-    instead.
+    partial rows after column k, a height-subset of 1..top, where top and
+    height are c_{k-1} and c_k of _column_heights.  The configuration
+    builder takes it column by column to list the minimal riggable
+    profiles; is_admissible runs _chain_column, on the same pair, instead.
 
     A partial row is a pair (done, pending): the bounds of the finished
     entries, and the bounds so far of the entries of component k-1.
@@ -254,13 +255,33 @@ def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
     makes those of component k-1 final and starts those of component k.
     finishing lists the pairs (l, limit) of the entries of component k-1
     and starting the lengths of those of component k; a row is dropped as
-    soon as a final bound exceeds its limit.  Column k takes only the
-    undominated options of _column_counts, so from {((), ())}, columns
-    1..n leave rows (done, ()) of witness tableaux that lie at or below
-    the limits, among them every minimal such row.
+    soon as a final bound exceeds its limit.  From [((), ())], columns
+    1..n leave exactly the minimal rows (done, ()) of witness tableaux
+    within the limits, each once, so the walk keeps a plain list and
+    filters nothing at the end.
+
+    Let f_k(l) = #{x in column k : x <= l}, so the entry (a, l) of a row
+    is f_{a+1}(l) - f_a(l), over the lengths L_a of component a; column 1
+    is forced (c_0 = c_1), and column n is empty.  A kept option of column
+    k is fixed by its added, alpha = f_k on L_{k-1}, and its start is that
+    of F_k(alpha), the largest counting function with those values:
+    F_k(alpha)(x) = min(x, c_k, alpha_i + x - l_i for l_i <= x, alpha_j
+    for l_j >= x), which is monotone in alpha.  Take two rows A <= B
+    pointwise.  Forward: component 1 gives alpha_2^A <= alpha_2^B, so
+    f_2^A <= f_2^B; once f_a^A <= f_a^B, component a gives f_{a+1}^A <=
+    f_{a+1}^B - (f_a^B - f_a^A) <= f_{a+1}^B on L_a, so f_k^A <= f_k^B for
+    every k.  Backward: component n-1 gives f_{n-1}^A >= f_{n-1}^B on
+    L_{n-1}, so A's option of column n-1 lies at or below B's; B's is
+    undominated, so the two are equal.  Component n-2 then gives the same
+    at column n-2, and so on down to column 2.  So A = B, from the same
+    options: the rows left at the end are pairwise incomparable, and as
+    they include every minimal row (_column_counts), they are exactly the
+    minimal rows.  Read with equalities, the forward half also shows that two option
+    sequences giving one partial row have the same added, hence the same
+    option, at every column, so no column builds a row twice.
     """
     counts = _column_counts(top, height, tuple(l for l, _ in finishing), tuple(starting))
-    grown = set()
+    grown = []
     for done, pending in partial:
         for added, start in counts:
             final = []
@@ -269,7 +290,7 @@ def _walk_column(partial, top: int, height: int, finishing, starting) -> set:
                     break
                 final.append(p + c)
             else:
-                grown.add((done + tuple(final), start))
+                grown.append((done + tuple(final), start))
     return grown
 
 
@@ -474,7 +495,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     entry, in support order.  It is riggable when no bound is above the
     vacancy number of its entry, and minimal when no other riggable
     profile lies pointwise below it; profiles is the nonempty list of the
-    distinct minimal riggable ones, by increasing sum.  Configurations
+    distinct minimal riggable ones, in walk order.  Configurations
     come in the order of the product of the component partitions, each in
     decreasing lexicographic order.
 
@@ -490,9 +511,8 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     even the largest overlap nu^(a+1) can add leaves a vacancy number of
     nu^(a) below its floor, the least bound(a, l) over all witness
     tableaux (_witness_floor).  The walk takes only the undominated
-    options of each column (_column_counts), which leaves every minimal
-    riggable profile; the leaf keeps the minimal ones of the rows it is
-    left with (_minimal_profiles).
+    options of each column (_column_counts), which leaves exactly the
+    minimal riggable profiles, each once (_walk_column).
     """
     weight = spec.check_weight(weight)
     sizes = _config_sizes(spec, weight)
@@ -533,11 +553,10 @@ def enumerate_configurations(spec: CrystalSpec, weight):
                 if grown:
                     yield parts, done, started, grown
 
-    for branch in depth_first(((), [], [], {((), ())}), spec.n, step):
+    for branch in depth_first(((), [], [], [((), ())]), spec.n, step):
         finished = [entry for state in branch for entry in state[1]]
         yield (tuple([state[0] for state in branch[:-1]]), [key for key, _p in finished],
-               [p for _key, p in finished],
-               _minimal_profiles({row for row, _pending in branch[-1][3]}))
+               [p for _key, p in finished], [row for row, _pending in branch[-1][3]])
 
 
 def _riggings(support, vacancies, profiles):
@@ -637,11 +656,12 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     built, and no budget applies.
 
     Of those, only the minimal profiles enter, the ones with no other
-    profile pointwise below them, which are the ones the builder yields.
-    This is exact too: the signed sum is inclusion-exclusion for the union
-    of the rigging boxes [v, P], one per profile v, with P the vacancy
-    numbers, and the box of a profile above another lies inside that
-    one's box, so it adds nothing to the union.
+    profile pointwise below them, which are the ones the builder yields,
+    in an order the sum does not depend on.  This is exact too: the
+    signed sum is inclusion-exclusion for the union of the rigging boxes
+    [v, P], one per profile v, with P the vacancy numbers, and the box of
+    a profile above another lies inside that one's box, so it adds
+    nothing to the union.
     Each signed term is count * q^shift times the product of
     qbinom(m, p - low) over its entries, where shift is the cocharge plus
     the sum of m * low; the terms are grouped by shift and the sorted pairs

@@ -470,10 +470,15 @@ def unfiltered_fermionic(spec, weight):
     n = spec.n
     L = oracle_multiplicities(spec)
     tableaux = bound_tableaux(weight)
+    columns = {}
     result = QPolynomial.zero()
     for parts in full_configurations(spec, weight):
         triples = strings_by_length(parts)
-        profiles = {tuple(t.bound(a, length) for a, length, _m in triples) for t in tableaux}
+        for a, length, _m in triples:
+            if (a, length) not in columns:
+                columns[a, length] = [t.bound(a, length) for t in tableaux]
+        profiles = (set(zip(*[columns[a, length] for a, length, _m in triples]))
+                    if triples else {()})
         signed = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}

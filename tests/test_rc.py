@@ -236,15 +236,16 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
     by_component = [[] for _ in range(n + 1)]
     for (a, l), limit in zip(keys, limits):
         by_component[a].append((l, limit))
-    partial = {((), ())}
+    partial = [((), ())]
     for k in range(1, n + 1):
         partial = _walk_column(partial, heights[k - 1], heights[k], by_component[k - 1],
                                [l for l, _limit in by_component[k]])
-    # The walk keeps rows of listed tableaux within the limits, among them
-    # every one with no other such row pointwise below it.
+        assert len(partial) == len(set(partial))
+    # The walk keeps exactly the rows of listed tableaux within the limits
+    # with no other such row pointwise below them.
     within = {row for row in rows if all(b <= x for b, x in zip(row, limits))}
     walked = {row for row, _pending in partial}
-    assert {row for row in within if not _is_dominated(row, within)} <= walked <= within
+    assert walked == {row for row in within if not _is_dominated(row, within)}
     assert all(pending == () for _row, pending in partial)
 
 
@@ -577,6 +578,7 @@ def test_bound_profiles_are_the_riggable_ones():
             oracle = list(_riggable_profiles(spec, weight))
             assert [c[0] for c in configs] == [parts for parts, _v, _r in oracle]
             for (*_config, profiles), (_parts, vacancies, riggable) in zip(configs, oracle):
+                assert len(profiles) == len(set(profiles))
                 assert sorted(profiles) == sorted(
                     v for v in riggable if not _is_dominated(v, riggable))
                 meets += sum(any(low == p for low, p in zip(v, vacancies))
