@@ -8,7 +8,9 @@ other two), `map` converts a single element across the correspondence,
 and `check` drives the randomized and exhaustive property suite.  `poly`
 and `check` build each weight's configurations once
 (`rc.configuration_list`); the rc-side listing and both rc-side
-polynomials read that one list.
+polynomials read that one list.  `paths` prints the energies that
+`paths.enumerate_paths` sums as it lists; only `check` calls
+`tail_energy`, path by path, as the reference for the `paths` method.
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
@@ -98,8 +100,7 @@ def _poly_json(poly: QPolynomial) -> dict:
 
 def cmd_paths(args) -> int:
     spec, weight = _spec_and_weight(_load(args.spec))
-    _emit_listing(args.format, 'path', 'energy', 'D',
-                  ((p, tail_energy(p)) for p in enumerate_paths(spec, weight)))
+    _emit_listing(args.format, 'path', 'energy', 'D', enumerate_paths(spec, weight))
     return OK
 
 

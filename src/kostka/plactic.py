@@ -16,10 +16,11 @@ sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of shapes met.
 
 `carry` is the one transport step: a factor meets the factors carried
 up to it, adds their local energies and lets them pass.  `tail_energy`
-folds it over one path; `kostka paths` and `kostka check` call it on
-every path they list or check.  `paths.path_polynomial` never calls
-`tail_energy`: it folds the same `carry` over all the paths of a weight
-at once, with a transfer matrix over the carried factors.
+folds it over one path; `kostka check` calls it on every path it
+checks.  The `paths` module never calls `tail_energy`: its one transfer
+step folds the same `carry` over all the paths of a weight at once,
+merging them by their carried factors for `path_polynomial` and branching
+them for `enumerate_paths`, which lists each path with its energy.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ literally over witness subsets.
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations, product as iproduct
 
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc)
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
-from kostka.paths import enumerate_paths
+from kostka.paths import enumerate_all_paths
 from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, bound_tableaux, enumerate_rcs
@@ -491,10 +491,10 @@ def unfiltered_fermionic(spec, weight):
         if sum(signed.values()) != 1:
             raise AssertionError(f'signed counts {signed} do not sum to 1 on {parts}')
         base = oracle_config_cc(parts, n)
+        vacancies = [oracle_vacancy(parts, L, n, a, length) for a, length, _m in triples]
         for bounds, count in signed.items():
             term = QPolynomial.monomial(base, count)
-            for (a, length, m), low in zip(triples, bounds):
-                p = oracle_vacancy(parts, L, n, a, length)
+            for (_a, _length, m), p, low in zip(triples, vacancies, bounds):
                 term = term * qbinom(m, p - low).shift(m * low)
             result = result + term
     return result
@@ -564,8 +564,21 @@ def oracle_tail_energy(path):
 
 def oracle_path_polynomial(spec, weight):
     """Sum of q^(tail energy) over the paths of the weight, path by path,
-    each energy summed pair by pair by oracle_tail_energy."""
-    return QPolynomial(Counter(oracle_tail_energy(b) for b in enumerate_paths(spec, weight)))
+    each energy summed pair by pair by oracle_tail_energy.  The paths are
+    every path of the spec grouped by weight, so the package's transfer
+    step lists none of them."""
+    return QPolynomial(Counter(oracle_tail_energy(b)
+                               for b in _paths_by_weight(spec).get(tuple(weight), ())))
+
+
+@lru_cache(maxsize=1)
+def _paths_by_weight(spec):
+    """Every path of the spec, grouped by weight; the last spec's grouping
+    is kept, since the tests ask about many weights of one spec in a row."""
+    groups = {}
+    for b in enumerate_all_paths(spec):
+        groups.setdefault(b.weight(), []).append(b)
+    return groups
 
 
 def macmahon_polynomial(weight):

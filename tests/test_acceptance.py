@@ -88,13 +88,13 @@ def test_criterion_1_seven_path_instance(capsys):
         target = QPolynomial({0: 2, 1: 4, 2: 1})
         paths = enumerate_paths(SPEC1, WEIGHT1)
         assert len(paths) == 7
-        by_rows = {tuple(t.rows for t in p.tableaux): p for p in paths}
+        by_rows = {tuple(t.rows for t in p.tableaux): (p, energy) for p, energy in paths}
         assert set(by_rows) == {rows for rows, _, _ in ROWS1}
         for rows, strings, value in ROWS1:
-            p = by_rows[rows]
+            p, energy = by_rows[rows]
             rc = path_to_rc(p)
             assert rc == RiggedConfiguration(SPEC1, WEIGHT1, strings)
-            assert tail_energy(p) == rc.cocharge() == value
+            assert energy == tail_energy(p) == rc.cocharge() == value
         assert path_polynomial(SPEC1, WEIGHT1) == target
         assert rc_polynomial(SPEC1, WEIGHT1) == target
         assert fermionic_polynomial(SPEC1, WEIGHT1) == target

@@ -117,12 +117,12 @@ def test_correspondence_two_factor_goldens():
     paths = enumerate_paths(TWO_FACTOR_SPEC, weight)
     assert len(paths) == 7
     expected = {rows: (strings, value) for rows, strings, value in CORRESPONDENCE}
-    for p in paths:
+    for p, energy in paths:
         key = tuple(t.rows for t in p.tableaux)
         strings, value = expected.pop(key)
         rc = path_to_rc(p)
         assert rc == RiggedConfiguration(TWO_FACTOR_SPEC, weight, strings)
-        assert tail_energy(p) == rc.cocharge() == value
+        assert energy == tail_energy(p) == rc.cocharge() == value
         assert rc_to_path(rc) == p
     assert not expected
 
@@ -163,7 +163,7 @@ def test_energy_equals_cocharge_over_families():
 
 def test_image_is_the_full_rc_set():
     weight = (2, 2, 1, 1)
-    image = {path_to_rc(p) for p in enumerate_paths(TWO_FACTOR_SPEC, weight)}
+    image = {path_to_rc(p) for p, _energy in enumerate_paths(TWO_FACTOR_SPEC, weight)}
     assert image == set(enumerate_rcs(TWO_FACTOR_SPEC, weight))
 
 
@@ -178,17 +178,17 @@ def test_bijection_at_n6(spec, weight, count):
     paths = enumerate_paths(spec, weight)
     assert len(paths) == count
     image = set()
-    for p in paths:
+    for p, energy in paths:
         rc = path_to_rc(p)
         assert rc_to_path(rc) == p
-        assert rc.cocharge() == tail_energy(p), p
+        assert rc.cocharge() == tail_energy(p) == energy, p
         image.add(rc)
     assert image == set(enumerate_rcs(spec, weight))
 
 
 def test_operators_commute_with_the_bijection_at_n6():
     # Every 10th path keeps the cost within the tier-1 budget.
-    for p in enumerate_paths(N6_SPEC, N6_WEIGHT)[::10]:
+    for p, _energy in enumerate_paths(N6_SPEC, N6_WEIGHT)[::10]:
         rc = path_to_rc(p)
         for a in range(1, N6_SPEC.n):
             for moved, image in ((p.f(a), rccrystal.f(rc, a)),
@@ -413,7 +413,7 @@ def test_frozen_configurations_pass_the_constructor_checks():
     # Working.freeze builds its configuration without the constructor's
     # checks; the checked constructor changes nothing.
     paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
-    for p in paths + enumerate_paths(N6_SPEC, N6_WEIGHT):
+    for p in paths + [p for p, _energy in enumerate_paths(N6_SPEC, N6_WEIGHT)]:
         rc = path_to_rc(p)
         checked = RiggedConfiguration(rc.spec, rc.weight, rc.strings)
         assert checked == rc and checked.strings == rc.strings, p
@@ -436,7 +436,7 @@ def test_the_maps_freeze_once_and_leave_no_memo(monkeypatch):
     monkeypatch.setattr(RiggedConfiguration, '__post_init__', counting)
     monkeypatch.setattr(RiggedConfiguration, '_trusted', counting_trusted)
     paths = [p for spec in FAMILIES for p in enumerate_all_paths(spec)]
-    paths += enumerate_paths(N6_SPEC, N6_WEIGHT)
+    paths += [p for p, _energy in enumerate_paths(N6_SPEC, N6_WEIGHT)]
     spec_vacancy.cache_clear()
     images = []
     for p in paths:

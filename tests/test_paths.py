@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from kostka import crystal, paths, plactic
+from kostka import cli, crystal, paths, plactic
 from kostka.cli import _compositions, main, sweep_specs
 from kostka.crystal import CrystalSpec, Path, enumerate_crystal
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
+from kostka.plactic import tail_energy
 from kostka.qpoly import QPolynomial
 from kostka.rc import fermionic_polynomial, rc_polynomial
 
@@ -40,7 +41,7 @@ def test_seven_path_instance():
 def test_empty_spec():
     spec = CrystalSpec(3, ())
     only = enumerate_paths(spec, (0, 0, 0))
-    assert len(only) == 1 and only[0].tableaux == ()
+    assert only == [(Path(spec, ()), 0)]
     assert path_polynomial(spec, (0, 0, 0)) == QPolynomial.one()
     assert enumerate_paths(spec, (1, 0, 0)) == []
     assert path_polynomial(spec, (1, 0, 0)) == QPolynomial.zero()
@@ -57,31 +58,59 @@ def test_all_paths_partition_by_weight():
     regrouped = []
     seen_weights = {p.weight() for p in everything}
     for w in seen_weights:
-        regrouped.extend(enumerate_paths(spec, w))
+        regrouped.extend(p for p, _energy in enumerate_paths(spec, w))
     assert sorted(regrouped, key=str) == sorted(everything, key=str)
 
 
 def test_enumeration_respects_weight():
     spec = CrystalSpec(4, ((2, 2), (2, 1)))
-    for p in enumerate_paths(spec, (2, 2, 1, 1)):
+    for p, _energy in enumerate_paths(spec, (2, 2, 1, 1)):
         assert p.weight() == (2, 2, 1, 1)
 
 
 def test_enumeration_lists_paths_in_the_order_of_all_paths():
-    # Backtracking over factors left to right lists the paths of a weight
-    # in the order enumerate_all_paths lists every path.
-    for spec in sweep_specs(3, 4) + [CrystalSpec(4, ((2, 1), (1, 2), (1, 1)))]:
-        everything = enumerate_all_paths(spec)
+    # The right-to-left walk sorts the paths of a weight back into the
+    # order enumerate_all_paths lists every path, each with the energy
+    # tail_energy folds over it alone: all 4,171 composition weights of
+    # sweep_specs(4, 5), and one three-shape spec.
+    weights = 0
+    for spec in sweep_specs(4, 5) + [CrystalSpec(4, ((2, 1), (1, 2), (1, 1)))]:
+        by_weight = {}
+        for p in enumerate_all_paths(spec):
+            by_weight.setdefault(p.weight(), []).append((p, tail_energy(p)))
         for weight in _compositions(spec.total_boxes(), spec.n):
-            assert enumerate_paths(spec, weight) == [
-                p for p in everything if p.weight() == weight], (spec, weight)
+            assert enumerate_paths(spec, weight) == by_weight.get(weight, []), (spec, weight)
+            weights += 1
+    assert weights == 4171 + 56
+
+
+def test_enumeration_calls_no_tail_energy(tmp_path, capsys, monkeypatch):
+    # The listing and `kostka paths` read each energy off the walk: on
+    # (1,1)^200, path by path would carry every factor past all the others.
+    def refuse(*args, **kwargs):
+        raise AssertionError('the listing went path by path')
+
+    monkeypatch.setattr(paths, 'tail_energy', refuse, raising=False)
+    monkeypatch.setattr(plactic, 'tail_energy', refuse)
+    monkeypatch.setattr(cli, 'tail_energy', refuse)
+    spec = CrystalSpec(2, ((1, 1),) * 200)
+    listed = enumerate_paths(spec, (199, 1))
+    assert [energy for _p, energy in listed] == list(range(200))
+    data = {'n': 2, 'factors': [[1, 1]] * 200, 'weight': [199, 1]}
+    spec_file = tmp_path / 's.json'
+    spec_file.write_text(json.dumps(data))
+    assert main(['paths', '--spec', str(spec_file)]) == 0
+    out, err = capsys.readouterr()
+    assert [line.rsplit('  D=', 1)[1] for line in out.splitlines()] == [
+        str(energy) for energy in range(200)] and err == ''
 
 
 def test_enumeration_of_a_thousand_factors(tmp_path, capsys):
     # One stack entry per factor, not one interpreter frame.
     spec = CrystalSpec(2, ((1, 1),) * 1000)
     only = enumerate_paths(spec, (1000, 0))
-    assert len(only) == 1 and all(t.rows == ((1,),) for t in only[0].tableaux)
+    assert len(only) == 1 and all(t.rows == ((1,),) for t in only[0][0].tableaux)
+    assert only[0][1] == 0
     data = {'n': 2, 'factors': [[1, 1]] * 1000, 'weight': [1000, 0]}
     spec_file = tmp_path / 's.json'
     spec_file.write_text(json.dumps(data))
