@@ -17,10 +17,11 @@ Objects are checked at the boundaries.  The maps take a checked path or
 configuration, and what the steps build from it skips the constructor
 checks: `Working.freeze` builds its spec with `CrystalSpec._trusted` and
 its configuration with `RiggedConfiguration._trusted`, and `rc_to_path`
-builds its path with `Path._trusted`.  Inside, a broken invariant raises
+builds its tableaux and path with `RectTableau._trusted` and
+`Path._trusted`.  Inside, a broken invariant raises
 InvariantError: `path_to_rc` compares the image's spec and weight with
-the path's, and `rc_to_path` checks that each column's letters decrease
-and builds each tableau with the checked `RectTableau`.
+the path's, and `rc_to_path` checks that each column's letters
+decrease and that each row's letters weakly increase.
 """
 
 from __future__ import annotations
@@ -258,9 +259,13 @@ def rc_to_path(rc: RiggedConfiguration) -> Path:
                 letters.append(extract_letter(work))
             if any(x <= y for x, y in zip(letters, letters[1:])):
                 raise InvariantError(f'extracted letters {letters} do not decrease')
-            columns.append(tuple(reversed(letters)))
-        # Checked for semistandardness; shape and alphabet hold by construction.
-        tableaux.append(RectTableau(tuple(zip(*columns)), rc.n))
+            column = tuple(reversed(letters))
+            if columns and any(x > y for x, y in zip(columns[-1], column)):
+                raise InvariantError(f'extracted columns {columns[-1]} and {column} '
+                                     'break the rows')
+            columns.append(column)
+        # Shape and alphabet hold by construction.
+        tableaux.append(RectTableau._trusted(tuple(zip(*columns)), rc.n))
     if work.factors or any(work.lengths) or any(work.weight):
         raise InvariantError('configuration not exhausted')
     return Path._trusted(rc.spec, tuple(tableaux))

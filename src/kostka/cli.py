@@ -140,10 +140,15 @@ def _emit_element(element, fmt: str) -> None:
 
 
 def _emit_listing(fmt: str, kind: str, stat: str, short: str, pairs) -> None:
-    """(element, statistic) pairs, as JSON under kind and stat or as text."""
+    """(element, statistic) pairs, as JSON under kind and stat or as text.
+    The JSON document is written one element at a time, byte for byte as
+    json.dumps writes the whole of it, so no document is held."""
     if fmt == 'json':
-        print(json.dumps({'elements': [
-            {kind: element.to_json(), stat: value} for element, value in pairs]}))
+        out = sys.stdout
+        out.write('{"elements": [')
+        for k, (element, value) in enumerate(pairs):
+            out.write((', ' if k else '') + json.dumps({kind: element.to_json(), stat: value}))
+        out.write(']}\n')
     else:
         for element, value in pairs:
             print(f'{element}  {short}={value}')

@@ -21,9 +21,12 @@ the dataclass would compute, hash((rows, n)).
 Input is checked at the boundaries: the constructors and `from_json`
 run every check.  Objects the package builds from checked ones skip
 them through a `_trusted` constructor: `Path._trusted` for enumerated
-and operated paths, `CrystalSpec._trusted` for the specs the bijection's
-splits and merges make from a checked spec's factors, and, in `rc`,
-`RiggedConfiguration._trusted`.  The CLI calls none of them.
+and operated paths, `RectTableau._trusted` for the tableaux that the
+operators and rc_to_path build and check themselves, `CrystalSpec._trusted`
+for the specs the bijection's splits and merges make from a checked
+spec's factors, and, in `rc`, `RiggedConfiguration._trusted`.  The CLI
+calls none of them.  A tableau that an operator breaks is an
+InvariantError, checked at the one cell it changes.
 `depth_first` is the package's one backtracker: the paths of a weight,
 the configurations of `rc` and the weights `kostka check` visits.
 """
@@ -35,6 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import le, lt
+
+from .errors import InvariantError
 
 
 def json_int(value) -> int:
@@ -109,6 +114,19 @@ class RectTableau:
                 raise ValueError('columns must strictly increase')
         object.__setattr__(self, 'shape', (len(rows), s))
         object.__setattr__(self, '_hash', hash((rows, n)))
+
+    @classmethod
+    def _trusted(cls, rows: tuple, n: int) -> 'RectTableau':
+        """A tableau from a nonempty tuple of equal-length, nonempty row
+        tuples over 1..n whose rows and columns the caller has checked,
+        built without re-running the checks; shape and hash are stored as
+        the constructor stores them."""
+        t = object.__new__(cls)
+        object.__setattr__(t, 'rows', rows)
+        object.__setattr__(t, 'n', n)
+        object.__setattr__(t, 'shape', (len(rows), len(rows[0])))
+        object.__setattr__(t, '_hash', hash((rows, n)))
+        return t
 
     def __hash__(self):
         return self._hash
@@ -293,11 +311,18 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
             break
         pos -= r * s
     ri, ci = r - 1 - pos // s, pos % s
-    rows = [list(row) for row in t.rows]
-    rows[ri][ci] = new_letter
-    # The constructor re-checks semistandardness, which the bracketing
-    # rule guarantees; shape and alphabet are kept, so the path's hold.
-    new_t = RectTableau(tuple(tuple(row) for row in rows), t.n)
+    rows = list(t.rows)
+    row = list(rows[ri])
+    row[ci] = new_letter
+    # The bracketing rule keeps the tableau semistandard, and only the
+    # changed cell can break it: check it against its four neighbours.
+    # Shape and alphabet are kept, so the path's checks hold too.
+    if ((ci and row[ci - 1] > new_letter) or (ci + 1 < s and row[ci + 1] < new_letter)
+            or (ri and rows[ri - 1][ci] >= new_letter)
+            or (ri + 1 < r and rows[ri + 1][ci] <= new_letter)):
+        raise InvariantError(f'{"f" if lowering else "e"}_{i} broke the tableau {t}')
+    rows[ri] = tuple(row)
+    new_t = RectTableau._trusted(tuple(rows), t.n)
     tabs = list(path.tableaux)
     tabs[k] = new_t
     return Path._trusted(path.spec, tuple(tabs))

@@ -10,7 +10,11 @@ configuration simultaneously.
 The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two ways, direct enumeration and
 the alternating bound-tableau sum, which share the configuration builder
-`enumerate_configurations`, one crystal.depth_first step per component.
+`enumerate_configurations`, one crystal.depth_first step per component
+over the option lists of _component_options.  The partitions of each
+size are tabled once per process (_partitions_of); they are keyed by the
+size alone, so no value depends on the table, and the vacancy numbers and
+floors of the options are computed on every call.
 The builder yields each configuration with its distinct minimal
 riggable witness profiles, in walk order, which is exact for both
 methods: the riggings are the union of one box per riggable profile, and
@@ -51,9 +55,15 @@ def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
     """Required size of each component partition, indices a = 1..n-1.
 
     Entry a-1 holds c_a of _column_heights minus the boxes the factors
-    place above level a.
+    place above level a.  The weight is checked here; the builder and
+    RiggedConfiguration check theirs once and read the sizes off their
+    one heights list (_sizes_from).
     """
-    heights = _column_heights(spec.check_weight(weight))
+    return _sizes_from(spec, _column_heights(spec.check_weight(weight)))
+
+
+def _sizes_from(spec: CrystalSpec, heights) -> list[int]:
+    """forced_sizes read off the _column_heights of a checked weight."""
     return [heights[a] - sum([s * (r - a) for r, s in spec.factors if r > a])
             for a in range(1, spec.n)]
 
@@ -242,7 +252,7 @@ def _column_counts(top: int, height: int, finishing: tuple[int, ...],
         for col in combinations(range(1, top + 1), height)}))
 
 
-def _walk_column(partial, top: int, height: int, finishing, starting) -> list:
+def _walk_column(partial, top: int, height: int, finishing, limits, starting) -> list:
     """One step of the walk over the witness tableaux of a weight: the
     partial rows after column k, a height-subset of 1..top, where top and
     height are c_{k-1} and c_k of _column_heights.  The configuration
@@ -253,9 +263,10 @@ def _walk_column(partial, top: int, height: int, finishing, starting) -> list:
     entries, and the bounds so far of the entries of component k-1.
     Column k adds to the entries of components k-1 and k only, so it
     makes those of component k-1 final and starts those of component k.
-    finishing lists the pairs (l, limit) of the entries of component k-1
-    and starting the lengths of those of component k; a row is dropped as
-    soon as a final bound exceeds its limit.  From [((), ())], columns
+    finishing is the tuple of the lengths of the entries of component k-1,
+    limits lists their limits, and starting is the tuple of the lengths of
+    those of component k; a row is dropped as soon as a final bound
+    exceeds its limit.  From [((), ())], columns
     1..n leave exactly the minimal rows (done, ()) of witness tableaux
     within the limits, each once, so the walk keeps a plain list and
     filters nothing at the end.
@@ -280,12 +291,12 @@ def _walk_column(partial, top: int, height: int, finishing, starting) -> list:
     sequences giving one partial row have the same added, hence the same
     option, at every column, so no column builds a row twice.
     """
-    counts = _column_counts(top, height, tuple(l for l, _ in finishing), tuple(starting))
+    counts = _column_counts(top, height, finishing, starting)
     grown = []
     for done, pending in partial:
         for added, start in counts:
             final = []
-            for p, c, (_l, limit) in zip(pending, added, finishing):
+            for p, c, limit in zip(pending, added, limits):
                 if p + c > limit:
                     break
                 final.append(p + c)
@@ -355,7 +366,7 @@ class RiggedConfiguration:
                 raise ValueError('string lengths must be positive')
             canon.append(comp)
         sizes = [sum(l for l, _ in comp) for comp in canon]
-        if sizes != _config_sizes(self.spec, self.weight):
+        if sizes != _config_sizes(self.spec, self.weight, _column_heights(self.weight)):
             raise ValueError('component sizes are not the ones the weight forces')
         object.__setattr__(self, 'strings', tuple(canon))
 
@@ -447,11 +458,16 @@ class RiggedConfiguration:
 # enumeration and polynomials
 # ---------------------------------------------------------------------------
 
-def _partitions_of(total: int):
+@cache
+def _partitions_of(total: int) -> tuple:
     """All partitions of total, in decreasing lexicographic order.
 
     Each comes as (parts, groups): the weakly decreasing parts, and the
     pairs (length, multiplicity) of its distinct parts, longest first.
+    The tuple is built once per size and process.  It holds partitions
+    only, keyed by the size alone, so no value depends on what the cache
+    holds; each size's entry is one that a builder call's option lists
+    hold anyway.
     """
     def rec(remaining, largest):
         if remaining == 0:
@@ -462,14 +478,15 @@ def _partitions_of(total: int):
                 for parts, groups in rec(remaining - m * l, l - 1):
                     yield (l,) * m + parts, ((l, m),) + groups
 
-    yield from rec(total, total)
+    return tuple(rec(total, total))
 
 
-def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...]):
-    """forced_sizes of the weight, or None when no configuration has them."""
+def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...], heights):
+    """forced_sizes of a checked weight, read off its _column_heights, or
+    None when no configuration has them."""
     if sum(weight) != spec.total_boxes():
         return None
-    sizes = forced_sizes(spec, weight)
+    sizes = _sizes_from(spec, heights)
     return None if any(sz < 0 for sz in sizes) else sizes
 
 
@@ -482,6 +499,23 @@ def _witness_floor(top: int, below: int, l: int) -> int:
     c_{a+1} - max(c_a - l, 0) of them.
     """
     return max(0, below - max(top - l, 0)) - min(l, top)
+
+
+def _component_options(factors, heights, a: int, size: int) -> list:
+    """The options of component a, of the given size, for a builder step:
+    each partition (_partitions_of) with its support entries (a, l, m),
+    their vacancy numbers short of the overlaps with both neighbours and
+    their floors (_witness_floor), read off the factors and the heights
+    c_0..c_n of _column_heights, and the tuple of its lengths l.  Only the
+    partitions come from a table; the vacancy numbers and floors are
+    computed on every call."""
+    options = []
+    for parts, groups in _partitions_of(size):
+        padded = ((),) * a + (parts, ())
+        options.append((parts, [((a, l, m), component_vacancy(factors, padded, a, l),
+                                  _witness_floor(heights[a], heights[a + 1], l))
+                                 for l, m in groups], tuple([l for l, _m in groups])))
+    return options
 
 
 def enumerate_configurations(spec: CrystalSpec, weight):
@@ -499,11 +533,18 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     come in the order of the product of the component partitions, each in
     decreasing lexicographic order.
 
+    The weight is checked once, and the component sizes are read off its
+    one list of column heights (_config_sizes).  Each component's options
+    come from _component_options: the partitions from the per-size table
+    of _partitions_of, which no value depends on, and their vacancy
+    numbers and floors computed afresh on every call.
+
     Components are chosen nu^(1), nu^(2), ... one crystal.depth_first
     step each, and last nu^(n), whose one choice is the empty partition.
     A state holds only its own level: nu^(a), the entries of nu^(a-1) it
-    makes final, its own entries short of the overlap with nu^(a+1), and
-    the partial witness rows after column a; the leaf joins the branch.
+    makes final, its own entries short of the overlap with nu^(a+1) and
+    their lengths, and the partial witness rows after column a; the leaf
+    joins the branch.
     The vacancy numbers of component a depend only on nu^(a-1), nu^(a)
     and nu^(a+1), so choosing nu^(a+1) makes them final and advances the
     rows by column a+1 (_walk_column).  A prefix is dropped when no row
@@ -515,48 +556,44 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     minimal riggable profiles, each once (_walk_column).
     """
     weight = spec.check_weight(weight)
-    sizes = _config_sizes(spec, weight)
+    heights = _column_heights(weight)
+    sizes = _config_sizes(spec, weight, heights)
     if sizes is None:
         return
-    heights = _column_heights(weight)
-    # Per component 1..n, component n being the one empty partition, each
-    # partition with its support entries, their vacancy numbers short of
-    # the overlaps with both neighbours, and their floors.
+    # Component n is the one empty partition.
     sizes.append(0)
-    options = []
-    for a, size in enumerate(sizes, start=1):
-        level = []
-        for parts, groups in _partitions_of(size):
-            padded = ((),) * a + (parts, ())
-            level.append((parts, [((a, l, m), component_vacancy(spec.factors, padded, a, l),
-                                   _witness_floor(heights[a], heights[a + 1], l))
-                                  for l, m in groups]))
-        options.append(level)
+    options = [_component_options(spec.factors, heights, a, size)
+               for a, size in enumerate(sizes, start=1)]
 
     def step(d, state):
-        left, _final, pending, partial = state
+        left, _final, pending, finishing, partial = state
         a = d + 1
         top, height = heights[a - 1], heights[a]
         # The overlap of nu^(a+1) with any length is at most its size.
         room = sizes[a] if a < len(sizes) else 0
-        for parts, entries in options[a - 1]:
+        for parts, entries, lengths in options[a - 1]:
             started = []
             for key, own, floor in entries:
-                p = own + sum([min(key[1], x) for x in left])
+                l = key[1]
+                # The overlaps sum min(l, x), written out: no call per part.
+                p = own + sum([l if l < x else x for x in left])
                 if p + room < floor:
                     break
                 started.append((key, p))
             else:
-                done = [(key, p + sum([min(key[1], x) for x in parts])) for key, p in pending]
-                grown = _walk_column(partial, top, height, [(key[1], p) for key, p in done],
-                                     [key[1] for key, _p in started])
+                done = []
+                for key, p in pending:
+                    l = key[1]
+                    done.append((key, p + sum([l if l < x else x for x in parts])))
+                grown = _walk_column(partial, top, height, finishing, [p for _key, p in done],
+                                     lengths)
                 if grown:
-                    yield parts, done, started, grown
+                    yield parts, done, started, lengths, grown
 
-    for branch in depth_first(((), [], [], [((), ())]), spec.n, step):
+    for branch in depth_first(((), [], [], (), [((), ())]), spec.n, step):
         finished = [entry for state in branch for entry in state[1]]
         yield (tuple([state[0] for state in branch[:-1]]), [key for key, _p in finished],
-               [p for _key, p in finished], [row for row, _pending in branch[-1][3]])
+               [p for _key, p in finished], [row for row, _pending in branch[-1][4]])
 
 
 def _riggings(support, vacancies, profiles):

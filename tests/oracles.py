@@ -405,6 +405,14 @@ def partitions_of(total):
     yield from rec(total, total)
 
 
+def partition_table(total):
+    """Each partition of total, in partitions_of's order, with the pairs
+    (length, multiplicity) of its distinct parts, longest first, counted
+    part by part."""
+    return [(parts, tuple(sorted(Counter(parts).items(), reverse=True)))
+            for parts in partitions_of(total)]
+
+
 def oracle_sizes(spec, weight):
     L = oracle_multiplicities(spec)
     sizes = []

@@ -7,11 +7,11 @@ import pytest
 
 from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
-from kostka.crystal import CrystalSpec, Path
-from kostka.paths import enumerate_all_paths, path_polynomial
+from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial, qbinom
-from kostka.rc import RiggedConfiguration, fermionic_polynomial
-from kostka import bijection, rc as rc_layer, rccrystal
+from kostka.rc import RiggedConfiguration, enumerate_rcs, fermionic_polynomial
+from kostka import bijection, crystal, rc as rc_layer, rccrystal
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
 TWO_BOX = {'n': 2, 'factors': [[1, 1], [1, 1]], 'weight': [1, 1]}
@@ -82,6 +82,27 @@ def test_rcs_empty_spec(tmp_path, capsys):
     code, out, _ = run(capsys, ['rcs', '--spec', write(tmp_path, 's.json', EMPTY)])
     assert code == 0
     assert out.splitlines() == ['(empty)  cc=0']
+
+
+@pytest.mark.parametrize('spec', [SPEC43, EMPTY, {'n': 2, 'factors': [[1, 1]], 'weight': [2, 0]}],
+                         ids=['spec43', 'no-factors', 'no-elements'])
+def test_json_listings_are_the_whole_document(tmp_path, capsys, spec):
+    # The listing is written element by element, byte for byte as one
+    # json.dumps of the whole document, the empty listing included.
+    parsed = CrystalSpec.from_json(spec)
+    weight = tuple(spec['weight'])
+    expected = {
+        'paths': [{'path': p.to_json(), 'energy': d}
+                  for p, d in enumerate_paths(parsed, weight)],
+        'rcs': [{'rc': rc.to_json(), 'cocharge': rc.cocharge()}
+                for rc in enumerate_rcs(parsed, weight)],
+    }
+    spec_file = write(tmp_path, 's.json', spec)
+    for command, elements in expected.items():
+        code, out, _ = run(capsys, [command, '--spec', spec_file, '--format', 'json'])
+        assert code == 0
+        assert out == json.dumps({'elements': elements}) + '\n'
+    assert (spec['weight'] == [2, 0]) == (expected == {'paths': [], 'rcs': []})
 
 
 def test_no_witness_budget_limits_a_weight(tmp_path, capsys):
@@ -210,6 +231,49 @@ def test_internal_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ''
     assert err.startswith('internal error: extracted letters')
+
+
+def test_broken_rows_are_internal_errors(tmp_path, capsys, monkeypatch):
+    # rc_to_path with the letters of a one-row factor swapped leaves every
+    # column sound but breaks the row.
+    path = Path(CrystalSpec(2, ((1, 2),)), (RectTableau(((1, 2),), 2),))
+    rc_file = write(tmp_path, 'rc.json', bijection.path_to_rc(path).to_json())
+    real = bijection.extract_letter
+    with monkeypatch.context() as patch:
+        patch.setattr(bijection, 'extract_letter', lambda work: 3 - real(work))
+        code, out, err = run(capsys, ['map', 'phi-inv', '--spec', rc_file])
+    assert (code, out) == (1, '')
+    assert err == 'internal error: extracted columns (2,) and (1,) break the rows\n'
+    assert run(capsys, ['map', 'phi-inv', '--spec', rc_file])[0] == 0
+
+
+def _bracket_reversed(real):
+    # The unmatched letters at the wrong end of the bracketing.
+    return lambda p, i: tuple(ends[::-1] for ends in real(p, i))
+
+
+def _bracket_unmatching(real):
+    # Every letter i and i + 1 unmatched.
+    return lambda p, i: tuple([k for k, x in enumerate(p.word()) if x == y]
+                              for y in (i, i + 1))
+
+
+@pytest.mark.parametrize('fault, operator, rows', [
+    (_bracket_reversed, 'f', [[1, 1]]),
+    (_bracket_reversed, 'e', [[2, 2]]),
+    (_bracket_unmatching, 'f', [[1], [2]]),
+    (_bracket_unmatching, 'e', [[1], [2]]),
+], ids=['right', 'left', 'lower', 'upper'])
+def test_operators_report_a_broken_cell(tmp_path, capsys, monkeypatch, fault, operator, rows):
+    # f and e check the cell they change against each of its neighbours.
+    spec_file = write(tmp_path, 'p.json', {'n': 3, 'factors': [[len(rows), len(rows[0])]],
+                                           'tableaux': [rows]})
+    tableau = '/'.join(''.join(map(str, row)) for row in rows)
+    assert run(capsys, ['op', operator, '1', '--spec', spec_file])[0] == 0
+    monkeypatch.setattr(crystal, '_bracket', fault(crystal._bracket))
+    code, out, err = run(capsys, ['op', operator, '1', '--spec', spec_file])
+    assert (code, out) == (1, '')
+    assert err == f'internal error: {operator}_1 broke the tableau {tableau}\n'
 
 
 def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
@@ -634,6 +698,23 @@ def test_each_crystal_and_statistic_check_has_teeth(monkeypatch, spec, faults, e
     # One fault per statement of check_spec that no other test pins; each
     # must be the first report.  The symmetry statement is left out: only
     # one fault applied alike across every method reaches it.
+    for owner, name, fault in faults:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert cli.check_spec(spec) == expected
+
+
+@pytest.mark.parametrize('faults, expected', [
+    (next(case[2] for case in CHECK_FAULTS if case[0] == 'vacancy-width'),
+     'image mismatch at weight (2, 1)'),
+    ([(rc_layer, '_witness_floor',
+       lambda real: lambda top, below, l: real(top, below, l) + 1)],
+     'image mismatch at weight (0, 3)'),
+], ids=['vacancy-width', 'witness-floor'])
+def test_faults_after_warm_up_are_caught(monkeypatch, faults, expected):
+    # The process-wide tables hold no vacancy number or floor: a fault
+    # injected once they are warm on the same spec is still reported.
+    spec = CrystalSpec(2, ((1, 2), (1, 1)))
+    assert cli.check_spec(spec) is None
     for owner, name, fault in faults:
         monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert cli.check_spec(spec) == expected

@@ -12,14 +12,14 @@ from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
                        _chain_column, _column_counts, _column_heights, _config_cocharge,
-                       _minimal_profiles, _walk_column, _witness_floor, bound_tableaux,
-                       count_bound_tableaux, enumerate_configurations, enumerate_rcs,
-                       fermionic_polynomial, forced_sizes, rc_polynomial)
+                       _minimal_profiles, _partitions_of, _walk_column, _witness_floor,
+                       bound_tableaux, count_bound_tableaux, enumerate_configurations,
+                       enumerate_rcs, fermionic_polynomial, forced_sizes, rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
-                     oracle_rc_polynomial, oracle_sizes, oracle_vacancy, partitions_of,
-                     strings_by_length, subset_fermionic, sweep_rcs,
+                     oracle_rc_polynomial, oracle_sizes, oracle_vacancy, partition_table,
+                     partitions_of, strings_by_length, subset_fermionic, sweep_rcs,
                      unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
@@ -238,8 +238,11 @@ def test_riggable_rows_are_the_listed_rows_within_the_limits(data):
         by_component[a].append((l, limit))
     partial = [((), ())]
     for k in range(1, n + 1):
-        partial = _walk_column(partial, heights[k - 1], heights[k], by_component[k - 1],
-                               [l for l, _limit in by_component[k]])
+        finishing = by_component[k - 1]
+        partial = _walk_column(partial, heights[k - 1], heights[k],
+                               tuple([l for l, _limit in finishing]),
+                               [limit for _l, limit in finishing],
+                               tuple([l for l, _limit in by_component[k]]))
         assert len(partial) == len(set(partial))
     # The walk keeps exactly the rows of listed tableaux within the limits
     # with no other such row pointwise below them.
@@ -743,6 +746,22 @@ def test_configurations_come_in_decreasing_order_on_the_sweep():
         for weight in _compositions(spec.total_boxes(), spec.n):
             parts = [config[0] for config in enumerate_configurations(spec, weight)]
             assert all(x > y for x, y in zip(parts, parts[1:])), (spec, weight)
+
+
+def test_partition_table_matches_the_oracle():
+    # The same partitions and groups, in the same order, at every size.
+    for size in range(16):
+        assert _partitions_of(size) == tuple(partition_table(size)), size
+
+
+def test_builder_output_does_not_depend_on_the_partition_table():
+    spec, weight = CrystalSpec(7, ((3, 2), (4, 1), (2, 2))), (2,) * 7
+    _partitions_of.cache_clear()
+    cold = list(enumerate_configurations(spec, weight))
+    entries = _partitions_of.cache_info().currsize
+    warm = list(enumerate_configurations(spec, weight))
+    assert _partitions_of.cache_info().currsize == entries > 0
+    assert len(cold) == 526 and warm == cold
 
 
 @pytest.mark.parametrize('weight', [(1,) + (0,) * 999, (0,) * 999 + (1,)])

@@ -97,3 +97,35 @@ def test_only_bounded_functions_call_themselves():
     for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
         visit(ast.parse(source.read_text(), filename=str(source)), '', source)
     assert found == expected
+
+
+def test_process_wide_caches_are_declared():
+    # Module memos live for the whole process.  These are the functions
+    # behind @cache or @lru_cache, each with what bounds its entries; a
+    # new one is a declared change.
+    expected = [
+        'crystal.py enumerate_crystal',   # one tuple per (height, width, alphabet) met
+        'plactic.py _rmatrix_table',      # one table per pair of shapes met on one alphabet
+        'plactic.py local_energy',        # one int per pair of tableaux met, inside those crystals
+        'plactic.py rmatrix',             # one pair per pair of tableaux met, inside those crystals
+        'qpoly.py qbinom',                # one polynomial per (multiplicity, gap) met
+        'rc.py _column_counts',           # one tuple per witness column and its part lengths
+        'rc.py _partitions_of',           # the partitions of each size met, no vacancy number
+        'rc.py spec_vacancy',             # one int per public RiggedConfiguration.vacancy lookup
+    ]
+
+    def is_cache(decorator):
+        # @cache, @lru_cache(...) and @functools.cache alike.
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(
+            decorator, 'id', None)
+        return name in ('cache', 'lru_cache')
+
+    found = []
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        found += sorted(f'{source.name} {node.name}' for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(map(is_cache, node.decorator_list)))
+    assert found == expected
