@@ -1,7 +1,9 @@
 """Unrestricted rigged configurations.
 
 A configuration is a sequence of partitions nu^(1), ..., nu^(n-1) whose
-sizes are forced by the tensor factors and the weight.  Each part
+sizes are forced by the tensor factors and the weight; one rule,
+_config_sizes, gives them (or None when no configuration has them) to
+both the constructor and the builder.  Each part
 carries an integer label (rigging); a label may go as low as a bound
 read off a witness tableau and as high as the vacancy number of its
 part length.  One witness tableau must serve every string of the
@@ -49,23 +51,6 @@ from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
-
-
-def forced_sizes(spec: CrystalSpec, weight) -> list[int]:
-    """Required size of each component partition, indices a = 1..n-1.
-
-    Entry a-1 holds c_a of _column_heights minus the boxes the factors
-    place above level a.  The weight is checked here; the builder and
-    RiggedConfiguration check theirs once and read the sizes off their
-    one heights list (_sizes_from).
-    """
-    return _sizes_from(spec, _column_heights(spec.check_weight(weight)))
-
-
-def _sizes_from(spec: CrystalSpec, heights) -> list[int]:
-    """forced_sizes read off the _column_heights of a checked weight."""
-    return [heights[a] - sum([s * (r - a) for r, s in spec.factors if r > a])
-            for a in range(1, spec.n)]
 
 
 def component_vacancy(factors, padded, a: int, i: int) -> int:
@@ -346,8 +331,8 @@ class RiggedConfiguration:
     Strings are kept sorted by decreasing length, then decreasing
     rigging, so equality is multiset equality.  The constructor refuses
     lengths and riggings that are not ints, and component sizes other
-    than forced_sizes, so admissibility is a condition on the riggings
-    alone.
+    than the ones the weight forces (_config_sizes), so admissibility is
+    a condition on the riggings alone.
     """
 
     spec: CrystalSpec
@@ -482,11 +467,16 @@ def _partitions_of(total: int) -> tuple:
 
 
 def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...], heights):
-    """forced_sizes of a checked weight, read off its _column_heights, or
-    None when no configuration has them."""
+    """The size of each component nu^(1), ..., nu^(n-1) of a checked
+    weight, or None when no configuration has them: entry a-1 holds c_a
+    of its _column_heights minus the boxes the factors place above level
+    a, and the weight must have the factors' total and leave no size
+    negative.  The one rule for the sizes; RiggedConfiguration and the
+    builder each pass the heights list they read everything else off."""
     if sum(weight) != spec.total_boxes():
         return None
-    sizes = _sizes_from(spec, heights)
+    sizes = [heights[a] - sum([s * (r - a) for r, s in spec.factors if r > a])
+             for a in range(1, spec.n)]
     return None if any(sz < 0 for sz in sizes) else sizes
 
 

@@ -611,6 +611,39 @@ def in_support(spec, weight):
         x <= y for x, y in zip(accumulate(mu), accumulate(top)))
 
 
+@cache
+def rectangle_weights(n, r, s):
+    """The weight multiset of the crystal of (s^r) tableaux over 1..n, from
+    its columns: s strictly increasing r-subsets, each weakly below the
+    next entry by entry, listed with no tableau or crystal code."""
+    weights = Counter()
+    for cols in iproduct(combinations(range(n), r), repeat=s):
+        if all(x <= y for left, right in zip(cols, cols[1:]) for x, y in zip(left, right)):
+            w = [0] * n
+            for col in cols:
+                for x in col:
+                    w[x] += 1
+            weights[tuple(w)] += 1
+    return weights
+
+
+def weight_count(spec, weight):
+    """The number of paths of the weight, q = 1 of all three methods: the
+    factors' weight multisets convolved left to right, each partial sum cut
+    to the weights at most the target entry by entry."""
+    weight = tuple(weight)
+    partial = Counter({(0,) * spec.n: 1})
+    for r, s in spec.factors:
+        grown = Counter()
+        for w, count in partial.items():
+            for v, times in rectangle_weights(spec.n, r, s).items():
+                u = tuple([x + y for x, y in zip(w, v)])
+                if all(x <= y for x, y in zip(u, weight)):
+                    grown[u] += count * times
+        partial = grown
+    return partial[weight]
+
+
 def oracle_rc_polynomial(spec, weight):
     """Sum of q^cocharge over the rigged configurations of the weight,
     configuration by configuration."""

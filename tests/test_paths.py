@@ -12,7 +12,8 @@ from kostka.plactic import tail_energy
 from kostka.qpoly import QPolynomial
 from kostka.rc import fermionic_polynomial, rc_polynomial
 
-from oracles import N6_SPEC, in_support, macmahon_polynomial, oracle_path_polynomial
+from oracles import (N5_SPECS, N6_SPEC, in_support, macmahon_polynomial, oracle_path_polynomial,
+                     weight_count)
 
 
 def test_two_box_weights():
@@ -125,6 +126,23 @@ def test_path_polynomial_counts_at_one():
     total = sum(path_polynomial(spec, w)(1)
                 for w in {p.weight() for p in everything})
     assert total == len(everything)
+
+
+def test_every_method_counts_the_weight_convolution_at_one():
+    # At q = 1 each method counts the paths of the weight, which the
+    # convolution of the factors' weight multisets counts with no code of
+    # theirs.
+    cases = [(spec, weight) for spec in sweep_specs(4, 4)
+             for weight in _compositions(spec.total_boxes(), spec.n)]
+    assert len(cases) == 1142
+    cases += [*N5_SPECS, (N6_SPEC, (3, 2, 2, 2, 2, 2))]
+    counts = []
+    for spec, weight in cases:
+        count = weight_count(spec, weight)
+        for method in (path_polynomial, rc_polynomial, fermionic_polynomial):
+            assert method(spec, weight)(1) == count, (spec, weight, method.__name__)
+        counts.append(count)
+    assert counts[-3:] == [870, 3, 935]
 
 
 def test_enumerated_paths_skip_the_constructor_checks(monkeypatch):

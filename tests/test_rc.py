@@ -12,9 +12,10 @@ from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
                        _chain_column, _column_counts, _column_heights, _config_cocharge,
-                       _minimal_profiles, _partitions_of, _walk_column, _witness_floor,
-                       bound_tableaux, count_bound_tableaux, enumerate_configurations,
-                       enumerate_rcs, fermionic_polynomial, forced_sizes, rc_polynomial)
+                       _config_sizes, _minimal_profiles, _partitions_of, _walk_column,
+                       _witness_floor, bound_tableaux, count_bound_tableaux,
+                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
+                       rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
@@ -27,21 +28,36 @@ SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
                              (((3, -2), (1, 0)), ((2, 0),), ((1, -1),)))
 
 
+def forced_sizes(spec, weight):
+    return _config_sizes(spec, weight, _column_heights(weight))
+
+
 def test_forced_sizes():
     spec = CrystalSpec(6, ((1, 1), (2, 1), (2, 3)))
     assert forced_sizes(spec, (2, 2, 2, 1, 1, 1)) == [3, 5, 3, 2, 1]
     assert forced_sizes(SIX_BOXES, (2, 2, 1, 1)) == [4, 2, 1]
+    # No configuration has a negative size or another number of boxes.
+    assert forced_sizes(SIX_BOXES, (6, 0, 0, 0)) == [0, 0, 0]
+    assert forced_sizes(spec, (9, 0, 0, 0, 0, 0)) is None
+    assert forced_sizes(SIX_BOXES, (2, 2, 1, 0)) is None
 
 
 def test_forced_sizes_match_the_oracle_on_the_sweep():
-    # forced_sizes reads c_a off _column_heights; the oracle sums the
-    # weight and the factor multiplicities itself.
-    checked = mismatched = 0
+    # _config_sizes reads c_a off _column_heights; the oracle sums the
+    # weight and the factor multiplicities itself.  They agree where the
+    # oracle leaves no size negative, and no configuration has the others.
+    checked = mismatched = refused = 0
     for spec in sweep_specs(4, 5):
         for weight in _compositions(spec.total_boxes(), spec.n):
+            oracle = oracle_sizes(spec, weight)
             checked += 1
-            mismatched += forced_sizes(spec, weight) != oracle_sizes(spec, weight)
+            if min(oracle) < 0:
+                refused += 1
+                mismatched += forced_sizes(spec, weight) is not None
+            else:
+                mismatched += forced_sizes(spec, weight) != oracle
     assert (checked, mismatched) == (4171, 0)
+    assert refused > 0
 
 
 def test_vacancy_goldens():
@@ -62,7 +78,7 @@ def test_vacancy_validation():
             SIX_RC.vacancy(a, i)
 
 
-def test_stable_vacancy_is_the_weight_gap():
+def test_vacancy_past_every_length_is_the_weight_gap():
     # With the forced sizes, the vacancy number of component a at a length
     # past every part and every factor width is mu_a - mu_(a+1), the
     # closed form rccrystal.phi reads.  Below that length every vacancy
@@ -368,7 +384,6 @@ def test_admissibility_reads_only_the_riggings(monkeypatch):
         raise AssertionError('is_admissible read the forced sizes')
 
     monkeypatch.setattr('kostka.rc._config_sizes', refuse)
-    monkeypatch.setattr('kostka.rc.forced_sizes', refuse)
     verdicts = Counter()
     for variant in variants:
         expected = first_witness(variant) is not None
@@ -475,7 +490,7 @@ def test_rejects_bad_strings():
 
 
 @pytest.mark.parametrize('compute', [enumerate_paths, path_polynomial, enumerate_rcs,
-                                     rc_polynomial, fermionic_polynomial, forced_sizes])
+                                     rc_polynomial, fermionic_polynomial])
 @pytest.mark.parametrize('weight, message', [
     ((1, 1), 'length 3'), ((1, 1, 0, 0), 'length 3'),
     ((3, 0, -1), 'nonnegative'), ((1.0, 1, 0), 'integers'),
@@ -568,7 +583,7 @@ def _riggable_profiles(spec, weight):
             yield parts, vacancies, riggable
 
 
-def test_bound_profiles_are_the_riggable_ones():
+def test_builder_profiles_are_the_minimal_riggable_ones():
     # Exactly the distinct riggable profiles (no bound above its vacancy
     # number) that no other riggable profile lies pointwise below: none
     # above a vacancy number, none dropped that meets one, none dominated.

@@ -129,3 +129,24 @@ def test_process_wide_caches_are_declared():
                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and any(map(is_cache, node.decorator_list)))
     assert found == expected
+
+
+def test_public_names_are_declared():
+    # The top-level namespace: the paper's objects and the maps and
+    # polynomials on them.  A name kept only for a reader outside the
+    # package says which; a new export is a declared change.  The
+    # bijection's steps are public in kostka.bijection, not here.
+    expected = [
+        'CrystalSpec', 'Path', 'RectTableau', 'enumerate_crystal',
+        'enumerate_all_paths', 'enumerate_paths', 'path_polynomial',
+        'local_energy', 'product', 'rmatrix', 'tail_energy',
+        'QPolynomial', 'qbinom',
+        'RiggedConfiguration', 'enumerate_rcs', 'fermionic_polynomial', 'rc_polynomial',
+        'path_to_rc', 'rc_to_path', 'rccrystal',
+        'LowerBoundTableau',      # the witness tableaux of acceptance criterion 3 (README)
+        'bound_tableaux',         # lists them under the budget the README documents
+        'count_bound_tableaux',   # counts them for perfbench/run.py and its tests
+    ]
+    assert sorted(kostka.__all__) == sorted(expected)
+    assert len(set(expected)) == len(expected)
+    assert [name for name in expected if not hasattr(kostka, name)] == []
