@@ -14,8 +14,12 @@ polynomials read that one list.  `paths` prints the energies that
 
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
-2 on bad input.  `check` reports any exception inside one spec's checks
-as that spec's internal error and goes on.  No subcommand builds the
+2 on bad input, which includes every value that the readers
+(`from_json`, `check_weight`, `json_index`) refuse with a ValueError
+naming its field.  A TypeError or KeyError is never read as bad input,
+so outside `check` one raised by a defect ends the command with a
+traceback.  `check` reports any exception inside one spec's checks as
+that spec's internal error and goes on.  No subcommand builds the
 witness-tableau set, so none takes a budget for it.
 """
 
@@ -29,7 +33,7 @@ from collections import Counter
 
 from . import rccrystal
 from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
-from .crystal import CrystalSpec, Path, depth_first, json_index, json_ints
+from .crystal import CrystalSpec, Path, depth_first, json_field, json_index, json_ints, json_list
 from .errors import InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
@@ -69,8 +73,8 @@ def _spec_and_weight(data) -> tuple[CrystalSpec, tuple[int, ...]]:
         raise InputError('spec must be a JSON object')
     try:
         spec = CrystalSpec.from_json(data)
-        weight = tuple(json_ints(data['weight']))
-    except (KeyError, TypeError, ValueError) as exc:
+        weight = json_list(json_ints(json_field(data, 'weight')), 'weight')
+    except ValueError as exc:
         raise InputError(f'bad spec: {exc}')
     try:
         return spec, spec.check_weight(weight)
@@ -86,7 +90,7 @@ def _parse_element(data):
         raise InputError("element needs a 'tableaux' or 'nu' field")
     try:
         element = (Path if 'tableaux' in data else RiggedConfiguration).from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f'bad element: {exc}')
     if isinstance(element, RiggedConfiguration) and not element.is_admissible():
         raise InputError('configuration is not admissible')
@@ -233,51 +237,44 @@ def check_spec(spec: CrystalSpec) -> str | None:
 
     phi-inverse undoing phi makes phi injective.  f and e commuting with
     phi, with phi_a and epsilon_a equal across it, also fix how often f
-    and e apply.  The per-weight image check runs first, so the per-path
-    pass sees each configuration once.  Each weight's configurations are
-    built once, into one list that the image check and the rc-side
-    methods read."""
+    and e apply.  Each path is recorded once, as its image, and under its
+    weight as the pair (image, tail energy).  The per-weight image check
+    runs first, so the per-path pass sees each configuration once; it
+    compares the images with the weight's configurations as sets, in no
+    order.  Each weight's configurations are built once, into one list
+    that the image check and the rc-side methods read."""
     n = spec.n
-    all_paths = enumerate_all_paths(spec)
     images: dict[Path, RiggedConfiguration] = {}
-    energies: dict[Path, int] = {}
-    by_weight: dict[tuple[int, ...], list[Path]] = {}
-    for p in all_paths:
+    by_weight: dict[tuple[int, ...], list[tuple[RiggedConfiguration, int]]] = {}
+    for p in enumerate_all_paths(spec):
         rc = images[p] = path_to_rc(p)
         if rc_to_path(rc) != p:
             return f'inverse map failed on {p}'
-        energies[p] = tail_energy(p)
-        if energies[p] != rc.cocharge():
-            return f'energy {energies[p]} != cocharge {rc.cocharge()} on {p}'
-        by_weight.setdefault(p.weight(), []).append(p)
+        energy = tail_energy(p)
+        if energy != rc.cocharge():
+            return f'energy {energy} != cocharge {rc.cocharge()} on {p}'
+        by_weight.setdefault(p.weight(), []).append((rc, energy))
 
     class_poly: dict[tuple[int, ...], tuple[tuple[int, ...], QPolynomial]] = {}
     for weight in _compositions(spec.total_boxes(), n):
         group = by_weight.get(weight, [])
         configs = configuration_list(spec, weight)
         rcs = _rcs_from(spec, weight, configs())
-        if len(rcs) != len(group) or {images[p] for p in group} != set(rcs):
+        if len(rcs) != len(group) or {rc for rc, _energy in group} != set(rcs):
             return f'image mismatch at weight {weight}'
-        x = QPolynomial(Counter(energies[p] for p in group))
+        x = QPolynomial(Counter(energy for _rc, energy in group))
         polys = {name: method(spec, weight, configs) for name, method in METHODS.items()}
         if any(poly != x for poly in polys.values()):
             detail = ', '.join(f'{name}={poly}' for name, poly in polys.items())
             return (f'polynomials disagree at weight {weight}: '
                     f'elements={x}, {detail}')
-
-        key = tuple(sorted(weight))
-        if key in class_poly:
-            other_weight, other = class_poly[key]
-            if other != x:
-                return (f'symmetry broken between weights {other_weight} '
-                        f'and {weight}')
-        else:
-            class_poly[key] = (weight, x)
+        other_weight, other = class_poly.setdefault(tuple(sorted(weight)), (weight, x))
+        if other != x:
+            return f'symmetry broken between weights {other_weight} and {weight}'
 
     # Looked up per call, so wrappers installed after import are called.
     moves = (('lowering', Path.f, rccrystal.f), ('raising', Path.e, rccrystal.e))
-    for p in all_paths:
-        rc = images[p]
+    for p, rc in images.items():
         for a in range(1, n):
             for name, path_op, rc_op in moves:
                 moved, rc_moved = path_op(p, a), rc_op(rc, a)

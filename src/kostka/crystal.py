@@ -19,9 +19,12 @@ since the energy layer keys its memos and transfer-matrix states by
 tableaux; its size is read from `shape` alone, and the hash is the one
 the dataclass would compute, hash((rows, n)).
 Input is checked at the boundaries: the constructors and `from_json`
-run every check.  Objects the package builds from checked ones skip
-them through a `_trusted` constructor: `Path._trusted` for enumerated
-and operated paths, `RectTableau._trusted` for the tableaux that the
+run every check, and `from_json` refuses a missing field (json_field) or
+a value of the wrong shape (json_list) with a ValueError naming the
+field, so a TypeError or KeyError on the way in is a defect, never bad
+input.  Objects the package builds from checked ones skip them through
+a `_trusted` constructor: `Path._trusted` for enumerated and operated
+paths, `RectTableau._trusted` for the tableaux that the
 operators and rc_to_path build and check themselves, `CrystalSpec._trusted`
 for the specs the bijection's splits and merges make from a checked
 spec's factors, and, in `rc`, `RiggedConfiguration._trusted`.  The CLI
@@ -65,6 +68,25 @@ def json_ints(value):
     if isinstance(value, (list, tuple)):
         return tuple(map(json_ints, value))
     return json_int(value)
+
+
+def json_field(data, key: str):
+    """data[key], or a ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"missing field '{key}'")
+    return data[key]
+
+
+def json_list(value, noun: str, item: str | None = None):
+    """value if it is a list or a tuple, and, when item names its entries,
+    each of them a list or tuple of two; any other shape is a ValueError
+    naming noun or item."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f'{noun} must be a list')
+    if item is not None and any(not isinstance(x, (list, tuple)) or len(x) != 2
+                                for x in value):
+        raise ValueError(f'each {item} must be a pair')
+    return value
 
 
 def check_weight_entries(weight) -> tuple[int, ...]:
@@ -153,7 +175,10 @@ class RectTableau:
 
     @classmethod
     def from_json(cls, data, n: int) -> 'RectTableau':
-        return cls(json_ints(data), n)
+        rows = json_list(json_ints(data), 'tableau')
+        for row in rows:
+            json_list(row, 'tableau row')
+        return cls(rows, n)
 
     def __str__(self):
         return '/'.join(''.join(str(x) for x in row) for row in self.rows)
@@ -201,7 +226,8 @@ class CrystalSpec:
 
     @classmethod
     def from_json(cls, data) -> 'CrystalSpec':
-        return cls(json_ints(data['n']), json_ints(data['factors']))
+        return cls(json_ints(json_field(data, 'n')),
+                   json_list(json_ints(json_field(data, 'factors')), 'factors', 'factor'))
 
 
 @dataclass(frozen=True)
@@ -264,7 +290,8 @@ class Path:
     @classmethod
     def from_json(cls, data) -> 'Path':
         spec = CrystalSpec.from_json(data)
-        tabs = tuple(RectTableau.from_json(t, spec.n) for t in data['tableaux'])
+        tabs = tuple(RectTableau.from_json(t, spec.n)
+                     for t in json_list(json_field(data, 'tableaux'), 'tableaux'))
         return cls(spec, tabs)
 
     def __str__(self):

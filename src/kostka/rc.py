@@ -28,7 +28,8 @@ inclusion-exclusion over the same boxes, and multiplies the q-binomials
 of each distinct (pairs, shift) key once (fermionic_polynomial).
 
 The listing and both polynomials are each a function of the builder's
-output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`).
+output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`);
+only `enumerate_rcs` orders the listing, by strings.
 `enumerate_rcs`, `rc_polynomial` and `fermionic_polynomial` run each
 over a fresh builder pass; `configuration_list` builds one weight's
 configurations once, so that a caller needing several of them, such as
@@ -45,8 +46,8 @@ from itertools import accumulate, combinations, combinations_with_replacement, p
 from math import comb, prod
 from operator import le
 
-from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_index, json_int,
-                      json_ints)
+from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_field, json_index,
+                      json_int, json_ints, json_list)
 from .errors import BudgetError
 from .qpoly import QPolynomial, qbinom
 
@@ -427,8 +428,12 @@ class RiggedConfiguration:
 
     @classmethod
     def from_json(cls, data) -> 'RiggedConfiguration':
-        return cls(CrystalSpec.from_json(data), json_ints(data['weight']),
-                   json_ints(data['nu']))
+        spec = CrystalSpec.from_json(data)
+        weight = json_list(json_ints(json_field(data, 'weight')), 'weight')
+        nu = json_list(json_ints(json_field(data, 'nu')), 'nu')
+        for comp in nu:
+            json_list(comp, 'nu component', 'nu string')
+        return cls(spec, weight, nu)
 
     def __str__(self):
         if not any(self.strings):
@@ -613,7 +618,8 @@ def configuration_list(spec: CrystalSpec, weight):
 
 
 def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
-    """The complete set of rigged configurations, in a fixed order.
+    """The complete set of rigged configurations, ordered by strings, the
+    order `kostka rcs` prints.
 
     For each configuration, rigging assignments are enumerated inside
     the box [bound, vacancy] of each of its minimal riggable witness
@@ -625,12 +631,14 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     prefix that has none, are never built: they admit no rigging.
     """
     weight = spec.check_weight(weight)
-    return _rcs_from(spec, weight, enumerate_configurations(spec, weight))
+    return sorted(_rcs_from(spec, weight, enumerate_configurations(spec, weight)),
+                  key=lambda rc: rc.strings)
 
 
 def _rcs_from(spec: CrystalSpec, weight: tuple, configs) -> list[RiggedConfiguration]:
-    """enumerate_rcs of a checked weight tuple, read off configs, the
-    output of enumerate_configurations(spec, weight)."""
+    """The rigged configurations of a checked weight tuple, each once and
+    in no set order, read off configs, the output of
+    enumerate_configurations(spec, weight)."""
     out: list[RiggedConfiguration] = []
     for _parts, support, vacancies, profiles in configs:
         for assignment in _riggings(support, vacancies, profiles):
@@ -638,7 +646,6 @@ def _rcs_from(spec: CrystalSpec, weight: tuple, configs) -> list[RiggedConfigura
             for (a, l, _m), riggings in zip(support, assignment):
                 comps[a - 1].extend((l, x) for x in riggings)
             out.append(RiggedConfiguration._trusted(spec, weight, comps))
-    out.sort(key=lambda rc: rc.strings)
     return out
 
 

@@ -288,19 +288,19 @@ def colabel_rebuild(rc, a, sel_index, new_sel, new_weight):
     its colabel, vacancy number less rigging, is what it was."""
     n = rc.n
     L = oracle_multiplicities(rc.spec)
+    partitions = rc.partitions
     colabels = []
     for b in range(1, n):
-        comp = []
-        for idx, (l, x) in enumerate(rc.strings[b - 1]):
-            if b == a and idx == sel_index:
-                continue
-            comp.append((l, oracle_vacancy(rc.partitions, L, n, b, l) - x))
-        colabels.append(comp)
+        vacancy = {l: oracle_vacancy(partitions, L, n, b, l) for l in set(partitions[b - 1])}
+        colabels.append([(l, vacancy[l] - x) for idx, (l, x) in enumerate(rc.strings[b - 1])
+                         if b != a or idx != sel_index])
     new_parts = [[l for l, _ in comp] for comp in colabels]
     if new_sel is not None:
         new_parts[a - 1].append(new_sel[0])
-    strings = [[(l, oracle_vacancy(new_parts, L, n, b, l) - colabel) for l, colabel in comp]
-               for b, comp in enumerate(colabels, start=1)]
+    strings = []
+    for b, comp in enumerate(colabels, start=1):
+        vacancy = {l: oracle_vacancy(new_parts, L, n, b, l) for l in set(new_parts[b - 1])}
+        strings.append([(l, vacancy[l] - colabel) for l, colabel in comp])
     if new_sel is not None:
         strings[a - 1].append(new_sel)
     return RiggedConfiguration(rc.spec, tuple(new_weight), tuple(map(tuple, strings)))
@@ -360,13 +360,14 @@ def first_witness(rc):
     """The first witness tableau, in enumeration order, that bounds every
     rigging from below, or None: every tableau of the witness set is
     tested on every string, after the size and vacancy checks."""
-    spec, weight, n = rc.spec, rc.weight, rc.n
+    spec, weight, n, partitions = rc.spec, rc.weight, rc.n, rc.partitions
     if sum(weight) != spec.total_boxes() or \
-            [sum(p) for p in rc.partitions] != oracle_sizes(spec, weight):
+            [sum(p) for p in partitions] != oracle_sizes(spec, weight):
         return None
     L = oracle_multiplicities(spec)
     strings = [(a, l, x) for a in range(1, n) for l, x in rc.strings[a - 1]]
-    vacancies = {(a, l): oracle_vacancy(rc.partitions, L, n, a, l) for a, l, _x in strings}
+    vacancies = {(a, l): oracle_vacancy(partitions, L, n, a, l)
+                 for a, l in {(a, l) for a, l, _x in strings}}
     if any(x > vacancies[a, l] for a, l, x in strings):
         return None
     tableaux = _witnesses(weight)

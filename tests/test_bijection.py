@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from kostka import bijection, cli, rccrystal
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc, path_to_rc, peel_box_rc,
                               peel_column_rc, rc_to_path)
-from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
 from kostka.errors import InvariantError
 from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import rmatrix, tail_energy
@@ -216,6 +217,48 @@ def test_operators_commute_with_the_bijection_at_n6():
             for moved, image in ((p.f(a), rccrystal.f(rc, a)),
                                  (p.e(a), rccrystal.e(rc, a))):
                 assert image == (None if moved is None else path_to_rc(moved)), (p, a)
+
+
+# Specs past the exhaustive sweeps, with the paths drawn from each.
+LARGE_N_SPECS = [
+    (CrystalSpec(10, ((2, 1), (1, 2), (3, 1), (1, 1), (2, 2))), 24),
+    (CrystalSpec(15, ((2, 1), (1, 3), (3, 1), (1, 2))), 24),
+    (CrystalSpec(20, ((1, 2), (2, 1), (1, 1), (3, 1), (1, 2))), 24),
+    (CrystalSpec(12, ((2, 2),) * 3), 24),
+]
+
+
+def test_bijection_facts_on_sampled_paths_at_n10_to_20():
+    # Each factor's tableau is drawn uniformly from its crystal, so the
+    # paths are uniform over the whole product but not within a weight.
+    # Energy is compared with cocharge only on the spec of equal shapes:
+    # each new pair of shapes builds a full R-matrix table, too slow here.
+    rng = random.Random(20)
+    checked = 0
+    for spec, count in LARGE_N_SPECS:
+        n = spec.n
+        crystals = [enumerate_crystal(r, s, n) for r, s in spec.factors]
+        for _ in range(count):
+            p = Path(spec, tuple(rng.choice(crystal) for crystal in crystals))
+            rc = path_to_rc(p)
+            assert rc.is_admissible(), p
+            assert rc_to_path(rc) == p and path_to_rc(rc_to_path(rc)) == rc, p
+            for a in range(1, n):
+                for moved, image in ((p.f(a), rccrystal.f(rc, a)),
+                                     (p.e(a), rccrystal.e(rc, a))):
+                    assert image == (None if moved is None else path_to_rc(moved)), (p, a)
+                assert p.phi(a) == rccrystal.phi(rc, a), (p, a)
+                assert p.epsilon(a) == rccrystal.epsilon(rc, a), (p, a)
+            # The letter round trips of cli.check_spec, on one state.
+            work = Working(rc)
+            for letter in range(1, n + 1):
+                insert_letter(work, letter)
+                assert work.freeze().is_admissible(), (p, letter)
+                assert extract_letter(work) == letter and work.freeze() == rc, (p, letter)
+            if len(set(spec.factors)) == 1:
+                assert tail_energy(p) == rc.cocharge(), p
+            checked += 1
+    assert checked == 96
 
 
 def test_extract_letter_goldens():

@@ -284,6 +284,80 @@ def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
         main(['map', 'phi', '--spec', write(tmp_path, 'b.json', EXB_PATH_JSON)])
 
 
+def test_a_defect_inside_a_constructor_is_not_bad_input(tmp_path, monkeypatch):
+    # Only ValueError reads as bad input, so a TypeError or KeyError raised
+    # by the package itself ends the command with a traceback.
+    def sizes_defect(*args):
+        raise TypeError('defect inside _config_sizes')
+
+    def tableau_defect(self):
+        raise KeyError('defect inside RectTableau')
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rc_layer, '_config_sizes', sizes_defect)
+        with pytest.raises(TypeError, match='defect inside _config_sizes'):
+            main(['map', 'phi-inv', '--spec', write(tmp_path, 'r.json', EXB_RC_JSON)])
+    with monkeypatch.context() as patch:
+        patch.setattr(RectTableau, '__post_init__', tableau_defect)
+        with pytest.raises(KeyError, match='defect inside RectTableau'):
+            main(['map', 'phi', '--spec', write(tmp_path, 'p.json', EXB_PATH_JSON)])
+
+
+DROP = object()
+
+# (arguments, input, key path into it, value put there or DROP to remove
+# the key, message after 'error: bad spec: ' or 'error: bad element: ')
+MALFORMED_SHAPES = [
+    (['poly'], SPEC43, ('n',), DROP, "missing field 'n'"),
+    (['poly'], SPEC43, ('factors',), DROP, "missing field 'factors'"),
+    (['poly'], SPEC43, ('weight',), DROP, "missing field 'weight'"),
+    (['poly'], SPEC43, ('factors',), 2, 'factors must be a list'),
+    (['poly'], SPEC43, ('factors', 0), [2], 'each factor must be a pair'),
+    (['poly'], SPEC43, ('factors', 1), 2, 'each factor must be a pair'),
+    (['poly'], SPEC43, ('weight',), 210, 'weight must be a list'),
+    (['map', 'phi'], EXB_PATH_JSON, ('tableaux',), 3, 'tableaux must be a list'),
+    (['map', 'phi'], EXB_PATH_JSON, ('tableaux', 0), 3, 'tableau must be a list'),
+    (['map', 'phi'], EXB_PATH_JSON, ('tableaux', 1, 0), 1, 'tableau row must be a list'),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('weight',), DROP, "missing field 'weight'"),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('weight',), 9, 'weight must be a list'),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu',), 3, 'nu must be a list'),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu', 2), 3, 'nu component must be a list'),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu', 0, 1), [1], 'each nu string must be a pair'),
+    (['map', 'phi-inv'], EXB_RC_JSON, ('nu', 0, 1), 1, 'each nu string must be a pair'),
+]
+
+
+@pytest.mark.parametrize('argv, data, slot, value, message', MALFORMED_SHAPES,
+                         ids=[f'{argv[-1]}: {message}'
+                              for argv, *_rest, message in MALFORMED_SHAPES])
+def test_each_malformed_shape_names_its_field(tmp_path, capsys, argv, data, slot, value,
+                                              message):
+    data = json.loads(json.dumps(data))
+    *outer, last = slot
+    target = data
+    for key in outer:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    code, out, err = run(capsys, argv + ['--spec', write(tmp_path, 'x.json', data)])
+    kind = 'element' if argv[0] == 'map' else 'spec'
+    assert (code, out, err) == (2, '', f'error: bad {kind}: {message}\n')
+
+
+def test_readers_name_a_missing_field_and_take_tuples():
+    # The CLI tells the kinds apart by these fields, so only a direct call
+    # can leave them out.
+    for cls, data, key in ((Path, EXB_PATH_JSON, 'tableaux'),
+                           (RiggedConfiguration, EXB_RC_JSON, 'nu')):
+        with pytest.raises(ValueError, match=f"^missing field '{key}'$"):
+            cls.from_json({k: v for k, v in data.items() if k != key})
+        # perfbench builds its inputs from tuples where JSON has lists.
+        as_tuples = {k: crystal.json_ints(v) for k, v in data.items()}
+        assert cls.from_json(as_tuples) == cls.from_json(data)
+
+
 def test_map_text_format(tmp_path, capsys):
     code, out, _ = run(capsys, ['map', 'phi', '--spec',
                                 write(tmp_path, 'b.json', EXB_PATH_JSON),

@@ -150,3 +150,18 @@ def test_public_names_are_declared():
     assert sorted(kostka.__all__) == sorted(expected)
     assert len(set(expected)) == len(expected)
     assert [name for name in expected if not hasattr(kostka, name)] == []
+
+
+def test_cli_catches_no_type_or_key_error():
+    # The readers refuse malformed input with a ValueError, so only a defect
+    # raises TypeError or KeyError; catching either would report it as bad
+    # input.
+    source = Path(kostka.__file__).parent / 'cli.py'
+    tree = ast.parse(source.read_text(), filename=str(source))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [f'cli.py:{node.lineno} {name.id}' for name in names
+                      if isinstance(name, ast.Name) and name.id in ('TypeError', 'KeyError')]
+    assert found == []
