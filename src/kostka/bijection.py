@@ -11,7 +11,14 @@ place and build one RiggedConfiguration; the tests exercise the recursion.
 All selection rules measure singularity (rigging equal to vacancy
 number) in the configuration as it is *before* the step; freshly
 changed strings are re-rigged against the configuration *after* the
-step, while untouched strings keep their riggings verbatim.
+step, while untouched strings keep their riggings verbatim.  A letter
+step picks each component's string in one pass over its strings,
+keeping the pick so far: it reads a vacancy number (component_vacancy,
+the package's one vacancy rule) only for a string whose length can
+still beat the pick, and a string of the pick's own length is singular
+exactly when its rigging equals the pick's, so a tie costs no vacancy
+number.  Ties go to the lowest index in extraction and to the highest in
+insertion.  The merges list their blocking strings with Working.singular.
 
 Objects are checked at the boundaries.  The maps take a checked path or
 configuration, and what the steps build from it skips the constructor
@@ -25,6 +32,8 @@ decrease and that each row's letters weakly increase.
 """
 
 from __future__ import annotations
+
+from operator import gt, le
 
 from .crystal import CrystalSpec, Path, RectTableau, json_index
 from .errors import InvariantError
@@ -58,7 +67,10 @@ class Working:
         return component_vacancy(self.factors, self.lengths, a, i)
 
     def singular(self, a: int, low, high) -> list[tuple[int, int]]:
-        """(length, index) of each singular string of component a, length in low..high."""
+        """(length, index) of each singular string of component a, length in
+        low..high.  The merges read it, and the tests' listed letter steps
+        (oracles) check the one-pass picks of extract_letter and
+        insert_letter against it."""
         factors, lengths = self.factors, self.lengths
         out = []
         for idx, (l, x) in enumerate(zip(lengths[a], self.riggings[a])):
@@ -78,35 +90,50 @@ def extract_letter(work: Working) -> int:
     """Remove a leading single-box factor; return the removed letter.
 
     Walks components 1, 2, ... picking at each the shortest singular
-    string no shorter than the previous pick; the walk stops at the
-    first component with no candidate, and the stopping point is the
-    returned letter (n if every component yields one).  Each picked
-    string loses a box and is re-rigged to stay singular; length-zero
-    strings vanish.
+    string no shorter than the previous pick, the lowest index among
+    strings of that length; the walk stops at the first component with
+    no candidate, and the stopping point is the returned letter (n if
+    every component yields one).  Each picked string loses a box and is
+    re-rigged to stay singular; length-zero strings vanish.
+
+    One pass over each component, from its last string, keeps the pick
+    so far and reads a vacancy number only for a string shorter than it
+    (any string, until one is singular).
     """
     if not work.factors or work.factors[-1] != (1, 1):
         raise ValueError('leftmost factor must be a single box')
-    lengths, riggings = work.lengths, work.riggings
+    factors, lengths, riggings = work.factors, work.lengths, work.riggings
     chosen: list[tuple[int, int]] = []
     floor = 1
     for a in range(1, work.n):
-        candidates = work.singular(a, floor, float('inf'))
-        if not candidates:
+        ls, xs = lengths[a], riggings[a]
+        pick = None
+        for idx in range(len(ls) - 1, -1, -1):
+            l = ls[idx]
+            if l < floor:
+                continue
+            if pick is None or l < best:
+                v = component_vacancy(factors, lengths, a, l)
+                if xs[idx] == v:
+                    best, pick, vacancy = l, idx, v
+            elif l == best and xs[idx] == vacancy:
+                pick = idx
+        if pick is None:
             break
-        floor, idx = min(candidates)
-        chosen.append((a, idx))
+        floor = best
+        chosen.append((a, pick))
     rank = len(chosen) + 1
 
     if work.weight[rank - 1] == 0:
         raise InvariantError(f'extracting letter {rank}, which does not occur')
-    work.factors.pop()
+    factors.pop()
     work.weight[rank - 1] -= 1
     for a, idx in chosen:
         lengths[a][idx] -= 1
     # A string of length zero adds nothing to any vacancy number.
     for a, idx in chosen:
         if lengths[a][idx]:
-            riggings[a][idx] = work.vacancy(a, lengths[a][idx])
+            riggings[a][idx] = component_vacancy(factors, lengths, a, lengths[a][idx])
         else:
             del lengths[a][idx], riggings[a][idx]
     return rank
@@ -117,19 +144,32 @@ def insert_letter(work: Working, letter: int) -> None:
 
     Inverse of extract_letter: walking components letter-1 down to 1,
     grow the longest singular string not longer than the previous
-    pick (growing a fresh length-zero string when none qualifies).
-    Grown strings are re-rigged to be singular in the result.
+    pick, the highest index among strings of that length (growing a
+    fresh length-zero string when none qualifies).  Grown strings are
+    re-rigged to be singular in the result.
+
+    One pass over each component keeps the pick so far and reads a
+    vacancy number only for a string longer than it.
     """
     json_index(letter, work.n, 'letter')
-    lengths, riggings = work.lengths, work.riggings
+    factors, lengths, riggings = work.factors, work.lengths, work.riggings
     grown: list[tuple[int, int]] = []
-    ceiling = float('inf')
+    ceiling = None      # the first component walked has no previous pick
     for a in range(letter - 1, 0, -1):
-        candidates = work.singular(a, 1, ceiling)
-        ceiling, idx = max(candidates) if candidates else (0, len(lengths[a]))
-        grown.append((a, idx))
+        ls, xs = lengths[a], riggings[a]
+        best, pick, vacancy = 0, len(ls), None
+        for idx, l in enumerate(ls):
+            if best <= l and (ceiling is None or l <= ceiling):
+                if l > best:
+                    v = component_vacancy(factors, lengths, a, l)
+                    if xs[idx] == v:
+                        best, pick, vacancy = l, idx, v
+                elif xs[idx] == vacancy:
+                    pick = idx
+        ceiling = best
+        grown.append((a, pick))
 
-    work.factors.append((1, 1))
+    factors.append((1, 1))
     work.weight[letter - 1] += 1
     for a, idx in grown:
         if idx == len(lengths[a]):
@@ -137,7 +177,7 @@ def insert_letter(work: Working, letter: int) -> None:
             riggings[a].append(0)
         lengths[a][idx] += 1
     for a, idx in grown:
-        riggings[a][idx] = work.vacancy(a, lengths[a][idx])
+        riggings[a][idx] = component_vacancy(factors, lengths, a, lengths[a][idx])
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +297,10 @@ def rc_to_path(rc: RiggedConfiguration) -> Path:
                 if j >= 2:
                     peel_box_rc(work)
                 letters.append(extract_letter(work))
-            if any(x <= y for x, y in zip(letters, letters[1:])):
+            if not all(map(gt, letters, letters[1:])):
                 raise InvariantError(f'extracted letters {letters} do not decrease')
             column = tuple(reversed(letters))
-            if columns and any(x > y for x, y in zip(columns[-1], column)):
+            if columns and not all(map(le, columns[-1], column)):
                 raise InvariantError(f'extracted columns {columns[-1]} and {column} '
                                      'break the rows')
             columns.append(column)

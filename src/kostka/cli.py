@@ -15,12 +15,12 @@ polynomials read that one list.  `paths` prints the energies that
 Exit codes: 0 on success, 1 when a property or cross-method check
 fails or an internal invariant breaks (reported as `internal error`),
 2 on bad input, which includes every value that the readers
-(`from_json`, `check_weight`, `json_index`) refuse with a ValueError
-naming its field.  A TypeError or KeyError is never read as bad input,
-so outside `check` one raised by a defect ends the command with a
-traceback.  `check` reports any exception inside one spec's checks as
-that spec's internal error and goes on.  No subcommand builds the
-witness-tableau set, so none takes a budget for it.
+(`from_json`, `check_weight`, `json_index`) refuse with a BadInputError
+naming its field.  No other exception is read as bad input, so outside
+`check` a TypeError, KeyError or plain ValueError raised by a defect
+ends the command with a traceback.  `check` reports any exception inside
+one spec's checks as that spec's internal error and goes on.  No
+subcommand builds the witness-tableau set, so none takes a budget for it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import Counter
 from . import rccrystal
 from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
 from .crystal import CrystalSpec, Path, depth_first, json_field, json_index, json_ints, json_list
-from .errors import InvariantError
+from .errors import BadInputError, InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
@@ -74,11 +74,11 @@ def _spec_and_weight(data) -> tuple[CrystalSpec, tuple[int, ...]]:
     try:
         spec = CrystalSpec.from_json(data)
         weight = json_list(json_ints(json_field(data, 'weight')), 'weight')
-    except ValueError as exc:
+    except BadInputError as exc:
         raise InputError(f'bad spec: {exc}')
     try:
         return spec, spec.check_weight(weight)
-    except ValueError as exc:
+    except BadInputError as exc:
         raise InputError(str(exc)) from None
 
 
@@ -90,7 +90,7 @@ def _parse_element(data):
         raise InputError("element needs a 'tableaux' or 'nu' field")
     try:
         element = (Path if 'tableaux' in data else RiggedConfiguration).from_json(data)
-    except ValueError as exc:
+    except BadInputError as exc:
         raise InputError(f'bad element: {exc}')
     if isinstance(element, RiggedConfiguration) and not element.is_admissible():
         raise InputError('configuration is not admissible')
@@ -176,7 +176,7 @@ def cmd_op(args) -> int:
     element = _parse_element(_load(args.spec))
     try:
         a = json_index(args.residue, element.spec.n - 1, 'operator index')
-    except ValueError as exc:
+    except BadInputError as exc:
         raise InputError(str(exc)) from None
     if isinstance(element, Path):
         result = element.f(a) if args.operator == 'f' else element.e(a)
@@ -232,6 +232,11 @@ def sweep_specs(max_n: int, box_cap: int) -> list[CrystalSpec]:
     return out
 
 
+def _sorted_strings(work: Working) -> list[list[tuple[int, int]]]:
+    """The (length, rigging) strings of each component of a state, sorted."""
+    return [sorted(zip(ls, xs)) for ls, xs in zip(work.lengths, work.riggings)]
+
+
 def check_spec(spec: CrystalSpec) -> str | None:
     """Cross-check one spec, each fact once; None means all hold.
 
@@ -242,7 +247,11 @@ def check_spec(spec: CrystalSpec) -> str | None:
     runs first, so the per-path pass sees each configuration once; it
     compares the images with the weight's configurations as sets, in no
     order.  Each weight's configurations are built once, into one list
-    that the image check and the rc-side methods read."""
+    that the image check and the rc-side methods read.  The letter pass
+    freezes the state after each insertion to test admissibility, and
+    compares the state after each extraction with rc by its restored
+    lists (factors, weight and each component's strings, sorted) rather
+    than freezing it again."""
     n = spec.n
     images: dict[Path, RiggedConfiguration] = {}
     by_weight: dict[tuple[int, ...], list[tuple[RiggedConfiguration, int]]] = {}
@@ -289,11 +298,13 @@ def check_spec(spec: CrystalSpec) -> str | None:
         # A round trip that passes leaves the state equal to rc, so one
         # state serves every letter.
         work = Working(rc)
+        start = work.factors[:], work.weight[:], _sorted_strings(work)
         for letter in range(1, n + 1):
             insert_letter(work, letter)
             if not work.freeze().is_admissible():
                 return f'insertion of {letter} left {rc} inadmissible'
-            if extract_letter(work) != letter or work.freeze() != rc:
+            if (extract_letter(work) != letter
+                    or (work.factors, work.weight, _sorted_strings(work)) != start):
                 return f'insert/extract roundtrip failed on {rc} with {letter}'
     return None
 

@@ -11,7 +11,9 @@ unmatched i into i+1 and e_i turns the leftmost unmatched i+1 into i;
 when the needed letter is absent the operator is undefined and None is
 returned.
 Every index argument (operator index, component, letter, height) is read
-by json_index: a bool, a float or an int out of range is a ValueError.
+by json_index: a bool, a float or an int out of range is a BadInputError,
+the ValueError that the readers and the checked constructors raise for a
+value they refuse (`errors`).
 A tableau's entries, alphabet size and a spec's fields must be ints too,
 and a weight is a nonempty tuple of nonnegative ints (the empty weight
 is refused).  A tableau stores its shape and its hash when it is built,
@@ -20,8 +22,8 @@ tableaux; its size is read from `shape` alone, and the hash is the one
 the dataclass would compute, hash((rows, n)).
 Input is checked at the boundaries: the constructors and `from_json`
 run every check, and `from_json` refuses a missing field (json_field) or
-a value of the wrong shape (json_list) with a ValueError naming the
-field, so a TypeError or KeyError on the way in is a defect, never bad
+a value of the wrong shape (json_list) with a BadInputError naming the
+field, so any other exception on the way in is a defect, never bad
 input.  Objects the package builds from checked ones skip them through
 a `_trusted` constructor: `Path._trusted` for enumerated and operated
 paths, `RectTableau._trusted` for the tableaux that the
@@ -42,23 +44,23 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import le, lt
 
-from .errors import InvariantError
+from .errors import BadInputError, InvariantError
 
 
 def json_int(value) -> int:
     """value if it is an int; a float, a string, a bool or anything else
-    where an integer belongs is a ValueError.  Its message shows the value
+    where an integer belongs is a BadInputError.  Its message shows the value
     through reprlib, so a short value reads as its repr and a long string
     or a long list is cut to a few dozen characters."""
     if type(value) is int:
         return value
-    raise ValueError(f'expected an integer, got {reprlib.repr(value)}')
+    raise BadInputError(f'expected an integer, got {reprlib.repr(value)}')
 
 
 def json_index(value, top: int, noun: str) -> int:
-    """value if it is an int (read by json_int) in 1..top, else ValueError."""
+    """value if it is an int (read by json_int) in 1..top, else BadInputError."""
     if not 1 <= json_int(value) <= top:
-        raise ValueError(f'{noun} {value} outside 1..{top}')
+        raise BadInputError(f'{noun} {value} outside 1..{top}')
     return value
 
 
@@ -71,34 +73,34 @@ def json_ints(value):
 
 
 def json_field(data, key: str):
-    """data[key], or a ValueError naming the missing field."""
+    """data[key], or a BadInputError naming the missing field."""
     if key not in data:
-        raise ValueError(f"missing field '{key}'")
+        raise BadInputError(f"missing field '{key}'")
     return data[key]
 
 
 def json_list(value, noun: str, item: str | None = None):
     """value if it is a list or a tuple, and, when item names its entries,
-    each of them a list or tuple of two; any other shape is a ValueError
+    each of them a list or tuple of two; any other shape is a BadInputError
     naming noun or item."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f'{noun} must be a list')
+        raise BadInputError(f'{noun} must be a list')
     if item is not None and any(not isinstance(x, (list, tuple)) or len(x) != 2
                                 for x in value):
-        raise ValueError(f'each {item} must be a pair')
+        raise BadInputError(f'each {item} must be a pair')
     return value
 
 
 def check_weight_entries(weight) -> tuple[int, ...]:
     """The weight as a tuple of nonnegative ints, of any length but 0, or
-    ValueError."""
+    BadInputError."""
     weight = tuple(weight)
     if not weight:
-        raise ValueError('weight must have at least one entry')
+        raise BadInputError('weight must have at least one entry')
     if any(type(x) is not int for x in weight):
-        raise ValueError('weight entries must be integers')
+        raise BadInputError('weight entries must be integers')
     if any(x < 0 for x in weight):
-        raise ValueError('weight entries must be nonnegative')
+        raise BadInputError('weight entries must be nonnegative')
     return weight
 
 
@@ -118,22 +120,22 @@ class RectTableau:
         object.__setattr__(self, 'rows', rows)
         n = json_int(self.n)
         if not rows:
-            raise ValueError('tableau needs at least one row')
+            raise BadInputError('tableau needs at least one row')
         s = len(rows[0])
         if any(len(row) != s for row in rows):
-            raise ValueError('rows must all have the same length')
+            raise BadInputError('rows must all have the same length')
         if s == 0:
-            raise ValueError('tableau needs at least one column')
+            raise BadInputError('tableau needs at least one column')
         for row in rows:
             for x in row:
                 if type(x) is not int or not 1 <= x <= n:
                     json_int(x)     # a non-int entry gets json_int's message
-                    raise ValueError(f'entry {x} outside alphabet 1..{n}')
+                    raise BadInputError(f'entry {x} outside alphabet 1..{n}')
             if not all(map(le, row, row[1:])):
-                raise ValueError('rows must weakly increase')
+                raise BadInputError('rows must weakly increase')
         for upper, lower in zip(rows, rows[1:]):
             if not all(map(lt, upper, lower)):
-                raise ValueError('columns must strictly increase')
+                raise BadInputError('columns must strictly increase')
         object.__setattr__(self, 'shape', (len(rows), s))
         object.__setattr__(self, '_hash', hash((rows, n)))
 
@@ -195,11 +197,11 @@ class CrystalSpec:
         factors = tuple((r, s) for r, s in self.factors)
         object.__setattr__(self, 'factors', factors)
         if json_int(self.n) < 2:
-            raise ValueError('alphabet size must be at least 2')
+            raise BadInputError('alphabet size must be at least 2')
         for r, s in factors:
             json_index(r, self.n - 1, 'factor height')
             if json_int(s) < 1:
-                raise ValueError(f'factor width {s} must be positive')
+                raise BadInputError(f'factor width {s} must be positive')
 
     @classmethod
     def _trusted(cls, n: int, factors: tuple) -> 'CrystalSpec':
@@ -212,10 +214,10 @@ class CrystalSpec:
         return spec
 
     def check_weight(self, weight) -> tuple[int, ...]:
-        """The weight as a tuple of n nonnegative ints, or ValueError."""
+        """The weight as a tuple of n nonnegative ints, or BadInputError."""
         weight = tuple(weight)
         if len(weight) != self.n:
-            raise ValueError(f'weight must have length {self.n}')
+            raise BadInputError(f'weight must have length {self.n}')
         return check_weight_entries(weight)
 
     def total_boxes(self) -> int:
@@ -241,12 +243,12 @@ class Path:
         tableaux = tuple(self.tableaux)
         object.__setattr__(self, 'tableaux', tableaux)
         if len(tableaux) != len(self.spec.factors):
-            raise ValueError('one tableau per factor required')
+            raise BadInputError('one tableau per factor required')
         for t, (r, s) in zip(tableaux, self.spec.factors):
             if t.shape != (r, s):
-                raise ValueError(f'tableau shape {t.shape} does not match factor ({r},{s})')
+                raise BadInputError(f'tableau shape {t.shape} does not match factor ({r},{s})')
             if t.n != self.spec.n:
-                raise ValueError('tableau alphabet does not match spec')
+                raise BadInputError('tableau alphabet does not match spec')
 
     @classmethod
     def _trusted(cls, spec: CrystalSpec, tableaux: tuple) -> 'Path':
@@ -367,7 +369,7 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     """
     json_index(r, json_int(n), 'height')
     if json_int(s) < 1:
-        raise ValueError('width must be positive')
+        raise BadInputError('width must be positive')
     columns = combinations(range(1, n + 1), r)
     return tuple(RectTableau(tuple(zip(*cols)), n)
                  for cols in combinations_with_replacement(columns, s)

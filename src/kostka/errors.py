@@ -1,5 +1,5 @@
-"""The exceptions that tell a defect of the package from an exhausted
-budget."""
+"""The exceptions that tell bad input and an exhausted budget from a
+defect of the package."""
 
 
 class InvariantError(RuntimeError):
@@ -10,3 +10,11 @@ class InvariantError(RuntimeError):
 class BudgetError(RuntimeError):
     """A computation would exceed a fixed budget, such as the cap on the
     witness tableaux that bound_tableaux lists."""
+
+
+class BadInputError(ValueError):
+    """A value that a reader or a checked constructor refuses: malformed
+    or out-of-range input, named by its field.  It is a ValueError, so a
+    caller that catches ValueError still catches it; the CLI reads only
+    this exception as bad input, so any other ValueError, like any other
+    exception, is a defect."""

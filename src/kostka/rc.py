@@ -48,7 +48,7 @@ from operator import le
 
 from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_field, json_index,
                       json_int, json_ints, json_list)
-from .errors import BudgetError
+from .errors import BadInputError, BudgetError
 from .qpoly import QPolynomial, qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
@@ -140,24 +140,24 @@ class LowerBoundTableau:
         object.__setattr__(self, 'weight', weight)
         n = len(weight)
         if len(cols) != n - 1:
-            raise ValueError(f'expected {n - 1} columns')
+            raise BadInputError(f'expected {n - 1} columns')
         heights = _column_heights(weight)
         for k, col in enumerate(cols, start=1):
             if len(col) != heights[k]:
-                raise ValueError(f'column {k} must have height {heights[k]}')
+                raise BadInputError(f'column {k} must have height {heights[k]}')
             bound = heights[k - 1]
             for x in col:
                 if not 1 <= json_int(x) <= bound:
-                    raise ValueError(f'column {k} entry {x} outside 1..{bound}')
+                    raise BadInputError(f'column {k} entry {x} outside 1..{bound}')
             if any(x <= y for x, y in zip(col, col[1:])):
-                raise ValueError('columns must strictly decrease')
+                raise BadInputError('columns must strictly decrease')
 
     def bound(self, a: int, i: int) -> int:
         """Lower bound for riggings of length-i strings in component a."""
         n = len(self.weight)
         json_index(a, n - 1, 'component')
         if json_int(i) < 0:
-            raise ValueError('length must be nonnegative')
+            raise BadInputError('length must be nonnegative')
         value = -sum(1 for x in self.columns[a - 1] if i >= x)
         if a <= n - 2:
             value += sum(1 for x in self.columns[a] if i >= x)
@@ -185,7 +185,7 @@ def bound_tableaux(weight) -> tuple[LowerBoundTableau, ...]:
     The set is a product of binomials in size and explodes quickly, so
     a weight with more than DEFAULT_BOUND_CAP tableaux is refused with a
     BudgetError, and one with an entry that is not a nonnegative int
-    with a ValueError.
+    with a BadInputError.
     """
     weight = tuple(weight)
     count = count_bound_tableaux(weight)
@@ -344,16 +344,16 @@ class RiggedConfiguration:
         object.__setattr__(self, 'weight', self.spec.check_weight(self.weight))
         n = self.spec.n
         if len(self.strings) != n - 1:
-            raise ValueError(f'expected {n - 1} components')
+            raise BadInputError(f'expected {n - 1} components')
         canon = []
         for comp in self.strings:
             comp = tuple(sorted([(json_int(l), json_int(x)) for l, x in comp], reverse=True))
             if comp and comp[-1][0] < 1:
-                raise ValueError('string lengths must be positive')
+                raise BadInputError('string lengths must be positive')
             canon.append(comp)
         sizes = [sum(l for l, _ in comp) for comp in canon]
         if sizes != _config_sizes(self.spec, self.weight, _column_heights(self.weight)):
-            raise ValueError('component sizes are not the ones the weight forces')
+            raise BadInputError('component sizes are not the ones the weight forces')
         object.__setattr__(self, 'strings', tuple(canon))
 
     @classmethod
@@ -384,7 +384,7 @@ class RiggedConfiguration:
         exceed every part; the value may be negative."""
         json_index(a, self.n - 1, 'component')
         if json_int(i) < 1:
-            raise ValueError('part length must be positive')
+            raise BadInputError('part length must be positive')
         return spec_vacancy(self.spec, self.partitions, a, i)
 
     def cocharge(self) -> int:

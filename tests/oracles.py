@@ -16,6 +16,7 @@ from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_
                               merge_column_rc)
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.errors import InvariantError
 from kostka.paths import enumerate_all_paths
 from kostka.plactic import local_energy, rmatrix
 from kostka.qpoly import QPolynomial, qbinom
@@ -250,6 +251,61 @@ def recursive_correspondence(path):
     if s >= 2:
         return stepped(merge_column_rc, recursive_correspondence(peel_column(path)))
     return stepped(merge_box_rc, recursive_correspondence(peel_box(path)))
+
+
+# ---------------------------------------------------------------------------
+# the letter steps by their candidate lists
+# ---------------------------------------------------------------------------
+
+def listed_extract_letter(work):
+    """extract_letter by its selection rule read literally: at each
+    component, list every singular string no shorter than the previous
+    pick (Working.singular), then take the least (length, index)."""
+    if not work.factors or work.factors[-1] != (1, 1):
+        raise ValueError('leftmost factor must be a single box')
+    chosen = []
+    floor = 1
+    for a in range(1, work.n):
+        candidates = work.singular(a, floor, float('inf'))
+        if not candidates:
+            break
+        floor, idx = min(candidates)
+        chosen.append((a, idx))
+    rank = len(chosen) + 1
+    if work.weight[rank - 1] == 0:
+        raise InvariantError(f'extracting letter {rank}, which does not occur')
+    work.factors.pop()
+    work.weight[rank - 1] -= 1
+    for a, idx in chosen:
+        work.lengths[a][idx] -= 1
+    for a, idx in chosen:
+        if work.lengths[a][idx]:
+            work.riggings[a][idx] = work.vacancy(a, work.lengths[a][idx])
+        else:
+            del work.lengths[a][idx], work.riggings[a][idx]
+    return rank
+
+
+def listed_insert_letter(work, letter):
+    """insert_letter by its selection rule read literally: at each
+    component, list every singular string no longer than the previous
+    pick, then take the greatest (length, index), or a fresh string
+    when the list is empty."""
+    grown = []
+    ceiling = float('inf')
+    for a in range(letter - 1, 0, -1):
+        candidates = work.singular(a, 1, ceiling)
+        ceiling, idx = max(candidates) if candidates else (0, len(work.lengths[a]))
+        grown.append((a, idx))
+    work.factors.append((1, 1))
+    work.weight[letter - 1] += 1
+    for a, idx in grown:
+        if idx == len(work.lengths[a]):
+            work.lengths[a].append(0)
+            work.riggings[a].append(0)
+        work.lengths[a][idx] += 1
+    for a, idx in grown:
+        work.riggings[a][idx] = work.vacancy(a, work.lengths[a][idx])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from copy import deepcopy
 
 import pytest
 
@@ -13,7 +14,8 @@ from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import rmatrix, tail_energy
 from kostka.rc import RiggedConfiguration, component_vacancy, enumerate_rcs, spec_vacancy
 
-from oracles import (N5_SPECS, N6_SPEC, extracted, peel_box, peel_column, pop_letter,
+from oracles import (N5_SPECS, N6_SPEC, extracted, listed_extract_letter,
+                     listed_insert_letter, peel_box, peel_column, pop_letter,
                      recursive_correspondence, stepped, sweep_rcs)
 
 FAMILIES = [
@@ -439,6 +441,39 @@ def test_working_vacancies_match_the_frozen_configuration(monkeypatch):
         for rc in enumerate_rcs(spec, weight):
             assert path_to_rc(rc_to_path(rc)) == rc
     assert set(checked) == set(STEPS)
+
+
+def test_one_pass_picks_match_the_candidate_lists(monkeypatch):
+    # At every letter step of path_to_rc and rc_to_path on every path of
+    # sweep_specs(3, 4) and every configuration of N5_SPECS, the listed
+    # reference step, run on a copy of the state, returns the same letter
+    # and leaves the same lists, position by position: among singular
+    # strings of one length the same index is picked.
+    checked = Counter()
+
+    def comparing(step, reference):
+        def run(work, *args):
+            twin = deepcopy(work)
+            expected = reference(twin, *args)
+            out = step(work, *args)
+            assert out == expected, (step.__name__, args)
+            assert (work.lengths, work.riggings) == (twin.lengths, twin.riggings), args
+            assert (work.factors, work.weight) == (twin.factors, twin.weight), args
+            checked[step.__name__] += 1
+            return out
+        return run
+
+    monkeypatch.setattr(bijection, 'extract_letter',
+                        comparing(extract_letter, listed_extract_letter))
+    monkeypatch.setattr(bijection, 'insert_letter',
+                        comparing(insert_letter, listed_insert_letter))
+    for spec in cli.sweep_specs(3, 4):
+        for p in enumerate_all_paths(spec):
+            assert rc_to_path(path_to_rc(p)) == p
+    for spec, weight in N5_SPECS:
+        for rc in enumerate_rcs(spec, weight):
+            assert path_to_rc(rc_to_path(rc)) == rc
+    assert checked['extract_letter'] == checked['insert_letter'] > 0
 
 
 def test_singular_strings_and_frozen_specs_match_the_checked_objects(monkeypatch):

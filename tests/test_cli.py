@@ -8,6 +8,7 @@ import pytest
 from kostka import cli
 from kostka.cli import main, random_spec, sweep_specs
 from kostka.crystal import CrystalSpec, Path, RectTableau
+from kostka.errors import BadInputError
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, enumerate_rcs, fermionic_polynomial
@@ -285,22 +286,45 @@ def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
 
 
 def test_a_defect_inside_a_constructor_is_not_bad_input(tmp_path, monkeypatch):
-    # Only ValueError reads as bad input, so a TypeError or KeyError raised
-    # by the package itself ends the command with a traceback.
-    def sizes_defect(*args):
-        raise TypeError('defect inside _config_sizes')
-
+    # Only errors.BadInputError reads as bad input, so a TypeError, KeyError
+    # or plain ValueError raised by the package itself ends the command with
+    # a traceback.
     def tableau_defect(self):
         raise KeyError('defect inside RectTableau')
 
-    with monkeypatch.context() as patch:
-        patch.setattr(rc_layer, '_config_sizes', sizes_defect)
-        with pytest.raises(TypeError, match='defect inside _config_sizes'):
-            main(['map', 'phi-inv', '--spec', write(tmp_path, 'r.json', EXB_RC_JSON)])
+    for kind in (TypeError, ValueError):
+        def sizes_defect(*args):
+            raise kind('defect inside _config_sizes')
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rc_layer, '_config_sizes', sizes_defect)
+            with pytest.raises(kind, match='defect inside _config_sizes') as caught:
+                main(['map', 'phi-inv', '--spec', write(tmp_path, 'r.json', EXB_RC_JSON)])
+            assert type(caught.value) is kind
     with monkeypatch.context() as patch:
         patch.setattr(RectTableau, '__post_init__', tableau_defect)
         with pytest.raises(KeyError, match='defect inside RectTableau'):
             main(['map', 'phi', '--spec', write(tmp_path, 'p.json', EXB_PATH_JSON)])
+
+
+def test_reader_refusals_are_bad_input_errors():
+    # A library caller that catches ValueError still catches every refusal.
+    assert issubclass(BadInputError, ValueError)
+    refusals = [
+        lambda: crystal.json_int('210'),
+        lambda: crystal.json_index(5, 3, 'letter'),
+        lambda: crystal.json_field({}, 'n'),
+        lambda: crystal.json_list(3, 'weight'),
+        lambda: crystal.check_weight_entries(()),
+        lambda: CrystalSpec(3, ()).check_weight((1, 2)),
+        lambda: RectTableau(((2, 1),), 3),
+        lambda: CrystalSpec(1, ()),
+        lambda: Path(CrystalSpec(3, ((1, 1),)), ()),
+        lambda: RiggedConfiguration(CrystalSpec(3, ((1, 1),)), (1, 0, 0), ((), (), ())),
+    ]
+    for refuse in refusals:
+        with pytest.raises(BadInputError):
+            refuse()
 
 
 DROP = object()

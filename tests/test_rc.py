@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
@@ -286,6 +286,7 @@ def test_column_options_are_the_undominated_columns(data):
         v for v in pairs if not _is_dominated(v, pairs))
 
 
+@settings(deadline=None)    # it checks values; a listing of 2,000 tableaux can pass 200 ms
 @given(st.data())
 def test_chain_column_is_the_largest_column_within_the_limits(data):
     # The chain is feasible exactly when some listed witness tableau lies

@@ -153,9 +153,9 @@ def test_public_names_are_declared():
 
 
 def test_cli_catches_no_type_or_key_error():
-    # The readers refuse malformed input with a ValueError, so only a defect
-    # raises TypeError or KeyError; catching either would report it as bad
-    # input.
+    # The readers refuse malformed input with errors.BadInputError, so only
+    # a defect raises TypeError, KeyError or a plain ValueError; catching
+    # any of them would report it as bad input.
     source = Path(kostka.__file__).parent / 'cli.py'
     tree = ast.parse(source.read_text(), filename=str(source))
     found = []
@@ -163,5 +163,6 @@ def test_cli_catches_no_type_or_key_error():
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             found += [f'cli.py:{node.lineno} {name.id}' for name in names
-                      if isinstance(name, ast.Name) and name.id in ('TypeError', 'KeyError')]
+                      if isinstance(name, ast.Name)
+                      and name.id in ('TypeError', 'KeyError', 'ValueError')]
     assert found == []
