@@ -38,8 +38,8 @@ from .errors import BadInputError, InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
 from .qpoly import QPolynomial
-from .rc import (RiggedConfiguration, _fermionic_polynomial_from, _rc_polynomial_from,
-                 _rcs_from, configuration_list, enumerate_rcs)
+from .rc import (RiggedConfiguration, _admissible, _fermionic_polynomial_from,
+                 _rc_polynomial_from, _rcs_from, configuration_list, enumerate_rcs)
 
 OK = 0
 PROPERTY_FAILURE = 1
@@ -248,10 +248,11 @@ def check_spec(spec: CrystalSpec) -> str | None:
     compares the images with the weight's configurations as sets, in no
     order.  Each weight's configurations are built once, into one list
     that the image check and the rc-side methods read.  The letter pass
-    freezes the state after each insertion to test admissibility, and
-    compares the state after each extraction with rc by its restored
-    lists (factors, weight and each component's strings, sorted) rather
-    than freezing it again."""
+    freezes no configuration: it tests the state after each insertion
+    with rc._admissible, the package's one admissibility rule, on the
+    Working lists as they stand, and compares the state after each
+    extraction with rc by its restored lists (factors, weight and each
+    component's strings, sorted)."""
     n = spec.n
     images: dict[Path, RiggedConfiguration] = {}
     by_weight: dict[tuple[int, ...], list[tuple[RiggedConfiguration, int]]] = {}
@@ -301,7 +302,8 @@ def check_spec(spec: CrystalSpec) -> str | None:
         start = work.factors[:], work.weight[:], _sorted_strings(work)
         for letter in range(1, n + 1):
             insert_letter(work, letter)
-            if not work.freeze().is_admissible():
+            if not _admissible(work.factors, work.weight, work.lengths,
+                               map(zip, work.lengths[1:-1], work.riggings[1:-1])):
                 return f'insertion of {letter} left {rc} inadmissible'
             if (extract_letter(work) != letter
                     or (work.factors, work.weight, _sorted_strings(work)) != start):

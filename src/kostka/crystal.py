@@ -303,20 +303,27 @@ class Path:
 def _bracket(path: Path, i: int):
     """Unmatched positions for letter i (closers) and i+1 (openers).
 
-    Brackets path.word() and returns the two lists of unmatched
-    positions in it, (unmatched_i, unmatched_i1), each in word order.
+    Brackets the row word of the path (path.word(): each tableau's rows,
+    bottom row first, left to right), read in place with a running
+    position, and returns the two lists of unmatched positions in it,
+    (unmatched_i, unmatched_i1), each in word order.
     """
     json_index(i, path.spec.n - 1, 'operator index')
+    i1 = i + 1
     unmatched_i: list[int] = []
     open_stack: list[int] = []
-    for pos, letter in enumerate(path.word()):
-        if letter == i + 1:
-            open_stack.append(pos)
-        elif letter == i:
-            if open_stack:
-                open_stack.pop()
-            else:
-                unmatched_i.append(pos)
+    pos = 0
+    for t in path.tableaux:
+        for row in reversed(t.rows):
+            for letter in row:
+                if letter == i1:
+                    open_stack.append(pos)
+                elif letter == i:
+                    if open_stack:
+                        open_stack.pop()
+                    else:
+                        unmatched_i.append(pos)
+                pos += 1
     return unmatched_i, open_stack
 
 

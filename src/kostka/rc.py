@@ -79,7 +79,7 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
 def spec_vacancy(spec: CrystalSpec, partitions, a: int, i: int) -> int:
     """component_vacancy memoized for RiggedConfiguration.vacancy, the
     public single-value lookup, which checks a and i.  No computing path
-    reads it: is_admissible, the configuration builder and the bijection
+    reads it: _admissible, the configuration builder and the bijection
     steps compute the vacancy numbers of the configuration in front of
     them with component_vacancy."""
     return component_vacancy(spec.factors, ((), *partitions, ()), a, i)
@@ -116,9 +116,12 @@ def _config_cocharge(partitions) -> int:
 # so it walks the partial rows one column at a time (_walk_column), each
 # column over its undominated options only (_column_counts); the rows it
 # is left with are those profiles, each once, in a plain list.
-# is_admissible needs only whether one witness fits, so it carries one
-# column, the greedy largest (_chain_column).  bound_tableaux lists the
-# set for the tests and for the benchmark's witness-tableau probe.
+# Admissibility needs only whether one witness fits, so its one rule,
+# _admissible, carries one column, the greedy largest (_chain_column),
+# reading each component's strings in any order: is_admissible passes a
+# configuration's canonical strings and check_spec a bijection state's
+# unsorted lists.  bound_tableaux lists the set for the tests and for
+# the benchmark's witness-tableau probe.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -243,7 +246,7 @@ def _walk_column(partial, top: int, height: int, finishing, limits, starting) ->
     partial rows after column k, a height-subset of 1..top, where top and
     height are c_{k-1} and c_k of _column_heights.  The configuration
     builder takes it column by column to list the minimal riggable
-    profiles; is_admissible runs _chain_column, on the same pair, instead.
+    profiles; _admissible runs _chain_column, on the same pair, instead.
 
     A partial row is a pair (done, pending): the bounds of the finished
     entries, and the bounds so far of the entries of component k-1.
@@ -321,6 +324,48 @@ def _chain_column(cnt, top: int, height: int, lows) -> list[int] | None:
     return f if f[top] == height else None
 
 
+def _admissible(factors, weight, lengths, strings) -> bool:
+    """The one admissibility rule: whether no rigging exceeds its vacancy
+    number and one witness tableau bounds every rigging from below.
+
+    factors are the (height, width) of every tensor factor in any order,
+    weight the configuration's weight, lengths the part lengths of
+    components 0..n (0 and n empty) as component_vacancy reads them, and
+    strings one iterable of (length, rigging) pairs per component
+    1..n-1, in any order.  Per length, the vacancy number is read once,
+    at the first string of that length, and every rigging is held to it
+    (a rigging below the lowest so far cannot exceed it); only the lowest
+    rigging of each length bounds the witness.
+
+    With cnt_k(l) the number of entries <= l in column k, bound(a, l)
+    is cnt_{a+1}(l) - cnt_a(l), so the strings of component a cap
+    cnt_{a+1} by their lowest riggings plus cnt_a.  A larger cnt_a only
+    loosens those caps, so a witness exists exactly when the chain of
+    largest columns (_chain_column) does, from column 1, forced because
+    c_0 = c_1, to the empty column n.
+    """
+    heights = _column_heights(weight)
+    cnt = range(heights[0] + 1)
+    for a, comp in enumerate(strings, start=1):
+        lowest: dict[int, int] = {}
+        vacancy: dict[int, int] = {}
+        for l, x in comp:
+            if l in lowest:
+                if x < lowest[l]:
+                    lowest[l] = x
+                elif x > vacancy[l]:
+                    return False
+            else:
+                v = vacancy[l] = component_vacancy(factors, lengths, a, l)
+                if x > v:
+                    return False
+                lowest[l] = x
+        cnt = _chain_column(cnt, heights[a], heights[a + 1], lowest)
+        if cnt is None:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # rigged configurations
 # ---------------------------------------------------------------------------
@@ -393,30 +438,10 @@ class RiggedConfiguration:
 
     def is_admissible(self) -> bool:
         """Whether no rigging exceeds its vacancy number and one witness
-        tableau bounds every rigging from below.
-
-        With cnt_k(l) the number of entries <= l in column k, bound(a, l)
-        is cnt_{a+1}(l) - cnt_a(l), so the strings of component a cap
-        cnt_{a+1} by their lowest riggings plus cnt_a.  A larger cnt_a only
-        loosens those caps, so a witness exists exactly when the chain of
-        largest columns (_chain_column) does, from column 1, forced because
-        c_0 = c_1, to the empty column n.
-        """
-        factors = self.spec.factors
-        padded = ((), *self.partitions, ())
-        heights = _column_heights(self.weight)
-        cnt = range(heights[0] + 1)
-        for a, comp in enumerate(self.strings, start=1):
-            # The strings of one length come by decreasing rigging.
-            lowest: dict[int, int] = {}
-            for l, x in comp:
-                if l not in lowest and x > component_vacancy(factors, padded, a, l):
-                    return False
-                lowest[l] = x
-            cnt = _chain_column(cnt, heights[a], heights[a + 1], lowest)
-            if cnt is None:
-                return False
-        return True
+        tableau bounds every rigging from below: _admissible on the
+        canonical strings."""
+        return _admissible(self.spec.factors, self.weight,
+                           ((), *self.partitions, ()), self.strings)
 
     def to_json(self) -> dict:
         return {

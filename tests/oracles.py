@@ -407,9 +407,23 @@ def _witnesses(weight):
 
 
 @cache
+def _bounds(weight, a, l):
+    """bound(a, l) of each witness tableau, in enumeration order; it reads
+    columns a and a+1 only, so each pair of them is asked once."""
+    by_columns = {}
+    out = []
+    for t in _witnesses(weight):
+        pair = t.columns[a - 1:a + 1]
+        if pair not in by_columns:
+            by_columns[pair] = t.bound(a, l)
+        out.append(by_columns[pair])
+    return out
+
+
+@cache
 def _fit_mask(weight, a, l, x):
     """Bit i set when the i-th witness tableau has bound(a, l) <= x."""
-    return sum(1 << i for i, t in enumerate(_witnesses(weight)) if t.bound(a, l) <= x)
+    return sum(1 << i for i, bound in enumerate(_bounds(weight, a, l)) if bound <= x)
 
 
 def first_witness(rc):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kostka.bijection import path_to_rc, rc_to_path
+from kostka.cli import sweep_specs
 from kostka.crystal import (CrystalSpec, Path, RectTableau, depth_first, enumerate_crystal,
                             json_int)
 from kostka.paths import enumerate_all_paths
@@ -254,16 +255,24 @@ def test_tableaux_from_operators_and_bijection_hash_as_enumerated():
                 assert crystals[t] == t
 
 
+def family_and_sweep_paths():
+    # FAMILIES, then every path that `kostka check` visits at n <= 4.
+    yield from family_paths()
+    for spec in sweep_specs(4, 4):
+        for p in enumerate_all_paths(spec):
+            yield spec, p
+
+
 def test_bracketing_matches_repeated_cancellation():
     from kostka.crystal import _bracket
 
-    for spec, p in family_paths():
+    for spec, p in family_and_sweep_paths():
         for i in range(1, spec.n):
             assert tuple(naive_residue(p.word(), i)) == _bracket(p, i)
 
 
 def test_operators_match_tensor_recursion():
-    for spec, p in family_paths():
+    for spec, p in family_and_sweep_paths():
         for i in range(1, spec.n):
             assert p.f(i) == recursive_f(p, i)
             assert p.e(i) == recursive_e(p, i)

@@ -5,15 +5,16 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kostka.bijection import Working, insert_letter
 from kostka.cli import _compositions, sweep_specs
 from kostka.crystal import CrystalSpec
 from kostka.errors import BudgetError
 from kostka.paths import enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
-                       _chain_column, _column_counts, _column_heights, _config_cocharge,
-                       _config_sizes, _minimal_profiles, _partitions_of, _walk_column,
-                       _witness_floor, bound_tableaux, count_bound_tableaux,
+                       _admissible, _chain_column, _column_counts, _column_heights,
+                       _config_cocharge, _config_sizes, _minimal_profiles, _partitions_of,
+                       _walk_column, _witness_floor, bound_tableaux, count_bound_tableaux,
                        enumerate_configurations, enumerate_rcs, fermionic_polynomial,
                        rc_polynomial)
 
@@ -365,6 +366,48 @@ def test_admissibility_matches_the_first_fit_scan():
             assert variant.is_admissible() == expected, variant
             verdicts[expected] += 1
     assert verdicts[True] > len(rcs) and verdicts[False] > 0
+
+
+def test_admissible_reads_the_strings_in_any_order():
+    # The state right after each insertion of check_spec's letter pass over
+    # the configurations of sweep_specs(3, 4) and a seeded tenth of those
+    # of N5_SPECS, and each with one rigging raised or lowered by 1:
+    # rc._admissible on its lists in stored, reversed and shuffled order
+    # agrees with the witness oracle on the configuration the checked
+    # constructor builds from them.  At n = 5 the oracle reads witness sets
+    # of up to 7,560 tableaux, so all N5 states would take about 10 s.
+    rng = random.Random(39)
+    rcs = [rc for spec in sweep_specs(3, 4)
+           for weight in _compositions(spec.total_boxes(), spec.n)
+           for rc in enumerate_rcs(spec, weight)]
+    for spec, weight in N5_SPECS:
+        n5 = enumerate_rcs(spec, weight)
+        rcs += rng.sample(n5, len(n5) // 10)
+    verdicts = Counter()
+    for rc in rcs:
+        for letter in range(1, rc.n + 1):
+            work = Working(rc)
+            insert_letter(work, letter)
+            spec = CrystalSpec(rc.n, tuple(reversed(work.factors)))
+            stored = [list(zip(ls, xs))
+                      for ls, xs in zip(work.lengths[1:-1], work.riggings[1:-1])]
+            variants = [stored]
+            for a, comp in enumerate(stored):
+                for idx, (l, x) in enumerate(comp):
+                    for shift in (-1, 1):
+                        strings = list(stored)
+                        strings[a] = comp[:idx] + [(l, x + shift)] + comp[idx + 1:]
+                        variants.append(strings)
+            for strings in variants:
+                variant = RiggedConfiguration(spec, work.weight, strings)
+                expected = first_witness(variant) is not None
+                shuffled = [rng.sample(comp, len(comp)) for comp in strings]
+                for order in (strings, [comp[::-1] for comp in strings], shuffled):
+                    lengths = [[], *([l for l, _ in comp] for comp in order), []]
+                    assert _admissible(work.factors, work.weight, lengths, order) == expected, \
+                        (rc, letter, order)
+                verdicts[expected] += 1
+    assert verdicts[True] >= len(rcs) and verdicts[False] > 0
 
 
 def test_admissibility_reads_only_the_riggings(monkeypatch):

@@ -166,3 +166,29 @@ def test_cli_catches_no_type_or_key_error():
                       if isinstance(name, ast.Name)
                       and name.id in ('TypeError', 'KeyError', 'ValueError')]
     assert found == []
+
+
+def test_one_admissibility_decider():
+    # rc._admissible is the package's one admissibility rule: only it runs
+    # the witness chain, and check_spec tests its letter-pass states with it
+    # on the bijection's lists instead of freezing them into configurations.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                calls.append((source.name, '.'.join(scope), name))
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert [(module, scope) for module, scope, name in calls
+            if name == '_chain_column'] == [('rc.py', '_admissible')]
+    in_check_spec = [name for module, scope, name in calls
+                     if module == 'cli.py' and scope.split('.')[0] == 'check_spec']
+    assert 'freeze' not in in_check_spec and '_admissible' in in_check_spec
