@@ -216,19 +216,27 @@ def random_spec(rng: random.Random, max_n: int, max_boxes: int) -> CrystalSpec:
 
 
 def sweep_specs(max_n: int, box_cap: int) -> list[CrystalSpec]:
-    """Every factor sequence with at most box_cap boxes, every n."""
+    """Every factor sequence with at most box_cap boxes, every n.
+
+    Per n, one depth_first branch of box_cap levels per sequence.  A
+    state is the shape it appends, None where the sequence ends, and the
+    boxes left.  A level first ends the sequence, leaving no boxes, so
+    an ended sequence stays ended, then appends each shape that fits, in
+    turn.  So a sequence comes before its extensions, and those in the
+    order of their next shape: the preorder of the factor sequences,
+    each once.
+    """
     out: list[CrystalSpec] = []
     for n in range(2, max_n + 1):
         shapes = [(r, s) for r in range(1, n) for s in range(1, box_cap + 1)
                   if r * s <= box_cap]
 
-        def extend(factors: tuple, used: int):
-            out.append(CrystalSpec(n, factors))
-            for r, s in shapes:
-                if used + r * s <= box_cap:
-                    extend(factors + ((r, s),), used + r * s)
+        def step(_d, state):
+            left = state[1]
+            return [(None, 0)] + [((r, s), left - r * s) for r, s in shapes if r * s <= left]
 
-        extend((), 0)
+        for branch in depth_first(((), box_cap), box_cap, step):
+            out.append(CrystalSpec(n, tuple([shape for shape, _left in branch if shape])))
     return out
 
 

@@ -32,8 +32,9 @@ for the specs the bijection's splits and merges make from a checked
 spec's factors, and, in `rc`, `RiggedConfiguration._trusted`.  The CLI
 calls none of them.  A tableau that an operator breaks is an
 InvariantError, checked at the one cell it changes.
-`depth_first` is the package's one backtracker: the paths of a weight,
-the configurations of `rc` and the weights `kostka check` visits.
+`depth_first` is the package's one backtracker: the elements of a
+crystal, the paths of a weight, the partitions and configurations of
+`rc`, and the weights and specs `kostka check` visits.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import le, lt
 
 from .errors import BadInputError, InvariantError
@@ -368,20 +369,26 @@ def _apply(path: Path, i: int, lowering: bool) -> Path | None:
 def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     """All column-strict r x s tableaux over {1..n}, in a fixed order.
 
-    Each column is a strictly increasing r-subset of {1..n}.  Columns
-    that weakly increase along every row are in lexicographic order, so
-    each tableau is a multiset of s columns, taken in that order.  The
-    cache is typed, so a float or bool height, width or alphabet size
-    never hits an int's entry.
+    Each column is a strictly increasing r-subset of {1..n}, and the
+    rows weakly increase exactly when each column lies entrywise at or
+    above the one to its left.  One depth_first level chooses one
+    column, left to right from the zero column: every r-subset at or
+    above the previous column, in lexicographic order.  So the tableaux
+    come in the lexicographic order of their column sequences, the order
+    of the multisets of s columns, and no sequence is built that fails.
+    The cache is typed, so a float or bool height, width or alphabet
+    size never hits an int's entry.
     """
     json_index(r, json_int(n), 'height')
     if json_int(s) < 1:
         raise BadInputError('width must be positive')
-    columns = combinations(range(1, n + 1), r)
+    columns = tuple(combinations(range(1, n + 1), r))
+
+    def step(_d, left):
+        return [col for col in columns if all(map(le, left, col))]
+
     return tuple(RectTableau(tuple(zip(*cols)), n)
-                 for cols in combinations_with_replacement(columns, s)
-                 if all(x <= y for left, right in zip(cols, cols[1:])
-                        for x, y in zip(left, right)))
+                 for cols in depth_first((0,) * r, s, step))
 
 
 def depth_first(root, depth: int, step):

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from functools import cache
 
 from .crystal import Path, RectTableau, enumerate_crystal
-from .errors import InvariantError
+from .errors import BadInputError, InvariantError
 
 
 def insert_word(rows: tuple, word) -> tuple[tuple[int, ...], ...]:
@@ -57,11 +57,11 @@ def product(b: RectTableau, b2: RectTableau) -> tuple[tuple[int, ...], ...]:
     """Schensted product: insert the row word of b2 into b.
 
     Returns the product's rows, top row first.  The factors must share
-    an alphabet, or ValueError is raised; `rmatrix` and `local_energy`
+    an alphabet, or BadInputError is raised; `rmatrix` and `local_energy`
     read every pair through here, so they refuse the same pairs.
     """
     if b.n != b2.n:
-        raise ValueError('factors must share an alphabet')
+        raise BadInputError('factors must share an alphabet')
     return insert_word(b.rows, b2.word())
 
 
@@ -91,7 +91,7 @@ def rmatrix(b: RectTableau, b2: RectTableau) -> tuple[RectTableau, RectTableau]:
     Returns the unique pair (c2, c) with c2 of b2's shape and c of b's
     shape such that c2 * c equals b * b2 as Schensted products.  The
     product is taken first, so a pair on two alphabets raises its
-    ValueError before any table is built.
+    BadInputError before any table is built.
     """
     key = product(b, b2)
     r, s = b.shape

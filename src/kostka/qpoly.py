@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .crystal import json_int
+from .errors import BadInputError
 
 
 class QPolynomial:
@@ -126,17 +127,18 @@ def qbinom(m: int, p: int) -> QPolynomial:
     (1 - q^(p+i)) / (1 - q^i).
 
     Generating function of partitions with at most m parts, each part at
-    most p.  m must be nonnegative; a negative p yields the zero
-    polynomial when m > 0 (no partition has a negative part) and 1 when
-    m = 0 (the empty partition, vacuously in every box).  Both must be
-    ints, and the cache is typed, so a float or bool argument is refused
-    and never hits an int's entry.  The product is multiplied out one
-    factor at a time; each partial product is a Gaussian binomial, so
-    each division is exact.  No value depends on what the cache holds.
+    most p.  m must be nonnegative, else BadInputError; a negative p
+    yields the zero polynomial when m > 0 (no partition has a negative
+    part) and 1 when m = 0 (the empty partition, vacuously in every box).
+    Both must be ints, and the cache is typed, so a float or bool
+    argument is refused and never hits an int's entry.  The product is
+    multiplied out one factor at a time; each partial product is a
+    Gaussian binomial, so each division is exact.  No value depends on
+    what the cache holds.
     """
     m, p = json_int(m), json_int(p)
     if m < 0:
-        raise ValueError(f'number of parts must be nonnegative, got {m}')
+        raise BadInputError(f'number of parts must be nonnegative, got {m}')
     if m > 0 and p < 0:
         return QPolynomial.zero()
     coeffs = [1]

@@ -479,21 +479,25 @@ def _partitions_of(total: int) -> tuple:
 
     Each comes as (parts, groups): the weakly decreasing parts, and the
     pairs (length, multiplicity) of its distinct parts, longest first.
-    The tuple is built once per size and process.  It holds partitions
-    only, keyed by the size alone, so no value depends on what the cache
-    holds; each size's entry is one that a builder call's option lists
-    hold anyway.
+    Level d of one depth_first branch per partition chooses how many
+    parts of length total - d to take, most first, and length 1 takes
+    whatever is left.  Two partitions first differ at the longest length
+    they hold different numbers of, and the one with more of it is the
+    larger, so most-first at every level is decreasing lexicographic
+    order.  The tuple is built once per size and process.  It holds
+    partitions only, keyed by the size alone, so no value depends on what
+    the cache holds; each size's entry is one that a builder call's
+    option lists hold anyway.
     """
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield (), ()
-            return
-        for l in range(min(remaining, largest), 0, -1):
-            for m in range(remaining // l, 0, -1):
-                for parts, groups in rec(remaining - m * l, l - 1):
-                    yield (l,) * m + parts, ((l, m),) + groups
+    def step(d, state):
+        left, l = state[0], total - d
+        return [(left - m * l, m) for m in (range(left // l, -1, -1) if l > 1 else (left,))]
 
-    return tuple(rec(total, total))
+    out = []
+    for branch in depth_first((total, 0), total, step):
+        groups = tuple([(total - d, m) for d, (_left, m) in enumerate(branch) if m])
+        out.append((tuple([l for l, m in groups for _ in range(m)]), groups))
+    return tuple(out)
 
 
 def _config_sizes(spec: CrystalSpec, weight: tuple[int, ...], heights):

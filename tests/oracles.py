@@ -10,7 +10,7 @@ literally over witness subsets.
 
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import accumulate, combinations, product as iproduct
+from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 
 from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_rc,
                               merge_column_rc)
@@ -458,6 +458,36 @@ def oracle_config_cc(partitions, n):
     if double % 2:
         raise AssertionError(f'odd doubled cocharge {double} for {partitions}')
     return double // 2
+
+
+def filtered_crystal(r, s, n):
+    """The rows of every column-strict r x s tableau over {1..n}: every
+    multiset of s columns (r-subsets of {1..n}), in the order that
+    combinations_with_replacement lists them, kept when each column lies
+    entrywise at or above the one to its left."""
+    columns = combinations(range(1, n + 1), r)
+    return tuple(tuple(zip(*cols)) for cols in combinations_with_replacement(columns, s)
+                 if all(x <= y for left, right in zip(cols, cols[1:])
+                        for x, y in zip(left, right)))
+
+
+def preorder_specs(max_n, box_cap):
+    """Every factor sequence with at most box_cap boxes, for n = 2..max_n,
+    as (n, factors): the sequences of indices into the shapes (r, s) with
+    r in 1..n-1 and r * s <= box_cap, listed length by length and then
+    sorted, so that a sequence comes before its extensions."""
+    out = []
+    for n in range(2, max_n + 1):
+        shapes = [(r, s) for r in range(1, n) for s in range(1, box_cap + 1)
+                  if r * s <= box_cap]
+        boxes = [r * s for r, s in shapes]
+        level, found = [()], []
+        while level:
+            found += level
+            level = [seq + (i,) for seq in level for i in range(len(shapes))
+                     if sum(boxes[j] for j in seq) + boxes[i] <= box_cap]
+        out += [(n, tuple(shapes[i] for i in seq)) for seq in sorted(found)]
+    return out
 
 
 def partitions_of(total):

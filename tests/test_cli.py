@@ -12,7 +12,8 @@ from kostka.errors import BadInputError
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, enumerate_rcs, fermionic_polynomial
-from kostka import bijection, crystal, rc as rc_layer, rccrystal
+from kostka import bijection, crystal, plactic, rc as rc_layer, rccrystal
+from oracles import preorder_specs
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
 TWO_BOX = {'n': 2, 'factors': [[1, 1], [1, 1]], 'weight': [1, 1]}
@@ -321,7 +322,13 @@ def test_reader_refusals_are_bad_input_errors():
         lambda: CrystalSpec(1, ()),
         lambda: Path(CrystalSpec(3, ((1, 1),)), ()),
         lambda: RiggedConfiguration(CrystalSpec(3, ((1, 1),)), (1, 0, 0), ((), (), ())),
+        lambda: qbinom(-1, 2),
     ]
+    # A pair of tableaux on two alphabets, in either order.
+    b, b2 = RectTableau(((1, 2),), 3), RectTableau(((3,), (4,)), 4)
+    refusals += [lambda f=f, x=x, y=y: f(x, y)
+                 for f in (plactic.product, plactic.rmatrix, plactic.local_energy)
+                 for x, y in ((b, b2), (b2, b))]
     for refuse in refusals:
         with pytest.raises(BadInputError):
             refuse()
@@ -864,3 +871,11 @@ def test_spec_generators():
     swept = sweep_specs(2, 2)
     assert swept == [CrystalSpec(2, ()), CrystalSpec(2, ((1, 1),)),
                      CrystalSpec(2, ((1, 1), (1, 1))), CrystalSpec(2, ((1, 2),))]
+
+
+@pytest.mark.parametrize('max_n,box_cap', [(2, 0), (2, 1), (3, 3), (5, 4), (4, 6)])
+def test_sweep_is_the_preorder_of_factor_sequences(max_n, box_cap):
+    # Each sequence once, before its extensions, in the order of the
+    # shape-index sequences sorted lexicographically.
+    swept = [(spec.n, spec.factors) for spec in sweep_specs(max_n, box_cap)]
+    assert swept == preorder_specs(max_n, box_cap)

@@ -10,8 +10,8 @@ from kostka.crystal import (CrystalSpec, Path, RectTableau, depth_first, enumera
                             json_int)
 from kostka.paths import enumerate_all_paths
 
-from oracles import (naive_residue, recursive_e, recursive_eps, recursive_f, recursive_phi,
-                     tableau_error)
+from oracles import (filtered_crystal, naive_residue, recursive_e, recursive_eps, recursive_f,
+                     recursive_phi, tableau_error)
 
 # small tensor products used for exhaustive cross-checks
 FAMILIES = [
@@ -171,6 +171,15 @@ def test_operator_index_range():
         for i in (True, 1.0):
             with pytest.raises(ValueError, match='expected an integer'):
                 op(p, i)
+
+
+def test_enumeration_matches_the_filtered_multisets():
+    # The same tableaux in the same order as generating every multiset of
+    # columns and dropping those whose rows fail to weakly increase.
+    cases = [(r, s, n) for n in range(1, 7) for r in range(1, n + 1) for s in range(1, 5)]
+    for r, s, n in cases + [(2, 4, 8)]:
+        assert tuple(t.rows for t in enumerate_crystal(r, s, n)) == filtered_crystal(r, s, n), (
+            r, s, n)
 
 
 def test_enumeration_counts():

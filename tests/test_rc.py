@@ -809,7 +809,7 @@ def test_configurations_come_in_decreasing_order_on_the_sweep():
 
 def test_partition_table_matches_the_oracle():
     # The same partitions and groups, in the same order, at every size.
-    for size in range(16):
+    for size in range(21):
         assert _partitions_of(size) == tuple(partition_table(size)), size
 
 

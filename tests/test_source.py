@@ -77,9 +77,7 @@ def test_only_bounded_functions_call_themselves():
     # Backtracking runs on crystal.depth_first's explicit stack.  These are
     # the functions that read their own name, each with what bounds its depth.
     expected = [
-        'cli.py sweep_specs.extend',    # one level per factor, at most box_cap
         'crystal.py json_ints',         # the nesting that json.load accepts
-        'rc.py _partitions_of.rec',     # one level per distinct part, fewer than sqrt(2 * size)
     ]
     found = []
 
@@ -97,6 +95,36 @@ def test_only_bounded_functions_call_themselves():
     for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
         visit(ast.parse(source.read_text(), filename=str(source)), '', source)
     assert found == expected
+
+
+def test_depth_first_is_the_one_backtracker():
+    # Every backtracking enumeration is a crystal.depth_first step; these
+    # are the functions that call it, and a new enumerator is a declared
+    # change.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                if name == 'depth_first':
+                    calls.append(f'{source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert sorted(calls) == [
+        'cli._compositions',
+        'cli.sweep_specs',
+        'crystal.enumerate_crystal',
+        'paths.enumerate_paths',
+        'rc._partitions_of',
+        'rc.enumerate_configurations',
+    ]
 
 
 def test_process_wide_caches_are_declared():
