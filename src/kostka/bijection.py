@@ -25,10 +25,15 @@ configuration, and what the steps build from it skips the constructor
 checks: `Working.freeze` builds its spec with `CrystalSpec._trusted` and
 its configuration with `RiggedConfiguration._trusted`, and `rc_to_path`
 builds its tableaux and path with `RectTableau._trusted` and
-`Path._trusted`.  Inside, a broken invariant raises
-InvariantError: `path_to_rc` compares the image's spec and weight with
-the path's, and `rc_to_path` checks that each column's letters
-decrease and that each row's letters weakly increase.
+`Path._trusted`.  The five public steps are a boundary too: a Working
+state whose leading factors do not fit the step (extract_letter,
+peel_column_rc, merge_column_rc, peel_box_rc, merge_box_rc), like a
+letter out of range in insert_letter, is a BadInputError.  Inside, a
+broken invariant raises InvariantError: a merge blocked by a singular
+string, a split that moves a vacancy number, `path_to_rc` comparing the
+image's spec and weight with the path's, and `rc_to_path` checking that
+each column's letters decrease and that each row's letters weakly
+increase.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from operator import gt, le
 
 from .crystal import CrystalSpec, Path, RectTableau, json_index
-from .errors import InvariantError
+from .errors import BadInputError, InvariantError
 from .rc import RiggedConfiguration, component_vacancy
 
 
@@ -98,10 +103,12 @@ def extract_letter(work: Working) -> int:
 
     One pass over each component, from its last string, keeps the pick
     so far and reads a vacancy number only for a string shorter than it
-    (any string, until one is singular).
+    (any string, until one is singular).  A state whose leading factor is
+    not a single box is a BadInputError; a letter that does not occur in
+    the weight is an InvariantError.
     """
     if not work.factors or work.factors[-1] != (1, 1):
-        raise ValueError('leftmost factor must be a single box')
+        raise BadInputError('leftmost factor must be a single box')
     factors, lengths, riggings = work.factors, work.lengths, work.riggings
     chosen: list[tuple[int, int]] = []
     floor = 1
@@ -188,13 +195,15 @@ def peel_column_rc(work: Working) -> None:
     """Split the leftmost factor (r, s) into (r, 1), (r, s-1).
 
     Strings are untouched; vacancy numbers of component r rise by one
-    for lengths below s, so admissibility is preserved.
+    for lengths below s, so admissibility is preserved.  A state with no
+    factor, or whose leftmost factor is a single column, is a
+    BadInputError.
     """
     if not work.factors:
-        raise ValueError('no factors to split')
+        raise BadInputError('no factors to split')
     r, s = work.factors[-1]
     if s < 2:
-        raise ValueError('leftmost factor must have width at least 2')
+        raise BadInputError('leftmost factor must have width at least 2')
     work.factors[-1:] = [(r, s - 1), (r, 1)]
 
 
@@ -202,11 +211,13 @@ def merge_column_rc(work: Working) -> None:
     """Merge leading factors (r, 1), (r, w) into (r, w + 1).
 
     Requires that component r has no singular string shorter than
-    w + 1; such a string would end up over-rigged after the merge.
+    w + 1; such a string would end up over-rigged after the merge, and
+    is an InvariantError.  Leading factors of any other shapes are a
+    BadInputError.
     """
     factors = work.factors
     if len(factors) < 2 or factors[-1][1] != 1 or factors[-2][0] != factors[-1][0]:
-        raise ValueError('leading factors must be (r, 1), (r, w)')
+        raise BadInputError('leading factors must be (r, 1), (r, w)')
     r, w = factors[-2]
     if blocking := work.singular(r, 1, w):
         raise InvariantError(
@@ -218,13 +229,15 @@ def peel_box_rc(work: Working) -> None:
     """Split the leftmost factor (r, 1) into (1, 1), (r - 1, 1).
 
     Adds a singular string of length one to components 1..r-1; every
-    vacancy number is unchanged by the combined move.
+    vacancy number is unchanged by the combined move, and a moved one is
+    an InvariantError.  A state with no factor, or whose leftmost factor
+    is not a column of height at least 2, is a BadInputError.
     """
     if not work.factors:
-        raise ValueError('no factors to split')
+        raise BadInputError('no factors to split')
     r, s = work.factors[-1]
     if s != 1 or r < 2:
-        raise ValueError('leftmost factor must be a column of height at least 2')
+        raise BadInputError('leftmost factor must be a column of height at least 2')
     riggings = [work.vacancy(a, 1) for a in range(1, r)]
     work.factors[-1:] = [(r - 1, 1), (1, 1)]
     for a, x in enumerate(riggings, start=1):
@@ -238,11 +251,12 @@ def merge_box_rc(work: Working) -> None:
     """Merge leading factors (1, 1), (r, 1) into (r + 1, 1).
 
     Removes one singular string of length one from each of components
-    1..r; the strings must be present.
+    1..r; a missing one is an InvariantError.  Leading factors of any
+    other shapes are a BadInputError.
     """
     factors = work.factors
     if len(factors) < 2 or factors[-1] != (1, 1) or factors[-2][1] != 1:
-        raise ValueError('leading factors must be (1, 1), (r, 1)')
+        raise BadInputError('leading factors must be (1, 1), (r, 1)')
     r = factors[-2][0]
     found = [work.singular(a, 1, 1) for a in range(1, r + 1)]
     for a, candidates in enumerate(found, start=1):

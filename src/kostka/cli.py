@@ -60,11 +60,12 @@ class InputError(Exception):
 
 def _load(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding='utf-8') as fh:   # JSON text is UTF-8 (RFC 8259, 8.1)
             return json.load(fh)
     except OSError as exc:
         raise InputError(f'cannot read {path}: {exc}')
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for json.load
+    # RecursionError: too deeply nested for json.load.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f'{path} is not valid JSON: {exc}')
 
 

@@ -26,12 +26,13 @@ a value of the wrong shape (json_list) with a BadInputError naming the
 field, so any other exception on the way in is a defect, never bad
 input.  Objects the package builds from checked ones skip them through
 a `_trusted` constructor: `Path._trusted` for enumerated and operated
-paths, `RectTableau._trusted` for the tableaux that the
-operators and rc_to_path build and check themselves, `CrystalSpec._trusted`
-for the specs the bijection's splits and merges make from a checked
-spec's factors, and, in `rc`, `RiggedConfiguration._trusted`.  The CLI
-calls none of them.  A tableau that an operator breaks is an
-InvariantError, checked at the one cell it changes.
+paths, `RectTableau._trusted` for the tableaux that enumerate_crystal,
+the operators and rc_to_path build and check themselves,
+`CrystalSpec._trusted` for the specs the bijection's splits and merges
+make from a checked spec's factors, and, in `rc`,
+`RiggedConfiguration._trusted`.  The CLI calls none of them.  A tableau
+that an operator breaks is an InvariantError, checked at the one cell it
+changes.
 `depth_first` is the package's one backtracker: the elements of a
 crystal, the paths of a weight, the partitions and configurations of
 `rc`, and the weights and specs `kostka check` visits.
@@ -376,6 +377,10 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     above the previous column, in lexicographic order.  So the tableaux
     come in the lexicographic order of their column sequences, the order
     of the multisets of s columns, and no sequence is built that fails.
+    Each column's list of successors is filled on the walk's first visit
+    to it and kept for the rest of the call.  The tableaux are built with
+    RectTableau._trusted, since the walk builds only column-strict ones;
+    the argument checks below are the listing's one boundary.
     The cache is typed, so a float or bool height, width or alphabet
     size never hits an int's entry.
     """
@@ -383,11 +388,14 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
     if json_int(s) < 1:
         raise BadInputError('width must be positive')
     columns = tuple(combinations(range(1, n + 1), r))
+    above = {}
 
     def step(_d, left):
-        return [col for col in columns if all(map(le, left, col))]
+        if left not in above:
+            above[left] = [col for col in columns if all(map(le, left, col))]
+        return above[left]
 
-    return tuple(RectTableau(tuple(zip(*cols)), n)
+    return tuple(RectTableau._trusted(tuple(zip(*cols)), n)
                  for cols in depth_first((0,) * r, s, step))
 
 

@@ -16,8 +16,11 @@ class BadInputError(ValueError):
     """A value that a reader or a checked constructor refuses: malformed
     or out-of-range input, named by its field.  The functions that refuse
     an argument's value raise it too: qbinom a negative number of parts,
-    and plactic's product, rmatrix and local_energy a pair of tableaux on
-    two alphabets.  It is a ValueError, so a caller that catches
-    ValueError still catches it; the CLI reads only this exception as bad
-    input, so any other ValueError, like any other exception, is a
-    defect."""
+    plactic's product, rmatrix and local_energy a pair of tableaux on
+    two alphabets, and the bijection's steps (insert_letter,
+    extract_letter, peel_column_rc, merge_column_rc, peel_box_rc,
+    merge_box_rc) a letter out of range or a Working state whose leading
+    factors do not fit the step.  It is a ValueError, so a caller that
+    catches ValueError still catches it; the CLI reads only this
+    exception as bad input, so any other ValueError, like any other
+    exception, is a defect."""

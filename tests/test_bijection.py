@@ -9,7 +9,7 @@ from kostka.bijection import (Working, extract_letter, insert_letter, merge_box_
                               merge_column_rc, path_to_rc, peel_box_rc,
                               peel_column_rc, rc_to_path)
 from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
-from kostka.errors import InvariantError
+from kostka.errors import BadInputError, InvariantError
 from kostka.paths import enumerate_all_paths, enumerate_paths
 from kostka.plactic import rmatrix, tail_energy
 from kostka.rc import RiggedConfiguration, component_vacancy, enumerate_rcs, spec_vacancy
@@ -365,15 +365,15 @@ def test_peel_box_rc_adds_singular_strings():
 
 
 def test_peel_rc_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         peel_column_rc(Working(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         peel_box_rc(Working(3))
     single = path_to_rc(Path(CrystalSpec(3, ((1, 1),)),
                              (RectTableau(((1,),), 3),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         peel_column_rc(Working(single))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         peel_box_rc(Working(single))
 
 
@@ -386,7 +386,7 @@ def test_merge_box_rc_cases():
     bad = RiggedConfiguration(spec, (1, 1, 0), (((1, -1),), ()))
     with pytest.raises(RuntimeError):
         stepped(merge_box_rc, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         stepped(merge_box_rc, merged)
 
 
@@ -400,11 +400,11 @@ def test_merge_column_rc_cases():
     assert merged.spec.factors == ((1, 2),)
     assert merged.strings == (((1, -1),),)
     assert merged.is_admissible()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         stepped(merge_column_rc, merged)
     mixed = RiggedConfiguration(CrystalSpec(3, ((1, 1), (2, 1))),
                                 (2, 1, 0), ((), ()))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInputError):
         stepped(merge_column_rc, mixed)  # factor heights differ
 
 

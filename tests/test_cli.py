@@ -324,6 +324,14 @@ def test_reader_refusals_are_bad_input_errors():
         lambda: RiggedConfiguration(CrystalSpec(3, ((1, 1),)), (1, 0, 0), ((), (), ())),
         lambda: qbinom(-1, 2),
     ]
+    # One bijection step apiece on a state whose leading factors do not fit.
+    column = RiggedConfiguration(CrystalSpec(3, ((2, 1),)), (1, 1, 0), ((), ()))
+    refusals += [lambda step=step, state=state: step(bijection.Working(state))
+                 for step, state in ((bijection.extract_letter, column),
+                                     (bijection.peel_column_rc, column),
+                                     (bijection.merge_column_rc, column),
+                                     (bijection.peel_box_rc, 3),
+                                     (bijection.merge_box_rc, column))]
     # A pair of tableaux on two alphabets, in either order.
     b, b2 = RectTableau(((1, 2),), 3), RectTableau(((3,), (4,)), 4)
     refusals += [lambda f=f, x=x, y=y: f(x, y)
@@ -485,6 +493,14 @@ def test_bad_input_reports(tmp_path, capsys):
     garbled.write_text('not json')
     code, _, err = run(capsys, ['paths', '--spec', str(garbled)])
     assert code == 2 and 'not valid JSON' in err
+
+    # JSON text is UTF-8; other bytes are bad input in every reader.
+    binary = tmp_path / 'binary.json'
+    binary.write_bytes(b'\xff\xfe{}')
+    for argv in (['paths'], ['rcs'], ['poly'], ['map', 'phi'], ['op', 'f', '1']):
+        code, out, err = run(capsys, [*argv, '--spec', str(binary)])
+        assert (code, out) == (2, '')
+        assert err.startswith(f'error: {binary} is not valid JSON: ') and err.count('\n') == 1
 
     code, _, err = run(capsys, ['paths', '--spec',
                                 write(tmp_path, 'a.json', {'n': 2, 'factors': []})])

@@ -175,11 +175,16 @@ def test_operator_index_range():
 
 def test_enumeration_matches_the_filtered_multisets():
     # The same tableaux in the same order as generating every multiset of
-    # columns and dropping those whose rows fail to weakly increase.
+    # columns and dropping those whose rows fail to weakly increase.  The
+    # listing builds them unchecked, so each must equal its checked rebuild.
+    # (6, 1, 13) walks from the zero column alone; (3, 3, 9) is a larger alphabet.
     cases = [(r, s, n) for n in range(1, 7) for r in range(1, n + 1) for s in range(1, 5)]
-    for r, s, n in cases + [(2, 4, 8)]:
-        assert tuple(t.rows for t in enumerate_crystal(r, s, n)) == filtered_crystal(r, s, n), (
-            r, s, n)
+    for r, s, n in cases + [(2, 4, 8), (6, 1, 13), (3, 3, 9)]:
+        listed = enumerate_crystal(r, s, n)
+        assert tuple(t.rows for t in listed) == filtered_crystal(r, s, n), (r, s, n)
+        for t in listed:
+            checked = RectTableau(t.rows, n)
+            assert (t, hash(t), t.shape) == (checked, hash(checked), checked.shape), (r, s, n)
 
 
 def test_enumeration_counts():

@@ -220,3 +220,52 @@ def test_one_admissibility_decider():
     in_check_spec = [name for module, scope, name in calls
                      if module == 'cli.py' and scope.split('.')[0] == 'check_spec']
     assert 'freeze' not in in_check_spec and '_admissible' in in_check_spec
+
+
+def test_checked_constructors_run_only_at_the_boundary():
+    # Input is checked once, where it enters: the readers' from_json build
+    # with cls(...), and only the generated specs of `kostka check` and the
+    # witness-set listing call a checked constructor by name.  Everything
+    # else the package builds goes through a _trusted constructor.
+    checked = {'RectTableau', 'Path', 'CrystalSpec', 'RiggedConfiguration',
+               'LowerBoundTableau'}
+    by_name, by_cls = [], []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                where = f'{source.stem}.{".".join(scope)}'
+                if child.func.id in checked:
+                    by_name.append(where)
+                elif child.func.id == 'cls' and scope and scope[0] in checked:
+                    by_cls.append(where)
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert sorted(set(by_name)) == ['cli.random_spec', 'cli.sweep_specs', 'rc.bound_tableaux']
+    assert sorted(by_cls) == [
+        'crystal.CrystalSpec.from_json',
+        'crystal.Path.from_json',
+        'crystal.RectTableau.from_json',
+        'rc.RiggedConfiguration.from_json',
+    ]
+
+
+def test_package_raises_no_untyped_refusal():
+    # A value the package refuses is a BadInputError and a broken invariant
+    # an InvariantError; a raised TypeError, KeyError or plain ValueError
+    # could not be told from a defect.
+    found = []
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ('TypeError', 'KeyError', 'ValueError'):
+                found.append(f'{source.name}:{node.lineno} {exc.id}')
+    assert found == []
