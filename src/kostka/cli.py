@@ -59,9 +59,21 @@ class InputError(Exception):
 
 
 def _load(path: str):
+    # int refuses a digit string past the interpreter's limit with a plain
+    # ValueError, so a longer one is refused here, by its length, as bad
+    # input; a limit of 0, or none, means no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, 'get_int_max_str_digits') else 0
+
+    def parse_int(text: str) -> int:
+        digits = len(text) - text.startswith('-')
+        if limit and digits > limit:
+            raise InputError(f'{path} holds an integer of {digits} digits, '
+                             f'more than the limit of {limit}')
+        return int(text)
+
     try:
         with open(path, encoding='utf-8') as fh:   # JSON text is UTF-8 (RFC 8259, 8.1)
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise InputError(f'cannot read {path}: {exc}')
     # RecursionError: too deeply nested for json.load.

@@ -121,6 +121,26 @@ class QPolynomial:
         return f'QPolynomial({self.coeffs!r})'
 
 
+def _times_qbinom(coeffs: list, m: int, p: int) -> None:
+    """Multiply the ascending coefficient list coeffs, in place, by the
+    Gaussian binomial [m+p choose m]_q, for m >= 0 and p >= 0: m steps,
+    step i times 1 - q^(p+i), then divided by 1 - q^i.
+
+    After step i the list holds the start times [i+p choose i]_q, a
+    polynomial, so each division is exact and leaves i trailing zeros,
+    which are cut; the list grows by m * p entries in all.  The one product
+    loop of the q-binomials: qbinom applies it to [1], and the fermionic
+    sum to each of its groups' lists in turn."""
+    for i in range(1, m + 1):
+        # Times 1 - q^(p+i), then divided by 1 - q^i: g[k] = f[k] + g[k-i].
+        coeffs += [0] * (p + i)
+        for k in range(len(coeffs) - 1, p + i - 1, -1):
+            coeffs[k] -= coeffs[k - p - i]
+        for k in range(i, len(coeffs)):
+            coeffs[k] += coeffs[k - i]
+        del coeffs[len(coeffs) - i:]
+
+
 @lru_cache(maxsize=None, typed=True)
 def qbinom(m: int, p: int) -> QPolynomial:
     """Gaussian binomial [m+p choose m]_q, the product over i = 1..m of
@@ -132,9 +152,8 @@ def qbinom(m: int, p: int) -> QPolynomial:
     part) and 1 when m = 0 (the empty partition, vacuously in every box).
     Both must be ints, and the cache is typed, so a float or bool
     argument is refused and never hits an int's entry.  The product is
-    multiplied out one factor at a time; each partial product is a
-    Gaussian binomial, so each division is exact.  No value depends on
-    what the cache holds.
+    _times_qbinom applied to [1]; no value depends on what the cache
+    holds.
     """
     m, p = json_int(m), json_int(p)
     if m < 0:
@@ -142,12 +161,5 @@ def qbinom(m: int, p: int) -> QPolynomial:
     if m > 0 and p < 0:
         return QPolynomial.zero()
     coeffs = [1]
-    for i in range(1, m + 1):
-        # Times 1 - q^(p+i), then divided by 1 - q^i: g[k] = f[k] + g[k-i].
-        coeffs += [0] * (p + i)
-        for k in range(len(coeffs) - 1, p + i - 1, -1):
-            coeffs[k] -= coeffs[k - p - i]
-        for k in range(i, len(coeffs)):
-            coeffs[k] += coeffs[k - i]
-        del coeffs[len(coeffs) - i:]
+    _times_qbinom(coeffs, m, p)
     return QPolynomial(dict(enumerate(coeffs)))

@@ -13,19 +13,23 @@ The module computes the generating polynomial of all rigged
 configurations graded by cocharge in two ways, direct enumeration and
 the alternating bound-tableau sum, which share the configuration builder
 `enumerate_configurations`, one crystal.depth_first step per component
-over the option lists of _component_options.  The partitions of each
-size are tabled once per process (_partitions_of); they are keyed by the
-size alone, so no value depends on the table, and the vacancy numbers and
-floors of the options are computed on every call.
+over the partitions of its size.  The partitions of each size are tabled
+once per process, each with its overlap function (_partitions_of); they
+are keyed by the size alone, so no value depends on the table.  The
+builder takes only the factor term of each vacancy number from
+component_vacancy, and the floors, once per length on every call
+(_component_options), and adds every overlap from the table.
 The builder yields each configuration with its distinct minimal
 riggable witness profiles, in walk order, which is exact for both
 methods: the riggings are the union of one box per riggable profile, and
-the box of a profile above another lies inside that one's box.  The enumeration counts the riggings
-of each configuration and builds no RiggedConfiguration: the cocharge of
-the bare configuration is shared by all of its riggings, and each
-rigging adds its sum of labels.  The alternating sum is
-inclusion-exclusion over the same boxes, and multiplies the q-binomials
-of each distinct (pairs, shift) key once (fermionic_polynomial).
+the box of a profile above another lies inside that one's box.  The
+enumeration counts the riggings of each configuration and builds no
+RiggedConfiguration: the cocharge of the bare configuration is shared by
+all of its riggings, and each rigging adds its sum of labels.  The
+alternating sum is inclusion-exclusion over the same boxes, a signed
+max-DP that packs the profiles into integers when there are many
+(_signed_terms), and multiplies the q-binomials of each distinct (pairs,
+shift) key once, in place on a coefficient list (fermionic_polynomial).
 
 The listing and both polynomials are each a function of the builder's
 output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`);
@@ -44,12 +48,12 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, product as iproduct
 from math import comb, prod
-from operator import le
+from operator import le, lshift
 
 from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_field, json_index,
                       json_int, json_ints, json_list)
 from .errors import BadInputError, BudgetError
-from .qpoly import QPolynomial, qbinom
+from .qpoly import QPolynomial, _times_qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
 
@@ -59,8 +63,9 @@ def component_vacancy(factors, padded, a: int, i: int) -> int:
     (height, width) of every tensor factor in any order, and padded, the
     part lengths of components 0..n, where components 0 and n are empty.
     Every vacancy number in the package comes from it; the configuration
-    builder calls it with both neighbours of a empty and adds their
-    overlaps itself as it chooses them."""
+    builder takes only the factor term, calling it with every component
+    empty, and adds every overlap, component a's own included, from the
+    overlap tables of _partitions_of (_component_options)."""
     # The Cartan pairing of simple roots: 2 with itself, -1 adjacent.
     total = 0
     for r, s in factors:
@@ -477,17 +482,20 @@ class RiggedConfiguration:
 def _partitions_of(total: int) -> tuple:
     """All partitions of total, in decreasing lexicographic order.
 
-    Each comes as (parts, groups): the weakly decreasing parts, and the
-    pairs (length, multiplicity) of its distinct parts, longest first.
+    Each comes as (parts, groups, overlap, lengths): the weakly decreasing
+    parts, the pairs (length, multiplicity) of its distinct parts, longest
+    first, its overlap function, overlap[l] = sum(min(x, l)) over the
+    parts x for l = 0..parts[0], and the tuple of its distinct lengths.
+    Past the longest part the overlap is the size, the last entry.
     Level d of one depth_first branch per partition chooses how many
     parts of length total - d to take, most first, and length 1 takes
     whatever is left.  Two partitions first differ at the longest length
     they hold different numbers of, and the one with more of it is the
     larger, so most-first at every level is decreasing lexicographic
     order.  The tuple is built once per size and process.  It holds
-    partitions only, keyed by the size alone, so no value depends on what
-    the cache holds; each size's entry is one that a builder call's
-    option lists hold anyway.
+    partitions and their overlaps only, keyed by the size alone, so no
+    value depends on what the cache holds; each size's entry is one that
+    a builder call's option lists hold anyway.
     """
     def step(d, state):
         left, l = state[0], total - d
@@ -496,7 +504,17 @@ def _partitions_of(total: int) -> tuple:
     out = []
     for branch in depth_first((total, 0), total, step):
         groups = tuple([(total - d, m) for d, (_left, m) in enumerate(branch) if m])
-        out.append((tuple([l for l, m in groups for _ in range(m)]), groups))
+        parts = tuple([l for l, m in groups for _ in range(m)])
+        # One running sum, shortest length first: from one length to the
+        # next, the overlap rises at each step by reach, the number of
+        # parts at least that long.
+        overlap = [0]
+        reach = len(parts)
+        for l, m in reversed(groups):
+            last = overlap[-1]
+            overlap += range(last + reach, last + reach * (l - len(overlap) + 1) + 1, reach)
+            reach -= m
+        out.append((parts, groups, tuple(overlap), tuple([l for l, _m in groups])))
     return tuple(out)
 
 
@@ -525,21 +543,21 @@ def _witness_floor(top: int, below: int, l: int) -> int:
     return max(0, below - max(top - l, 0)) - min(l, top)
 
 
-def _component_options(factors, heights, a: int, size: int) -> list:
-    """The options of component a, of the given size, for a builder step:
-    each partition (_partitions_of) with its support entries (a, l, m),
-    their vacancy numbers short of the overlaps with both neighbours and
-    their floors (_witness_floor), read off the factors and the heights
-    c_0..c_n of _column_heights, and the tuple of its lengths l.  Only the
-    partitions come from a table; the vacancy numbers and floors are
-    computed on every call."""
-    options = []
-    for parts, groups in _partitions_of(size):
-        padded = ((),) * a + (parts, ())
-        options.append((parts, [((a, l, m), component_vacancy(factors, padded, a, l),
-                                  _witness_floor(heights[a], heights[a + 1], l))
-                                 for l, m in groups], tuple([l for l, _m in groups])))
-    return options
+def _component_options(factors, heights, a: int, size: int, room: int) -> tuple:
+    """The per-length values a builder step reads for component a, of the
+    given size, beside its options, the partitions of that size
+    (_partitions_of): two lists indexed by l = 1..size, each computed once
+    per length on every call.  The first holds the factor term of the
+    vacancy number, component_vacancy read with every component empty; an
+    option's entry at l has the vacancy number short of its neighbours'
+    overlaps factor term - 2 * overlap[l], from its own overlap table.  The
+    second holds the floor (_witness_floor), read off the heights
+    c_0..c_n of _column_heights, less room, the size of the next
+    component, which bounds any overlap that component can add."""
+    empty = ((),) * (a + 2)
+    return ([0, *[component_vacancy(factors, empty, a, l) for l in range(1, size + 1)]],
+            [0, *[_witness_floor(heights[a], heights[a + 1], l) - room
+                  for l in range(1, size + 1)]])
 
 
 def enumerate_configurations(spec: CrystalSpec, weight):
@@ -559,16 +577,20 @@ def enumerate_configurations(spec: CrystalSpec, weight):
 
     The weight is checked once, and the component sizes are read off its
     one list of column heights (_config_sizes).  Each component's options
-    come from _component_options: the partitions from the per-size table
-    of _partitions_of, which no value depends on, and their vacancy
-    numbers and floors computed afresh on every call.
+    are the partitions of its size, with their overlap tables, from the
+    per-size table of _partitions_of, which no value depends on; the
+    factor terms and floors per length come from _component_options,
+    computed afresh on every call.  The builder takes only the factor term
+    of each vacancy number from component_vacancy and adds every overlap,
+    the component's own included, by one lookup in an overlap table.
 
     Components are chosen nu^(1), nu^(2), ... one crystal.depth_first
     step each, and last nu^(n), whose one choice is the empty partition.
-    A state holds only its own level: nu^(a), the entries of nu^(a-1) it
-    makes final, its own entries short of the overlap with nu^(a+1) and
-    their lengths, and the partial witness rows after column a; the leaf
-    joins the branch.
+    A state holds only its own level: nu^(a), its groups and its overlap
+    table, the vacancy numbers of nu^(a-1) it makes final, its own short
+    of the overlap with nu^(a+1) and their lengths, and the partial
+    witness rows after column a; the leaf joins the branch into the
+    support, the vacancy numbers and the profiles.
     The vacancy numbers of component a depend only on nu^(a-1), nu^(a)
     and nu^(a+1), so choosing nu^(a+1) makes them final and advances the
     rows by column a+1 (_walk_column).  A prefix is dropped when no row
@@ -584,40 +606,38 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     sizes = _config_sizes(spec, weight, heights)
     if sizes is None:
         return
-    # Component n is the one empty partition.
+    # Component n is the one empty partition.  The overlap of nu^(a+1)
+    # with any length is at most its size, its room.
     sizes.append(0)
-    options = [_component_options(spec.factors, heights, a, size)
-               for a, size in enumerate(sizes, start=1)]
+    levels = [(_partitions_of(size), *_component_options(spec.factors, heights, a, size, room))
+              for a, (size, room) in enumerate(zip(sizes, [*sizes[1:], 0]), start=1)]
 
     def step(d, state):
-        left, _final, pending, finishing, partial = state
-        a = d + 1
-        top, height = heights[a - 1], heights[a]
-        # The overlap of nu^(a+1) with any length is at most its size.
-        room = sizes[a] if a < len(sizes) else 0
-        for parts, entries, lengths in options[a - 1]:
+        _parts, _groups, left, _final, pending, finishing, partial = state
+        top, height = heights[d], heights[d + 1]
+        table, term, floor = levels[d]
+        # An overlap table ends at the longest part; past it, the overlap
+        # is the size, the table's last entry.
+        last = len(left) - 1
+        for parts, groups, overlap, lengths in table:
             started = []
-            for key, own, floor in entries:
-                l = key[1]
-                # The overlaps sum min(l, x), written out: no call per part.
-                p = own + sum([l if l < x else x for x in left])
-                if p + room < floor:
+            for l in lengths:
+                p = term[l] - 2 * overlap[l] + left[l if l < last else last]
+                if p < floor[l]:
                     break
-                started.append((key, p))
+                started.append(p)
             else:
-                done = []
-                for key, p in pending:
-                    l = key[1]
-                    done.append((key, p + sum([l if l < x else x for x in parts])))
-                grown = _walk_column(partial, top, height, finishing, [p for _key, p in done],
-                                     lengths)
+                end = len(overlap) - 1
+                final = [p + overlap[l if l < end else end] for l, p in zip(finishing, pending)]
+                grown = _walk_column(partial, top, height, finishing, final, lengths)
                 if grown:
-                    yield parts, done, started, lengths, grown
+                    yield parts, groups, overlap, final, started, lengths, grown
 
-    for branch in depth_first(((), [], [], (), [((), ())]), spec.n, step):
-        finished = [entry for state in branch for entry in state[1]]
-        yield (tuple([state[0] for state in branch[:-1]]), [key for key, _p in finished],
-               [p for _key, p in finished], [row for row, _pending in branch[-1][4]])
+    for branch in depth_first(((), (), (0,), [], [], (), [((), ())]), spec.n, step):
+        yield (tuple([state[0] for state in branch[:-1]]),
+               [(a, l, m) for a, state in enumerate(branch, start=1) for l, m in state[1]],
+               [p for state in branch for p in state[3]],
+               [row for row, _pending in branch[-1][6]])
 
 
 def _riggings(support, vacancies, profiles):
@@ -709,6 +729,11 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     which is evaluated by dynamic programming on pointwise maxima:
     processing profiles one at a time, a map from max-vector to signed
     count absorbs each new profile v via D[max(u,v)] -= D[u], D[v] += 1.
+    A configuration with one profile needs no DP, its one term being that
+    profile with count 1.  On many profiles the DP runs on profiles
+    packed into integers, where a pointwise maximum is a few integer
+    operations (_signed_maxima); on a few, packing and unpacking cost
+    more than that saves, and it runs on tuples (_signed_terms).
 
     Only riggable profiles (no bound above its vacancy number) enter.
     This is exact: if a subset holds a profile with some bound low > p,
@@ -729,17 +754,68 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     qbinom(m, p - low) over its entries, where shift is the cocharge plus
     the sum of m * low; the terms are grouped by shift and the sorted pairs
     (m, p - low) with p > low (the others are factors of 1), and each
-    distinct group multiplies its q-binomials once.
+    distinct group multiplies its q-binomials once, in place on one
+    coefficient list (qpoly._times_qbinom), with no QPolynomial product.
     """
     return _fermionic_polynomial_from(enumerate_configurations(spec, weight))
 
 
-def _fermionic_polynomial_from(configs) -> QPolynomial:
-    """fermionic_polynomial read off configs, the output of
-    enumerate_configurations, whose profiles are already minimal."""
-    # Signed counts per key (sorted pairs (m, p - low) with p > low, shift).
-    groups = Counter()
-    for parts, support, vacancies, profiles in configs:
+def _signed_maxima(profiles) -> tuple[dict[int, int], int, int]:
+    """The signed max-DP of fermionic_polynomial over two or more distinct
+    profiles of one length, on packed integers: (signed, low, width),
+    where signed maps each pointwise maximum with a nonzero count to that
+    count, and entry i of a key is low + its bits width*i .. width*i +
+    width - 2.
+
+    Each profile is packed into one int, entry i offset by the least entry
+    low into field i, which is width bits wide: the bits of the largest
+    offset entry plus a guard bit on top, clear in every packed profile.
+    Within a field, (u + guard) - v cannot borrow from the next field,
+    and keeps its guard bit exactly when u's entry is at least v's; the
+    guard bits, less themselves shifted down to the bottom of the field,
+    fill the fields where u wins, and the maximum takes u there and v
+    elsewhere.  The offset and the guard bits are multiples of the
+    repunit sum(2^(width*i)), so neither takes a loop per field.
+    """
+    low = min(map(min, profiles))
+    width = (max(map(max, profiles)) - low).bit_length() + 1
+    unit = ((1 << width * len(profiles[0])) - 1) // ((1 << width) - 1)
+    top = width - 1
+    guard = unit << top
+    shifts = range(0, width * len(profiles[0]), width)
+    signed: dict[int, int] = {}
+    for profile in profiles:
+        # Packing is linear: offsetting every entry by low subtracts low * unit.
+        v = sum(map(lshift, profile, shifts)) - low * unit
+        updates = {v: signed.get(v, 0) + 1}
+        for u, c in signed.items():
+            d = ((u | guard) - v) & guard
+            w = v ^ ((u ^ v) & (d - (d >> top)))
+            updates[w] = updates.get(w, signed.get(w, 0)) - c
+        signed.update(updates)
+        signed = {u: c for u, c in signed.items() if c != 0}
+    return signed, low, width
+
+
+# On fewer profiles than this, the tuple DP is faster than the packed one,
+# which pays for packing each profile and unpacking each key.  Measured on
+# the configurations of the rc-poly benchmark catalog, where 271 of the 293
+# with two or more minimal profiles have at most four, and on the heavy
+# specs of BENCH_rc_kernels.json, with up to 228.
+_PACKED_FROM = 5
+
+
+def _signed_terms(profiles):
+    """The signed max-DP of fermionic_polynomial over the distinct
+    profiles of one configuration: pairs (bounds, count), one per
+    pointwise maximum of a nonempty subset with a nonzero signed count.
+
+    One profile needs no DP: its one term is itself, with count 1.  Up to
+    _PACKED_FROM - 1 profiles run the DP on tuples, and more on packed
+    integers (_signed_maxima), unpacked key by key."""
+    if len(profiles) == 1:
+        return ((profiles[0], 1),)
+    if len(profiles) < _PACKED_FROM:
         signed: dict[tuple[int, ...], int] = {}
         for v in profiles:
             updates = {v: signed.get(v, 0) + 1}
@@ -748,8 +824,22 @@ def _fermionic_polynomial_from(configs) -> QPolynomial:
                 updates[w] = updates.get(w, signed.get(w, 0)) - c
             signed.update(updates)
             signed = {u: c for u, c in signed.items() if c != 0}
+        return signed.items()
+    packed, least, width = _signed_maxima(profiles)
+    mask = (1 << width) - 1
+    fields = range(0, width * len(profiles[0]), width)
+    return [([((key >> s) & mask) + least for s in fields], count)
+            for key, count in packed.items()]
+
+
+def _fermionic_polynomial_from(configs) -> QPolynomial:
+    """fermionic_polynomial read off configs, the output of
+    enumerate_configurations, whose profiles are already minimal."""
+    # Signed counts per key (sorted pairs (m, p - low) with p > low, shift).
+    groups = Counter()
+    for parts, support, vacancies, profiles in configs:
         base = _config_cocharge(parts)
-        for bounds, count in signed.items():
+        for bounds, count in _signed_terms(profiles):
             shift = base
             pairs = []
             for (_a, _l, m), low, p in zip(support, bounds, vacancies):
@@ -762,9 +852,9 @@ def _fermionic_polynomial_from(configs) -> QPolynomial:
     for (pairs, shift), count in groups.items():
         if not count:
             continue
-        term = QPolynomial.one()
+        coeffs = [1]
         for m, d in pairs:
-            term = term * qbinom(m, d)
-        for e, c in term.coeffs.items():
-            result[e + shift] += count * c
+            _times_qbinom(coeffs, m, d)
+        for e, c in enumerate(coeffs, start=shift):
+            result[e] += count * c
     return QPolynomial(result)

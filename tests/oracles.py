@@ -569,6 +569,21 @@ def subset_fermionic(spec, weight):
     return result
 
 
+def signed_maxima(profiles):
+    """The signed max-DP on tuples: the signed count of each pointwise
+    maximum of a nonempty subset of the distinct profiles, sign
+    (-1)^(size+1), with the zero counts dropped."""
+    signed = {}
+    for v in profiles:
+        updates = {v: signed.get(v, 0) + 1}
+        for u, c in signed.items():
+            w = tuple(max(x, y) for x, y in zip(u, v))
+            updates[w] = updates.get(w, signed.get(w, 0)) - c
+        signed.update(updates)
+        signed = {u: c for u, c in signed.items() if c != 0}
+    return signed
+
+
 def unfiltered_fermionic(spec, weight):
     """The signed max-DP over every distinct witness profile of each
     configuration, with no riggability filter: a profile with a bound
@@ -588,14 +603,7 @@ def unfiltered_fermionic(spec, weight):
                 columns[a, length] = [t.bound(a, length) for t in tableaux]
         profiles = (set(zip(*[columns[a, length] for a, length, _m in triples]))
                     if triples else {()})
-        signed = {}
-        for v in profiles:
-            updates = {v: signed.get(v, 0) + 1}
-            for u, c in signed.items():
-                w = tuple(max(x, y) for x, y in zip(u, v))
-                updates[w] = updates.get(w, signed.get(w, 0)) - c
-            signed.update(updates)
-            signed = {u: c for u, c in signed.items() if c != 0}
+        signed = signed_maxima(profiles)
         # The signs of the nonempty subsets of a nonempty set sum to 1.
         if sum(signed.values()) != 1:
             raise AssertionError(f'signed counts {signed} do not sum to 1 on {parts}')

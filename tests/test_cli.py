@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -547,6 +548,29 @@ def test_bad_input_reports(tmp_path, capsys):
     whole['weight'] = 210
     code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 'g.json', whole)])
     assert (code, out) == (2, '') and err.startswith('error: bad spec: ')
+
+
+@pytest.mark.skipif(not getattr(sys, 'get_int_max_str_digits', lambda: 0)(),
+                    reason='this interpreter converts integers of any length')
+@pytest.mark.parametrize('argv, data', [
+    (['paths'], SPEC43), (['rcs'], SPEC43), (['poly'], SPEC43),
+    (['map', 'phi'], EXB_PATH_JSON), (['op', 'f', '1'], EXB_PATH_JSON),
+], ids=['paths', 'rcs', 'poly', 'map', 'op'])
+def test_an_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys, argv, data):
+    # json.load would raise a plain ValueError converting it; the reader
+    # refuses it by its length and names the file.  The sign is no digit.
+    limit = sys.get_int_max_str_digits()
+    text = json.dumps(data).replace(f'"n": {data["n"]}', '"n": NUMBER', 1)
+    target = tmp_path / 'long.json'
+    target.write_text(text.replace('NUMBER', '9' * (limit + 1)))
+    code, out, err = run(capsys, [*argv, '--spec', str(target)])
+    assert (code, out) == (2, '')
+    assert err == (f'error: {target} holds an integer of {limit + 1} digits, '
+                   f'more than the limit of {limit}\n')
+    target.write_text(text.replace('NUMBER', '-' + '9' * limit))
+    code, out, err = run(capsys, [*argv, '--spec', str(target)])
+    kind = 'element' if argv[0] in ('map', 'op') else 'spec'
+    assert (code, out, err) == (2, '', f'error: bad {kind}: alphabet size must be at least 2\n')
 
 
 # (arguments, input, key path to one integer in it)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from kostka.qpoly import QPolynomial, qbinom
+from kostka.qpoly import QPolynomial, _times_qbinom, qbinom
 
 polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(
     QPolynomial)
@@ -113,3 +113,25 @@ def test_qbinom_coefficients_are_partition_counts():
             for c in range(b + 1):
                 by_size[a + b + c] += 1
     assert [poly.coeffs.get(k, 0) for k in range(10)] == by_size
+
+
+@given(st.integers(0, 6), st.integers(0, 8),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=8))
+def test_times_qbinom_is_the_product_with_qbinom(m, p, start):
+    # The kernel multiplies a coefficient list in place; the product of
+    # QPolynomials with the (cached) q-binomial is the reference.
+    coeffs = list(start)
+    _times_qbinom(coeffs, m, p)
+    expected = QPolynomial(dict(enumerate(start))) * qbinom(m, p)
+    # The list grows by m * p entries, the degree of the q-binomial.
+    assert len(coeffs) == len(start) + m * p
+    assert QPolynomial(dict(enumerate(coeffs))) == expected
+
+
+def test_times_qbinom_chains_like_a_product():
+    # Applied twice to one list, as the fermionic sum applies it per pair.
+    coeffs = [2, 0, -1]
+    _times_qbinom(coeffs, 2, 3)
+    _times_qbinom(coeffs, 1, 4)
+    assert QPolynomial(dict(enumerate(coeffs))) == (
+        QPolynomial({0: 2, 2: -1}) * qbinom(2, 3) * qbinom(1, 4))

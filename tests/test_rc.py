@@ -14,15 +14,15 @@ from kostka.qpoly import QPolynomial
 from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration,
                        _admissible, _chain_column, _column_counts, _column_heights,
                        _config_cocharge, _config_sizes, _minimal_profiles, _partitions_of,
-                       _walk_column, _witness_floor, bound_tableaux, count_bound_tableaux,
-                       enumerate_configurations, enumerate_rcs, fermionic_polynomial,
-                       rc_polynomial)
+                       _signed_maxima, _signed_terms, _walk_column, _witness_floor,
+                       bound_tableaux, count_bound_tableaux, enumerate_configurations,
+                       enumerate_rcs, fermionic_polynomial, rc_polynomial)
 
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
                      oracle_rc_polynomial, oracle_sizes, oracle_vacancy, partition_table,
-                     partitions_of, strings_by_length, subset_fermionic, sweep_rcs,
-                     unfiltered_fermionic)
+                     partitions_of, signed_maxima, strings_by_length, subset_fermionic,
+                     sweep_rcs, unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
 SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
@@ -808,9 +808,65 @@ def test_configurations_come_in_decreasing_order_on_the_sweep():
 
 
 def test_partition_table_matches_the_oracle():
-    # The same partitions and groups, in the same order, at every size.
+    # The same partitions and groups, in the same order, at every size,
+    # each with its distinct lengths, and each overlap table gives
+    # sum(min(x, l)), past the longest part too, where the builder reads
+    # its last entry.
     for size in range(21):
-        assert _partitions_of(size) == tuple(partition_table(size)), size
+        table = _partitions_of(size)
+        assert [entry[:2] for entry in table] == partition_table(size), size
+        for parts, _groups, overlap, lengths in table:
+            assert lengths == tuple(sorted(set(parts), reverse=True)), parts
+            assert len(overlap) == (parts[0] if parts else 0) + 1, parts
+            for l in range(size + 2):
+                assert (overlap[l] if l < len(overlap) else overlap[-1]) \
+                    == sum(min(x, l) for x in parts), (parts, l)
+
+
+def _unpacked(signed, low, width, k):
+    # Field i of a key: bits width*i .. width*i + width - 1, read off its
+    # binary digits, with the guard bit on top clear.
+    out = {}
+    for key, count in signed.items():
+        bits = format(key, 'b').zfill(width * k)
+        fields = [bits[len(bits) - width * (i + 1):len(bits) - width * i] for i in range(k)]
+        if any(field[0] != '0' for field in fields) or len(bits) > width * k:
+            raise AssertionError(f'a guard bit is set in {key:b}')
+        out[tuple(int(field, 2) + low for field in fields)] = count
+    return out
+
+
+def test_packed_signed_maxima_match_the_tuple_dp():
+    # Random distinct profiles: 2-8 of them, 1-20 entries each, over spans
+    # of 2^j - 1, 2^j and 2^j + 1 entries above a least entry that is
+    # negative most of the time, so field widths land on every side of a
+    # power of two.  The signed sum's terms, packed or not by the number
+    # of profiles, are the same counts.
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(3000):
+        k = rng.randint(1, 20)
+        span = (1 << rng.randint(0, 6)) + rng.choice((-1, 0, 1))
+        low = rng.randint(-9, 3)
+        size = rng.randint(2, 8)
+        # Pin both ends of the span, so the width is the one chosen.
+        ends = [[rng.randint(low, low + span) for _ in range(k)] for _ in range(2)]
+        ends[0][0], ends[1][-1] = low, low + span
+        profiles = {tuple(ends[0]), tuple(ends[1])}
+        while len(profiles) < min(size, (span + 1) ** k):
+            profiles.add(tuple(rng.randint(low, low + span) for _ in range(k)))
+        if len(profiles) < 2:
+            continue
+        profiles = list(profiles)
+        rng.shuffle(profiles)
+        signed, least, width = _signed_maxima(profiles)
+        assert (least, width) == (low, span.bit_length() + 1)
+        packed = _unpacked(signed, least, width, k)
+        assert packed == signed_maxima(profiles), profiles
+        assert sum(packed.values()) == 1
+        assert {tuple(bounds): count for bounds, count in _signed_terms(profiles)} == packed
+        checked += 1
+    assert checked > 2500
 
 
 def test_builder_output_does_not_depend_on_the_partition_table():

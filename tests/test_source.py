@@ -41,14 +41,25 @@ def test_package_imports_only_the_standard_library():
 
 def test_package_never_calls_int():
     # crystal.json_ints reads integer input and CrystalSpec.check_weight
-    # checks weights; nothing else converts values.
+    # checks weights; nothing else converts values.  The one call is
+    # json.load's parse_int hook in cli._load: it gets JSON digit strings
+    # only, and refuses one past the interpreter's digit limit by its
+    # length before int could raise a plain ValueError on it.
     found = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == 'int'):
+                found.append(f'{source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
     for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
-        tree = ast.parse(source.read_text(), filename=str(source))
-        found += [f'{source.name}:{node.lineno}' for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == 'int']
-    assert found == []
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert found == ['cli._load.parse_int']
 
 
 @pytest.mark.parametrize('module', ['bijection.py', 'cli.py', 'rccrystal.py'])
@@ -127,6 +138,34 @@ def test_depth_first_is_the_one_backtracker():
     ]
 
 
+def test_qbinom_has_one_product_loop():
+    # qpoly._times_qbinom is the one q-binomial product loop: qbinom
+    # applies it to [1] with no loop of its own, and the fermionic sum to
+    # each group's coefficient list instead of multiplying QPolynomials.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                if name == '_times_qbinom':
+                    calls.append(f'{source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert sorted(set(calls)) == ['qpoly.qbinom', 'rc._fermionic_polynomial_from']
+    source = Path(kostka.__file__).parent / 'qpoly.py'
+    qbinom = next(node for node in ast.walk(ast.parse(source.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == 'qbinom')
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(qbinom))
+
+
 def test_process_wide_caches_are_declared():
     # Module memos live for the whole process.  These are the functions
     # behind @cache or @lru_cache, each with what bounds its entries; a
@@ -138,7 +177,7 @@ def test_process_wide_caches_are_declared():
         'plactic.py rmatrix',             # one pair per pair of tableaux met, inside those crystals
         'qpoly.py qbinom',                # one polynomial per (multiplicity, gap) met
         'rc.py _column_counts',           # one tuple per witness column and its part lengths
-        'rc.py _partitions_of',           # the partitions of each size met, no vacancy number
+        'rc.py _partitions_of',           # each size's partitions and overlaps, no vacancy number
         'rc.py spec_vacancy',             # one int per public RiggedConfiguration.vacancy lookup
     ]
 
