@@ -30,9 +30,10 @@ paths, `RectTableau._trusted` for the tableaux that enumerate_crystal,
 the operators and rc_to_path build and check themselves,
 `CrystalSpec._trusted` for the specs the bijection's splits and merges
 make from a checked spec's factors, and, in `rc`,
-`RiggedConfiguration._trusted`.  The CLI calls none of them.  A tableau
-that an operator breaks is an InvariantError, checked at the one cell it
-changes.
+`RiggedConfiguration._trusted` and `LowerBoundTableau._trusted` for the
+witness tableaux that bound_tableaux builds.  The CLI calls none of
+them.  A tableau that an operator breaks is an InvariantError, checked
+at the one cell it changes.
 `depth_first` is the package's one backtracker: the elements of a
 crystal, the paths of a weight, the partitions and configurations of
 `rc`, and the weights and specs `kostka check` visits.
@@ -216,10 +217,12 @@ class CrystalSpec:
         return spec
 
     def check_weight(self, weight) -> tuple[int, ...]:
-        """The weight as a tuple of n nonnegative ints, or BadInputError."""
+        """The weight as a tuple of n nonnegative ints, or BadInputError.
+        The message shows n through reprlib, as json_int shows a value, so
+        a long n is cut to a few dozen characters."""
         weight = tuple(weight)
         if len(weight) != self.n:
-            raise BadInputError(f'weight must have length {self.n}')
+            raise BadInputError(f'weight must have length {reprlib.repr(self.n)}')
         return check_weight_entries(weight)
 
     def total_boxes(self) -> int:

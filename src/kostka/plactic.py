@@ -18,9 +18,11 @@ sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of shapes met.
 up to it, adds their local energies and lets them pass.  `tail_energy`
 folds it over one path; `kostka check` calls it on every path it
 checks.  The `paths` module never calls `tail_energy`: its one transfer
-step folds the same `carry` over all the paths of a weight at once,
-merging them by their carried factors for `path_polynomial` and branching
-them for `enumerate_paths`, which lists each path with its energy.
+step folds the same `carry` over all the paths of a weight at once, once
+per group of states that carry the same factors and element of the next
+factor.  `path_polynomial` groups the states by their carried factors and
+packs each state's energies into one int; `enumerate_paths` branches them,
+one state per group, and lists each path with its energy.
 """
 
 from __future__ import annotations

@@ -160,6 +160,16 @@ class LowerBoundTableau:
             if any(x <= y for x, y in zip(col, col[1:])):
                 raise BadInputError('columns must strictly decrease')
 
+    @classmethod
+    def _trusted(cls, columns: tuple, weight: tuple) -> 'LowerBoundTableau':
+        """A witness tableau from a tuple of column tuples and a checked
+        weight tuple that the caller built to fit, without re-running the
+        checks."""
+        lb = object.__new__(cls)
+        object.__setattr__(lb, 'columns', columns)
+        object.__setattr__(lb, 'weight', weight)
+        return lb
+
     def bound(self, a: int, i: int) -> int:
         """Lower bound for riggings of length-i strings in component a."""
         n = len(self.weight)
@@ -201,11 +211,12 @@ def bound_tableaux(weight) -> tuple[LowerBoundTableau, ...]:
         raise BudgetError(
             f'{count} bound tableaux exceed the cap of {DEFAULT_BOUND_CAP}')
     # Columns 1..n-1, since column n is empty.  Subsets of a decreasing
-    # range come out decreasing, in decreasing lexicographic order.
+    # range come out decreasing, in decreasing lexicographic order, so
+    # every tableau is valid as built.
     heights = _column_heights(weight)
     per_column = [combinations(range(top, 0, -1), height)
                   for top, height in zip(heights, heights[1:-1])]
-    return tuple(LowerBoundTableau(cols, weight) for cols in iproduct(*per_column))
+    return tuple(LowerBoundTableau._trusted(cols, weight) for cols in iproduct(*per_column))
 
 
 def _minimal_profiles(profiles) -> list[tuple[int, ...]]:

@@ -573,6 +573,19 @@ def test_an_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys, argv, da
     assert (code, out, err) == (2, '', f'error: bad {kind}: alphabet size must be at least 2\n')
 
 
+@pytest.mark.parametrize('command', ['paths', 'rcs', 'poly'])
+def test_a_long_alphabet_size_is_cut_in_the_weight_error(tmp_path, capsys, command):
+    # The longest n the reader converts, with a one-entry weight: the
+    # error names n as reprlib shows it, not all of its digits.
+    digits = getattr(sys, 'get_int_max_str_digits', lambda: 0)() or 4300
+    text = json.dumps({'n': 'NUMBER', 'factors': [[1, 1]], 'weight': [1]})
+    target = tmp_path / 'long.json'
+    target.write_text(text.replace('"NUMBER"', '1' + '0' * (digits - 1)))
+    code, out, err = run(capsys, [command, '--spec', str(target)])
+    assert (code, out) == (2, '')
+    assert err == 'error: weight must have length 100000000000000000...0000000000000000000\n'
+
+
 # (arguments, input, key path to one integer in it)
 INTEGER_SLOTS = [
     (['poly'], SPEC43, ('n',)),

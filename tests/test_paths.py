@@ -1,6 +1,8 @@
 import json
 from collections import Counter
 from itertools import permutations
+from math import prod
+from operator import le
 
 import pytest
 
@@ -183,6 +185,55 @@ def test_polynomial_matches_the_per_path_sum_at_n6(weight, count):
     target = oracle_path_polynomial(N6_SPEC, weight)
     assert target(1) == count
     assert path_polynomial(N6_SPEC, weight) == target
+
+
+def _field_width(spec, weight):
+    """The bit length of the product, over the factors, of how many
+    elements fit under the weight: path_polynomial's field width."""
+    return prod(sum(all(map(le, t.weight(), weight)) for t in enumerate_crystal(r, s, spec.n))
+                for r, s in spec.factors).bit_length()
+
+
+def test_one_factor_polynomials_fill_their_field():
+    # Every element of one factor under the weight has the weight, so the
+    # one coefficient is the whole bound and sets the top bit of its field:
+    # every rectangle of at most 12 boxes and width at most 4, with n <= 6,
+    # at every partition weight.
+    cases, widest = 0, 0
+    for n in range(2, 7):
+        for r in range(1, n):
+            for s in range(1, 5):
+                if r * s > 12:
+                    continue
+                spec = CrystalSpec(n, ((r, s),))
+                for weight in _compositions(r * s, n):
+                    if any(a < b for a, b in zip(weight, weight[1:])):
+                        continue
+                    target = oracle_path_polynomial(spec, weight)
+                    assert path_polynomial(spec, weight) == target, (spec, weight)
+                    if target:
+                        width = _field_width(spec, weight)
+                        assert target.coeffs[0] >> (width - 1) == 1
+                        cases, widest = cases + 1, max(widest, width)
+    assert (cases, widest) == (206, 5)
+
+
+@pytest.mark.parametrize('n, factors, weight, top', [
+    (5, ((1, 1), (3, 3)), (2, 2, 2, 2, 2), 10),
+    (6, ((1, 1), (3, 3)), (2, 2, 2, 2, 1, 1), 19),
+    (6, ((1, 1), (2, 4)), (2, 2, 2, 1, 1, 1), 17),
+    (6, ((1, 2), (3, 3)), (2, 2, 2, 2, 2, 1), 40),
+    (6, ((2, 1), (2, 4)), (2, 2, 2, 2, 1, 1), 40),
+    (6, ((2, 2), (3, 3)), (3, 2, 2, 2, 2, 2), 135),
+])
+def test_two_factor_polynomials_fill_half_a_field(n, factors, weight, top):
+    # Most paths of these weights share one energy, whose count takes at
+    # least half the bits of its field.
+    spec = CrystalSpec(n, factors)
+    target = oracle_path_polynomial(spec, weight)
+    assert max(target.coeffs.values()) == top
+    assert 2 * top.bit_length() >= _field_width(spec, weight) >= 7
+    assert path_polynomial(spec, weight) == target
 
 
 def test_polynomial_edge_cases():

@@ -176,6 +176,29 @@ def test_witness_set_for_hook_weight():
     }
 
 
+def test_witness_set_equals_its_checked_rebuild(monkeypatch):
+    # bound_tableaux builds its tableaux without the constructor checks;
+    # each equals, in the same order and with the same hash, the tableau
+    # the checked constructor builds from its columns.  Every weight with
+    # n <= 5 and at most 6 boxes (791 weights, 9,197 tableaux).
+    weights = [w for n in range(1, 6) for total in range(7) for w in _compositions(total, n)]
+    checked = LowerBoundTableau.__post_init__
+
+    def refuse(self):
+        raise AssertionError('bound_tableaux re-checked a tableau it built')
+
+    monkeypatch.setattr(LowerBoundTableau, '__post_init__', refuse)
+    listed = {w: bound_tableaux(w) for w in weights}
+    monkeypatch.setattr(LowerBoundTableau, '__post_init__', checked)
+    tableaux = 0
+    for w, ts in listed.items():
+        rebuilt = tuple(LowerBoundTableau(t.columns, w) for t in ts)
+        assert ts == rebuilt and list(map(hash, ts)) == list(map(hash, rebuilt)), w
+        assert all(type(t.columns) is tuple and type(t.weight) is tuple for t in ts), w
+        tableaux += len(ts)
+    assert (len(weights), tableaux) == (791, 9197)
+
+
 def test_column_heights():
     # c_0 = c_1, and the empty column c_n = 0 ends the list.
     assert _column_heights((2, 2, 1, 1)) == [4, 4, 2, 1, 0]

@@ -166,6 +166,30 @@ def test_qbinom_has_one_product_loop():
                    for node in ast.walk(qbinom))
 
 
+def test_carry_has_one_transport_loop():
+    # plactic.carry is the one R-matrix transport step: tail_energy folds
+    # it over one path, and the paths layer runs it only inside its one
+    # transfer step, so neither path_polynomial nor enumerate_paths keeps
+    # a transport loop of its own.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                if name == 'carry':
+                    calls.append(f'{source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert sorted(calls) == ['paths._transfer.step', 'plactic.tail_energy']
+
+
 def test_process_wide_caches_are_declared():
     # Module memos live for the whole process.  These are the functions
     # behind @cache or @lru_cache, each with what bounds its entries; a
@@ -263,9 +287,9 @@ def test_one_admissibility_decider():
 
 def test_checked_constructors_run_only_at_the_boundary():
     # Input is checked once, where it enters: the readers' from_json build
-    # with cls(...), and only the generated specs of `kostka check` and the
-    # witness-set listing call a checked constructor by name.  Everything
-    # else the package builds goes through a _trusted constructor.
+    # with cls(...), and only the generated specs of `kostka check` call a
+    # checked constructor by name.  Everything else the package builds,
+    # the witness-set listing included, goes through a _trusted constructor.
     checked = {'RectTableau', 'Path', 'CrystalSpec', 'RiggedConfiguration',
                'LowerBoundTableau'}
     by_name, by_cls = [], []
@@ -285,7 +309,7 @@ def test_checked_constructors_run_only_at_the_boundary():
 
     for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
         visit(ast.parse(source.read_text(), filename=str(source)), (), source)
-    assert sorted(set(by_name)) == ['cli.random_spec', 'cli.sweep_specs', 'rc.bound_tableaux']
+    assert sorted(set(by_name)) == ['cli.random_spec', 'cli.sweep_specs']
     assert sorted(by_cls) == [
         'crystal.CrystalSpec.from_json',
         'crystal.Path.from_json',
