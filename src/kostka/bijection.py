@@ -6,7 +6,7 @@ at a time: a width-s factor splits into its leftmost column and the
 rest, then a height-r column splits into its bottom box and the rest.
 A single box of value x corresponds to box insertion (`insert_letter`)
 on the configuration side.  Both directions change one Working state in
-place and build one RiggedConfiguration; the tests exercise the recursion.
+place and build one RiggedConfiguration.
 
 All selection rules measure singularity (rigging equal to vacancy
 number) in the configuration as it is *before* the step; freshly

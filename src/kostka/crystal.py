@@ -35,8 +35,8 @@ witness tableaux that bound_tableaux builds.  The CLI calls none of
 them.  A tableau that an operator breaks is an InvariantError, checked
 at the one cell it changes.
 `depth_first` is the package's one backtracker: the elements of a
-crystal, the paths of a weight, the partitions and configurations of
-`rc`, and the weights and specs `kostka check` visits.
+crystal, the partitions and configurations of `rc`, and the weights and
+specs `kostka check` visits.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def json_int(value) -> int:
 
 
 def json_index(value, top: int, noun: str) -> int:
-    """value if it is an int (read by json_int) in 1..top, else BadInputError."""
+    """value if it is an int (read by json_int) in 1..top, else BadInputError,
+    whose message shows value and top through reprlib, as json_int does."""
     if not 1 <= json_int(value) <= top:
-        raise BadInputError(f'{noun} {value} outside 1..{top}')
+        raise BadInputError(f'{noun} {reprlib.repr(value)} outside 1..{reprlib.repr(top)}')
     return value
 
 
@@ -133,7 +134,8 @@ class RectTableau:
             for x in row:
                 if type(x) is not int or not 1 <= x <= n:
                     json_int(x)     # a non-int entry gets json_int's message
-                    raise BadInputError(f'entry {x} outside alphabet 1..{n}')
+                    raise BadInputError(f'entry {reprlib.repr(x)} outside alphabet '
+                                        f'1..{reprlib.repr(n)}')
             if not all(map(le, row, row[1:])):
                 raise BadInputError('rows must weakly increase')
         for upper, lower in zip(rows, rows[1:]):
@@ -204,7 +206,7 @@ class CrystalSpec:
         for r, s in factors:
             json_index(r, self.n - 1, 'factor height')
             if json_int(s) < 1:
-                raise BadInputError(f'factor width {s} must be positive')
+                raise BadInputError(f'factor width {reprlib.repr(s)} must be positive')
 
     @classmethod
     def _trusted(cls, n: int, factors: tuple) -> 'CrystalSpec':
@@ -251,7 +253,8 @@ class Path:
             raise BadInputError('one tableau per factor required')
         for t, (r, s) in zip(tableaux, self.spec.factors):
             if t.shape != (r, s):
-                raise BadInputError(f'tableau shape {t.shape} does not match factor ({r},{s})')
+                raise BadInputError(f'tableau shape {t.shape} does not match factor '
+                                    f'({r},{reprlib.repr(s)})')
             if t.n != self.spec.n:
                 raise BadInputError('tableau alphabet does not match spec')
 

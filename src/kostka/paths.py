@@ -1,17 +1,16 @@
 """Enumeration of paths of a prescribed weight and the polynomial they
 generate, graded by the tail energy.
 
-Both read one right-to-left transfer step (`_transfer`), whose states
-are the letters still unused and the multiset of factors that the tail
-energy carries leftward; each step is the `plactic.carry` that
-`tail_energy` folds over one path.  The step takes a group of states
-that carry the same factors and runs `carry` once per element of the
-next factor for the whole group.  `path_polynomial` folds it breadth
-first over the states grouped by their carried factors, each state's
-energies packed into one int, and merges equal states, so it builds no
-path; `enumerate_paths` folds it depth first, one crystal.depth_first
-branch per path with each state alone in its group, and so lists each
-path with its energy.
+Both run one right-to-left fold (`_fold`) of one transfer step
+(`_transfer`), whose states are the letters still unused and the
+multiset of factors that the tail energy carries leftward; each step is
+the `plactic.carry` that `tail_energy` folds over one path.  The fold
+keeps one level of states at a time, grouped by their carried factors,
+and merges equal states; the step runs `carry` once per group and
+element of the next factor.  The two callers differ only in what a state
+carries: `path_polynomial` packs its energies into one int, so it builds
+no path, and `enumerate_paths` keeps its list of (tableaux suffix,
+energy) pairs, so it lists each path with its energy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, attrgetter, le, sub
 
-from .crystal import CrystalSpec, Path, depth_first, enumerate_crystal
+from .crystal import CrystalSpec, Path, enumerate_crystal
 from .plactic import carry, local_energy
 from .qpoly import QPolynomial
 
@@ -31,8 +30,9 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     how many elements of each factor fit under the weight, which bounds
     the paths and sets path_polynomial's field width.
 
-    The step is step(m, carried, states): `states` maps each weight still
-    to fill to a payload, for states that carry `carried` up to factor m.
+    The step is step(m, carried, states), as `_fold` calls it: `states`
+    maps each weight still to fill to a payload, which the step never
+    reads, for states that carry `carried` up to factor m.
     It yields (t, after, d, fits) for each element t of factor m whose
     weight leaves at least one state fillable by factors 0..m-1, with
     `after` the sorted factors carried on past t, d the energy t adds, and
@@ -86,43 +86,52 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     return step, bound
 
 
+def _fold(step, k: int, start, absorb) -> list:
+    """The payloads left after folding the transfer step over factors
+    k-1, ..., 0, from the group of states `start` that carries nothing.
+
+    Each level holds its states grouped by their carried factors, and
+    drops a group once the step has read it.  absorb(target, t, d, fits)
+    merges the states in fits, reached through the element t that adds
+    energy d, into target, the next level's group for the factors carried
+    past t.  After factor 0 the one state left carries nothing and has
+    nothing left to fill, so at most one payload is returned.
+    """
+    groups = {(): start}
+    for m in range(k - 1, -1, -1):
+        merged = defaultdict(dict)
+        while groups:
+            carried, states = groups.popitem()
+            for t, after, d, fits in step(m, carried, states):
+                absorb(merged[after], t, d, fits)
+        groups = merged
+    return [payload for states in groups.values() for payload in states.values()]
+
+
 def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
     """Each element of the tensor product with the given letter counts,
     paired with its tail energy.
 
-    One crystal.depth_first branch per path folds the transfer step over
-    the factors right to left, each state alone in its group, summing the
-    energy on the way.  The pairs are sorted back into the order of
-    enumerate_all_paths: by each factor's position in its crystal, the
-    leftmost factor slowest.
+    The states of the fold carry lists of (tableaux suffix, energy)
+    pairs: each element t of the next factor puts t in front of every
+    suffix of the states that fit and adds its energy.  After the last
+    level each pair becomes a (Path, energy) pair in place, and the pairs
+    are sorted back into the order of enumerate_all_paths: by each
+    factor's position in its crystal, the leftmost factor slowest.
     """
     weight = spec.check_weight(weight)
     if spec.total_boxes() != sum(weight):
         return []
     step, _bound = _transfer(spec, weight)
-    k = len(spec.factors)
 
-    # A state is the step's own yield (t, after, d, fits); its one fit
-    # holds the weight still to fill.  Paths share states, at every level
-    # on (1,1)^L, so a state met a second time keeps its children for the
-    # rest of the listing; a state met once keeps none.
-    kept = {}
+    def absorb(target, t, d, fits):
+        for left, pairs in fits:
+            target.setdefault(left, []).extend([((t,) + suffix, e + d) for suffix, e in pairs])
 
-    def below(level, state):
-        key = state[3][0][0], state[1]
-        found = kept.get(key)
-        if found is None:
-            found = step(k - 1 - level, state[1], {key[0]: None})
-            if key in kept:
-                found = kept[key] = list(found)
-            else:
-                kept[key] = None
-        return found
-
-    branches = depth_first((None, (), 0, [(weight, None)]), k, below)
-    listed = [(Path._trusted(spec, tuple([s[0] for s in reversed(branch)])),
-               sum([s[2] for s in branch])) for branch in branches]
-    kept.clear()                        # before the sort keys, at the listing's peak
+    start = {weight: [((), 0)]}
+    listed = [pair for pairs in _fold(step, len(spec.factors), start, absorb) for pair in pairs]
+    for i, (tableaux, energy) in enumerate(listed):
+        listed[i] = Path._trusted(spec, tableaux), energy
     position = {t: i for shape in set(spec.factors)
                 for i, t in enumerate(enumerate_crystal(*shape, spec.n))}
     listed.sort(key=lambda pair: tuple([position[t] for t in pair[0].tableaux]))
@@ -143,8 +152,8 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     act on each other, so once the factors right of a position are chosen,
     the rest of the energy depends only on the letters still unused and on
     the multiset of carried factors.  This folds the transfer step right to
-    left over those states, level by level, grouped by their carried
-    factors, sorted so that equal states merge.  Each state keeps its
+    left over those states (`_fold`), level by level, grouped by their
+    carried factors, sorted so that equal states merge.  Each state keeps its
     energies packed into one int: the count of q^e sits in bits
     width*e .. width*e + width - 1, and adding d to every energy is a shift
     by width*d (d >= 0, since a local energy counts cells).  The width is
@@ -162,17 +171,13 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     if not bound:                       # some factor has no element under the weight
         return QPolynomial.zero()
     width = bound.bit_length()
-    groups = {(): {weight: 1}}
-    for m in range(len(spec.factors) - 1, -1, -1):
-        merged = defaultdict(dict)
-        for carried, states in groups.items():
-            for _t, after, d, fits in step(m, carried, states):
-                target = merged[after]
-                shift = width * d
-                for left, packed in fits:
-                    target[left] = target.get(left, 0) + (packed << shift)
-        groups = merged
-    total = sum([packed for states in groups.values() for packed in states.values()])
+
+    def absorb(target, _t, d, fits):
+        shift = width * d
+        for left, packed in fits:
+            target[left] = target.get(left, 0) + (packed << shift)
+
+    total = sum(_fold(step, len(spec.factors), {weight: 1}, absorb))
     mask = (1 << width) - 1
     return QPolynomial({e: total >> shift & mask
                         for e, shift in enumerate(range(0, total.bit_length(), width))})

@@ -20,9 +20,9 @@ folds it over one path; `kostka check` calls it on every path it
 checks.  The `paths` module never calls `tail_energy`: its one transfer
 step folds the same `carry` over all the paths of a weight at once, once
 per group of states that carry the same factors and element of the next
-factor.  `path_polynomial` groups the states by their carried factors and
-packs each state's energies into one int; `enumerate_paths` branches them,
-one state per group, and lists each path with its energy.
+factor.  `path_polynomial` packs each state's energies into one int, and
+`enumerate_paths` keeps each state's tableaux suffixes with their
+energies, so it lists each path with its energy.
 """
 
 from __future__ import annotations

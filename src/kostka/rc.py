@@ -42,6 +42,7 @@ configurations once, so that a caller needing several of them, such as
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -152,11 +153,11 @@ class LowerBoundTableau:
         heights = _column_heights(weight)
         for k, col in enumerate(cols, start=1):
             if len(col) != heights[k]:
-                raise BadInputError(f'column {k} must have height {heights[k]}')
+                raise BadInputError(f'column {k} must have height {reprlib.repr(heights[k])}')
             bound = heights[k - 1]
             for x in col:
                 if not 1 <= json_int(x) <= bound:
-                    raise BadInputError(f'column {k} entry {x} outside 1..{bound}')
+                    raise BadInputError(f'column {k} entry {reprlib.repr(x)} outside 1..{bound}')
             if any(x <= y for x, y in zip(col, col[1:])):
                 raise BadInputError('columns must strictly decrease')
 

@@ -586,6 +586,54 @@ def test_a_long_alphabet_size_is_cut_in_the_weight_error(tmp_path, capsys, comma
     assert err == 'error: weight must have length 100000000000000000...0000000000000000000\n'
 
 
+LONG = 10 ** 4000 - 1
+CUT = '999999999999999999...9999999999999999999'
+
+
+@pytest.mark.parametrize('argv, data, expected', [
+    (['op', 'f', str(LONG)], EXB_PATH_JSON, f'operator index {CUT} outside 1..5'),
+    (['poly'], {'n': LONG, 'factors': [[0, 1]], 'weight': [1]},
+     'bad spec: factor height 0 outside 1..999999999999999999...9999999999999999998'),
+    (['poly'], {'n': 3, 'factors': [[1, -LONG]], 'weight': [1, 0, 0]},
+     f'bad spec: factor width -{CUT[1:]} must be positive'),
+    (['map', 'phi'], {'n': 3, 'factors': [[1, 1]], 'tableaux': [[[LONG]]]},
+     f'bad element: entry {CUT} outside alphabet 1..3'),
+    (['map', 'phi'], {'n': LONG, 'factors': [[1, 1]], 'tableaux': [[[0]]]},
+     f'bad element: entry 0 outside alphabet 1..{CUT}'),
+    (['map', 'phi'], {'n': 3, 'factors': [[1, LONG]], 'tableaux': [[[1]]]},
+     f'bad element: tableau shape (1, 1) does not match factor (1,{CUT})'),
+], ids=['index', 'index-bound', 'width', 'entry', 'entry-bound', 'shape'])
+def test_a_long_integer_is_cut_in_each_refusal(tmp_path, capsys, argv, data, expected):
+    # Each refusal shows a long value or bound through reprlib, in one
+    # short line, as json_int and check_weight do.
+    code, out, err = run(capsys, [*argv, '--spec', write(tmp_path, 'long.json', data)])
+    assert (code, out) == (2, '')
+    assert err == f'error: {expected}\n' and len(err.encode()) < 200
+
+
+def test_a_json_array_is_refused_as_spec_or_element(tmp_path, capsys):
+    listed = write(tmp_path, 'list.json', [SPEC43])
+    for argv, noun in ((['paths'], 'spec'), (['poly'], 'spec'),
+                       (['map', 'phi'], 'element'), (['op', 'e', '1'], 'element')):
+        code, out, err = run(capsys, [*argv, '--spec', listed])
+        assert (code, out, err) == (2, '', f'error: {noun} must be a JSON object\n')
+
+
+def test_poly_reports_a_method_mismatch(monkeypatch, tmp_path, capsys):
+    # One method off by a factor of q: poly prints every value, then
+    # names the spec, the weight and each value on stderr, with exit 1.
+    original = cli.METHODS['rc-enum']
+    monkeypatch.setitem(cli.METHODS, 'rc-enum',
+                        lambda s, w, c: original(s, w, c) * QPolynomial.monomial(1))
+    code, out, err = run(capsys, ['poly', '--spec', write(tmp_path, 's.json', SPEC43)])
+    assert code == 1
+    assert out.splitlines() == ['paths: 2 + 4*q + q^2', 'rc-enum: 2*q + 4*q^2 + q^3',
+                                'fermionic: 2 + 4*q + q^2']
+    assert err == ('mismatch for spec {"n": 4, "factors": [[2, 2], [2, 1]]} '
+                   'weight [2, 2, 1, 1]: paths=2 + 4*q + q^2; '
+                   'rc-enum=2*q + 4*q^2 + q^3; fermionic=2 + 4*q + q^2\n')
+
+
 # (arguments, input, key path to one integer in it)
 INTEGER_SLOTS = [
     (['poly'], SPEC43, ('n',)),

@@ -71,6 +71,14 @@ def test_qbinom_boundaries():
         qbinom(-1, 2)
 
 
+def test_qbinom_cuts_a_long_number_of_parts():
+    # The refusal shows m through reprlib, as json_int shows a value.
+    with pytest.raises(ValueError) as refused:
+        qbinom(-10 ** 4000, 1)
+    assert str(refused.value) == ('number of parts must be nonnegative, '
+                                  'got -10000000000000000...0000000000000000000')
+
+
 @pytest.mark.parametrize('m, p', [(2.0, 2), (2, 2.0), (True, 2), (2, True), ('2', 2)])
 def test_qbinom_refuses_non_int_arguments(m, p):
     # A float or bool equal to an int must not reach, or fill, the int's

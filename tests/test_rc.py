@@ -122,6 +122,15 @@ def test_bound_tableau_validation():
     with pytest.raises(ValueError):
         # entry 3 exceeds the range allowed for the last column
         LowerBoundTableau(((3, 2, 1), (3, 2), (3,)), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match='^expected 1 columns$'):
+        LowerBoundTableau(((1,), (1,)), (1, 1))
+    # A long entry or height is shown through reprlib.  A bound is the
+    # height of a column already read, so it is never long.
+    cut = '100000000000000000...0000000000000000000'
+    with pytest.raises(ValueError, match=rf'^column 1 entry {cut} outside 1\.\.1$'):
+        LowerBoundTableau(((10 ** 4000,),), (1, 1))
+    with pytest.raises(ValueError, match=rf'^column 1 must have height {cut}$'):
+        LowerBoundTableau(((1,),), (1, 10 ** 4000))
     # Entries are read as RectTableau reads them: a float or a bool equal
     # to an int entry is refused, not stored.
     for entry in (1.0, True, '1'):

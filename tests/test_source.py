@@ -132,7 +132,6 @@ def test_depth_first_is_the_one_backtracker():
         'cli._compositions',
         'cli.sweep_specs',
         'crystal.enumerate_crystal',
-        'paths.enumerate_paths',
         'rc._partitions_of',
         'rc.enumerate_configurations',
     ]
@@ -188,6 +187,34 @@ def test_carry_has_one_transport_loop():
     for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
         visit(ast.parse(source.read_text(), filename=str(source)), (), source)
     assert sorted(calls) == ['paths._transfer.step', 'plactic.tail_energy']
+
+
+def test_paths_have_one_fold():
+    # paths._fold is the one right-to-left fold over the transfer step:
+    # path_polynomial and enumerate_paths each run it once with their own
+    # payload, and nothing else builds the step or folds it.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                if name in ('_fold', '_transfer'):
+                    calls.append(f'{name} {source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert sorted(calls) == [
+        '_fold paths.enumerate_paths',
+        '_fold paths.path_polynomial',
+        '_transfer paths.enumerate_paths',
+        '_transfer paths.path_polynomial',
+    ]
 
 
 def test_process_wide_caches_are_declared():
