@@ -267,13 +267,15 @@ def check_spec(spec: CrystalSpec) -> str | None:
     weight as the pair (image, tail energy).  The per-weight image check
     runs first, so the per-path pass sees each configuration once; it
     compares the images with the weight's configurations as sets, in no
-    order.  Each weight's configurations are built once, into one list
-    that the image check and the rc-side methods read.  The letter pass
-    freezes no configuration: it tests the state after each insertion
-    with rc._admissible, the package's one admissibility rule, on the
-    Working lists as they stand, and compares the state after each
-    extraction with rc by its restored lists (factors, weight and each
-    component's strings, sorted)."""
+    order.  Symmetry in the weight is checked on the listed energies
+    before any method is compared with them, so a fault in the energies
+    alone is reported as broken symmetry.  Each weight's configurations
+    are built once, into one list that the image check and the rc-side
+    methods read.  The letter pass freezes no configuration: it tests the
+    state after each insertion with rc._admissible, the package's one
+    admissibility rule, on the Working lists as they stand, and compares
+    the state after each extraction with rc by its restored lists
+    (factors, weight and each component's strings, sorted)."""
     n = spec.n
     images: dict[Path, RiggedConfiguration] = {}
     by_weight: dict[tuple[int, ...], list[tuple[RiggedConfiguration, int]]] = {}
@@ -294,14 +296,14 @@ def check_spec(spec: CrystalSpec) -> str | None:
         if len(rcs) != len(group) or {rc for rc, _energy in group} != set(rcs):
             return f'image mismatch at weight {weight}'
         x = QPolynomial(Counter(energy for _rc, energy in group))
+        other_weight, other = class_poly.setdefault(tuple(sorted(weight)), (weight, x))
+        if other != x:
+            return f'symmetry broken between weights {other_weight} and {weight}'
         polys = {name: method(spec, weight, configs) for name, method in METHODS.items()}
         if any(poly != x for poly in polys.values()):
             detail = ', '.join(f'{name}={poly}' for name, poly in polys.items())
             return (f'polynomials disagree at weight {weight}: '
                     f'elements={x}, {detail}')
-        other_weight, other = class_poly.setdefault(tuple(sorted(weight)), (weight, x))
-        if other != x:
-            return f'symmetry broken between weights {other_weight} and {weight}'
 
     # Looked up per call, so wrappers installed after import are called.
     moves = (('lowering', Path.f, rccrystal.f), ('raising', Path.e, rccrystal.e))

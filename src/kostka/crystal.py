@@ -41,30 +41,31 @@ specs `kostka check` visits.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import le, lt
 
-from .errors import BadInputError, InvariantError
+from .errors import BadInputError, InvariantError, shown
 
 
 def json_int(value) -> int:
     """value if it is an int; a float, a string, a bool or anything else
     where an integer belongs is a BadInputError.  Its message shows the value
-    through reprlib, so a short value reads as its repr and a long string
-    or a long list is cut to a few dozen characters."""
+    through errors.shown, so a short value reads as its repr, a long string
+    or a long list is cut to a few dozen characters, and an int too long to
+    print is named by its size."""
     if type(value) is int:
         return value
-    raise BadInputError(f'expected an integer, got {reprlib.repr(value)}')
+    raise BadInputError(f'expected an integer, got {shown(value)}')
 
 
 def json_index(value, top: int, noun: str) -> int:
     """value if it is an int (read by json_int) in 1..top, else BadInputError,
-    whose message shows value and top through reprlib, as json_int does."""
+    whose message shows value and top through errors.shown, as json_int
+    does."""
     if not 1 <= json_int(value) <= top:
-        raise BadInputError(f'{noun} {reprlib.repr(value)} outside 1..{reprlib.repr(top)}')
+        raise BadInputError(f'{noun} {shown(value)} outside 1..{shown(top)}')
     return value
 
 
@@ -134,8 +135,7 @@ class RectTableau:
             for x in row:
                 if type(x) is not int or not 1 <= x <= n:
                     json_int(x)     # a non-int entry gets json_int's message
-                    raise BadInputError(f'entry {reprlib.repr(x)} outside alphabet '
-                                        f'1..{reprlib.repr(n)}')
+                    raise BadInputError(f'entry {shown(x)} outside alphabet 1..{shown(n)}')
             if not all(map(le, row, row[1:])):
                 raise BadInputError('rows must weakly increase')
         for upper, lower in zip(rows, rows[1:]):
@@ -206,7 +206,7 @@ class CrystalSpec:
         for r, s in factors:
             json_index(r, self.n - 1, 'factor height')
             if json_int(s) < 1:
-                raise BadInputError(f'factor width {reprlib.repr(s)} must be positive')
+                raise BadInputError(f'factor width {shown(s)} must be positive')
 
     @classmethod
     def _trusted(cls, n: int, factors: tuple) -> 'CrystalSpec':
@@ -220,11 +220,11 @@ class CrystalSpec:
 
     def check_weight(self, weight) -> tuple[int, ...]:
         """The weight as a tuple of n nonnegative ints, or BadInputError.
-        The message shows n through reprlib, as json_int shows a value, so
-        a long n is cut to a few dozen characters."""
+        The message shows n through errors.shown, as json_int shows a value,
+        so a long n is cut to a few dozen characters."""
         weight = tuple(weight)
         if len(weight) != self.n:
-            raise BadInputError(f'weight must have length {reprlib.repr(self.n)}')
+            raise BadInputError(f'weight must have length {shown(self.n)}')
         return check_weight_entries(weight)
 
     def total_boxes(self) -> int:
@@ -254,7 +254,7 @@ class Path:
         for t, (r, s) in zip(tableaux, self.spec.factors):
             if t.shape != (r, s):
                 raise BadInputError(f'tableau shape {t.shape} does not match factor '
-                                    f'({r},{reprlib.repr(s)})')
+                                    f'({r},{shown(s)})')
             if t.n != self.spec.n:
                 raise BadInputError('tableau alphabet does not match spec')
 

@@ -1,5 +1,7 @@
 """The exceptions that tell bad input and an exhausted budget from a
-defect of the package."""
+defect of the package, and `shown`, the one way a refusal shows a value."""
+
+import reprlib
 
 
 class InvariantError(RuntimeError):
@@ -24,3 +26,20 @@ class BadInputError(ValueError):
     catches ValueError still catches it; the CLI reads only this
     exception as bad input, so any other ValueError, like any other
     exception, is a defect."""
+
+
+class _Shown(reprlib.Repr):
+    """reprlib's default cut, except that an int with more digits than
+    sys.get_int_max_str_digits() allows, which repr refuses with a plain
+    ValueError, is described by its size."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f'<{"negative " if x < 0 else ""}int of {x.bit_length()} bits>'
+
+
+# The value in a refusal's message: reprlib.repr's text, cut to a few dozen
+# characters, for any value, an int too long to print included.
+shown = _Shown().repr

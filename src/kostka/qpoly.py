@@ -8,11 +8,10 @@ coefficient-wise comparison.
 
 from __future__ import annotations
 
-import reprlib
 from functools import lru_cache
 
 from .crystal import json_int
-from .errors import BadInputError
+from .errors import BadInputError, shown
 
 
 class QPolynomial:
@@ -158,7 +157,7 @@ def qbinom(m: int, p: int) -> QPolynomial:
     """
     m, p = json_int(m), json_int(p)
     if m < 0:
-        raise BadInputError(f'number of parts must be nonnegative, got {reprlib.repr(m)}')
+        raise BadInputError(f'number of parts must be nonnegative, got {shown(m)}')
     if m > 0 and p < 0:
         return QPolynomial.zero()
     coeffs = [1]

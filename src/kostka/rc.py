@@ -27,9 +27,9 @@ enumeration counts the riggings of each configuration and builds no
 RiggedConfiguration: the cocharge of the bare configuration is shared by
 all of its riggings, and each rigging adds its sum of labels.  The
 alternating sum is inclusion-exclusion over the same boxes, a signed
-max-DP that packs the profiles into integers when there are many
-(_signed_terms), and multiplies the q-binomials of each distinct (pairs,
-shift) key once, in place on a coefficient list (fermionic_polynomial).
+max-DP on the profiles packed into integers (_signed_terms), and
+multiplies the q-binomials of each distinct (pairs, shift) key once, in
+place on a coefficient list (fermionic_polynomial).
 
 The listing and both polynomials are each a function of the builder's
 output (`_rcs_from`, `_rc_polynomial_from`, `_fermionic_polynomial_from`);
@@ -42,7 +42,6 @@ configurations once, so that a caller needing several of them, such as
 
 from __future__ import annotations
 
-import reprlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from operator import le, lshift
 
 from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_field, json_index,
                       json_int, json_ints, json_list)
-from .errors import BadInputError, BudgetError
+from .errors import BadInputError, BudgetError, shown
 from .qpoly import QPolynomial, _times_qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
@@ -153,11 +152,11 @@ class LowerBoundTableau:
         heights = _column_heights(weight)
         for k, col in enumerate(cols, start=1):
             if len(col) != heights[k]:
-                raise BadInputError(f'column {k} must have height {reprlib.repr(heights[k])}')
+                raise BadInputError(f'column {k} must have height {shown(heights[k])}')
             bound = heights[k - 1]
             for x in col:
                 if not 1 <= json_int(x) <= bound:
-                    raise BadInputError(f'column {k} entry {reprlib.repr(x)} outside 1..{bound}')
+                    raise BadInputError(f'column {k} entry {shown(x)} outside 1..{bound}')
             if any(x <= y for x, y in zip(col, col[1:])):
                 raise BadInputError('columns must strictly decrease')
 
@@ -742,10 +741,9 @@ def fermionic_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     processing profiles one at a time, a map from max-vector to signed
     count absorbs each new profile v via D[max(u,v)] -= D[u], D[v] += 1.
     A configuration with one profile needs no DP, its one term being that
-    profile with count 1.  On many profiles the DP runs on profiles
-    packed into integers, where a pointwise maximum is a few integer
-    operations (_signed_maxima); on a few, packing and unpacking cost
-    more than that saves, and it runs on tuples (_signed_terms).
+    profile with count 1.  On two or more the DP runs on profiles packed
+    into integers, where a pointwise maximum is a few integer operations
+    (_signed_maxima), and unpacks each key (_signed_terms).
 
     Only riggable profiles (no bound above its vacancy number) enter.
     This is exact: if a subset holds a profile with some bound low > p,
@@ -809,34 +807,15 @@ def _signed_maxima(profiles) -> tuple[dict[int, int], int, int]:
     return signed, low, width
 
 
-# On fewer profiles than this, the tuple DP is faster than the packed one,
-# which pays for packing each profile and unpacking each key.  Measured on
-# the configurations of the rc-poly benchmark catalog, where 271 of the 293
-# with two or more minimal profiles have at most four, and on the heavy
-# specs of BENCH_rc_kernels.json, with up to 228.
-_PACKED_FROM = 5
-
-
 def _signed_terms(profiles):
     """The signed max-DP of fermionic_polynomial over the distinct
     profiles of one configuration: pairs (bounds, count), one per
     pointwise maximum of a nonempty subset with a nonzero signed count.
 
-    One profile needs no DP: its one term is itself, with count 1.  Up to
-    _PACKED_FROM - 1 profiles run the DP on tuples, and more on packed
-    integers (_signed_maxima), unpacked key by key."""
+    One profile needs no DP: its one term is itself, with count 1.  Two or
+    more run it on packed integers (_signed_maxima), unpacked key by key."""
     if len(profiles) == 1:
         return ((profiles[0], 1),)
-    if len(profiles) < _PACKED_FROM:
-        signed: dict[tuple[int, ...], int] = {}
-        for v in profiles:
-            updates = {v: signed.get(v, 0) + 1}
-            for u, c in signed.items():
-                w = tuple([x if x > y else y for x, y in zip(u, v)])
-                updates[w] = updates.get(w, signed.get(w, 0)) - c
-            signed.update(updates)
-            signed = {u: c for u, c in signed.items() if c != 0}
-        return signed.items()
     packed, least, width = _signed_maxima(profiles)
     mask = (1 << width) - 1
     fields = range(0, width * len(profiles[0]), width)

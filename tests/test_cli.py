@@ -1,5 +1,6 @@
 import json
 import random
+import reprlib
 import sys
 from collections import Counter
 from itertools import product
@@ -13,7 +14,7 @@ from kostka.errors import BadInputError
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.qpoly import QPolynomial, qbinom
 from kostka.rc import RiggedConfiguration, enumerate_rcs, fermionic_polynomial
-from kostka import bijection, crystal, plactic, rc as rc_layer, rccrystal
+from kostka import bijection, crystal, errors, plactic, rc as rc_layer, rccrystal
 from oracles import preorder_specs
 
 SPEC43 = {'n': 4, 'factors': [[2, 2], [2, 1]], 'weight': [2, 2, 1, 1]}
@@ -576,7 +577,7 @@ def test_an_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys, argv, da
 @pytest.mark.parametrize('command', ['paths', 'rcs', 'poly'])
 def test_a_long_alphabet_size_is_cut_in_the_weight_error(tmp_path, capsys, command):
     # The longest n the reader converts, with a one-entry weight: the
-    # error names n as reprlib shows it, not all of its digits.
+    # error names n as errors.shown cuts it, not all of its digits.
     digits = getattr(sys, 'get_int_max_str_digits', lambda: 0)() or 4300
     text = json.dumps({'n': 'NUMBER', 'factors': [[1, 1]], 'weight': [1]})
     target = tmp_path / 'long.json'
@@ -604,11 +605,42 @@ CUT = '999999999999999999...9999999999999999999'
      f'bad element: tableau shape (1, 1) does not match factor (1,{CUT})'),
 ], ids=['index', 'index-bound', 'width', 'entry', 'entry-bound', 'shape'])
 def test_a_long_integer_is_cut_in_each_refusal(tmp_path, capsys, argv, data, expected):
-    # Each refusal shows a long value or bound through reprlib, in one
+    # Each refusal shows a long value or bound through errors.shown, in one
     # short line, as json_int and check_weight do.
     code, out, err = run(capsys, [*argv, '--spec', write(tmp_path, 'long.json', data)])
     assert (code, out) == (2, '')
     assert err == f'error: {expected}\n' and len(err.encode()) < 200
+
+
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize('refuse', [
+    lambda: qbinom(-HUGE, 1),
+    lambda: crystal.json_index(HUGE, 3, 'letter'),
+    lambda: crystal.json_int([HUGE]),
+    lambda: RectTableau(((HUGE,),), 3),
+    lambda: CrystalSpec(3, ((1, -HUGE),)),
+    lambda: CrystalSpec(3, ((HUGE, 1),)),
+    lambda: CrystalSpec(HUGE, ((1, 1),)).check_weight((1,)),
+    lambda: Path(CrystalSpec(3, ((1, HUGE),)), (RectTableau(((1,),), 3),)),
+    lambda: rc_layer.LowerBoundTableau(((HUGE,),), (0, 1)),
+], ids=['qbinom', 'index', 'int-in-list', 'entry', 'width', 'height', 'weight-length',
+        'shape', 'bound-entry'])
+def test_an_int_too_long_to_print_is_refused_as_bad_input(refuse):
+    # repr refuses an int past sys.get_int_max_str_digits() with a plain
+    # ValueError; each refusal names such an int by its size instead.  With
+    # no digit limit, the int is cut as a long one is.
+    with pytest.raises(BadInputError) as refused:
+        refuse()
+    assert len(str(refused.value)) < 200
+    if sys.get_int_max_str_digits():
+        assert 'int of 16610 bits>' in str(refused.value)
+
+
+def test_shown_is_reprlib_on_printable_values():
+    for value in (0, -7, LONG, -LONG, 'x' * 100, [1] * 50, (1, [2, 3]), 1.5, True, None):
+        assert errors.shown(value) == reprlib.repr(value)
 
 
 def test_a_json_array_is_refused_as_spec_or_element(tmp_path, capsys):
@@ -867,6 +899,15 @@ def _vacancy_faults(delta):
     return [(module, 'component_vacancy', fault) for module in (rc_layer, bijection)]
 
 
+def _off_dominant(real):
+    # An energy or cocharge one higher on weights that are not weakly
+    # decreasing; read off a path or a configuration alike.
+    def shifted(element):
+        weight = element.weight() if isinstance(element, Path) else element.weight
+        return real(element) + any(x < y for x, y in zip(weight, weight[1:]))
+    return shifted
+
+
 SPEC_3_12 = CrystalSpec(3, ((1, 1), (2, 1)))
 # (id, spec, [(owner, name, fault from the real function)], first report)
 CHECK_FAULTS = [
@@ -895,6 +936,11 @@ CHECK_FAULTS = [
      'image mismatch at weight (2, 1)'),
     ('insert-rigging', SPEC_3_12, [(cli, 'insert_letter', _overrigged_insert)],
      'insertion of 2 left (empty) inadmissible'),
+    # Both sides of the map shifted alike, so each energy still equals its
+    # cocharge, and only the listed polynomial loses its symmetry.
+    ('symmetry', SPEC_3_12,
+     [(cli, 'tail_energy', _off_dominant), (RiggedConfiguration, 'cocharge', _off_dominant)],
+     'symmetry broken between weights (2, 1, 0) and (2, 0, 1)'),
 ]
 
 
@@ -902,8 +948,9 @@ CHECK_FAULTS = [
                          ids=[case[0] for case in CHECK_FAULTS])
 def test_each_crystal_and_statistic_check_has_teeth(monkeypatch, spec, faults, expected):
     # One fault per statement of check_spec that no other test pins; each
-    # must be the first report.  The symmetry statement is left out: only
-    # one fault applied alike across every method reaches it.
+    # must be the first report.  Symmetry is checked on the listed energies
+    # before the methods are compared with them, so a fault in the energies
+    # alone reaches it.
     for owner, name, fault in faults:
         monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert cli.check_spec(spec) == expected

@@ -72,7 +72,7 @@ def test_qbinom_boundaries():
 
 
 def test_qbinom_cuts_a_long_number_of_parts():
-    # The refusal shows m through reprlib, as json_int shows a value.
+    # The refusal shows m through errors.shown, as json_int shows a value.
     with pytest.raises(ValueError) as refused:
         qbinom(-10 ** 4000, 1)
     assert str(refused.value) == ('number of parts must be nonnegative, '

@@ -124,7 +124,7 @@ def test_bound_tableau_validation():
         LowerBoundTableau(((3, 2, 1), (3, 2), (3,)), (0, 1, 1, 1))
     with pytest.raises(ValueError, match='^expected 1 columns$'):
         LowerBoundTableau(((1,), (1,)), (1, 1))
-    # A long entry or height is shown through reprlib.  A bound is the
+    # A long entry or height is shown through errors.shown.  A bound is the
     # height of a column already read, so it is never long.
     cut = '100000000000000000...0000000000000000000'
     with pytest.raises(ValueError, match=rf'^column 1 entry {cut} outside 1\.\.1$'):
@@ -869,13 +869,14 @@ def _unpacked(signed, low, width, k):
 
 
 def test_packed_signed_maxima_match_the_tuple_dp():
-    # Random distinct profiles: 2-8 of them, 1-20 entries each, over spans
+    # Random distinct profiles: 1-8 of them, 1-20 entries each, over spans
     # of 2^j - 1, 2^j and 2^j + 1 entries above a least entry that is
     # negative most of the time, so field widths land on every side of a
-    # power of two.  The signed sum's terms, packed or not by the number
-    # of profiles, are the same counts.
+    # power of two.  The signed sum's terms are the tuple reference's
+    # counts: one profile is its own term, and two or more are the packed
+    # DP's keys, unpacked.
     rng = random.Random(42)
-    checked = 0
+    checked = singles = 0
     for _ in range(3000):
         k = rng.randint(1, 20)
         span = (1 << rng.randint(0, 6)) + rng.choice((-1, 0, 1))
@@ -887,18 +888,28 @@ def test_packed_signed_maxima_match_the_tuple_dp():
         profiles = {tuple(ends[0]), tuple(ends[1])}
         while len(profiles) < min(size, (span + 1) ** k):
             profiles.add(tuple(rng.randint(low, low + span) for _ in range(k)))
-        if len(profiles) < 2:
-            continue
         profiles = list(profiles)
         rng.shuffle(profiles)
+        if rng.random() < 0.1:
+            profiles = profiles[:1]
+        terms = {tuple(bounds): count for bounds, count in _signed_terms(profiles)}
+        assert terms == signed_maxima(profiles), profiles
+        if len(profiles) == 1:
+            singles += 1
+            continue
         signed, least, width = _signed_maxima(profiles)
         assert (least, width) == (low, span.bit_length() + 1)
         packed = _unpacked(signed, least, width, k)
-        assert packed == signed_maxima(profiles), profiles
+        assert packed == terms
         assert sum(packed.values()) == 1
-        assert {tuple(bounds): count for bounds, count in _signed_terms(profiles)} == packed
         checked += 1
-    assert checked > 2500
+    assert checked > 2400 and singles > 200
+    # A configuration with no strings has one profile, the empty one, and
+    # its one term is that profile with count 1.
+    configs = list(enumerate_configurations(CrystalSpec(3, ((1, 1), (2, 1))), (2, 1, 0)))
+    assert [(support, profiles) for _parts, support, _vac, profiles in configs] == [([], [()])]
+    assert [(tuple(bounds), count) for bounds, count in _signed_terms([()])] == [((), 1)]
+    assert signed_maxima([()]) == {(): 1}
 
 
 def test_builder_output_does_not_depend_on_the_partition_table():

@@ -165,6 +165,32 @@ def test_qbinom_has_one_product_loop():
                    for node in ast.walk(qbinom))
 
 
+def test_fermionic_sum_has_one_signed_max_dp():
+    # rc._signed_maxima is the one signed max-DP: rc._signed_terms runs it
+    # on every configuration with two or more minimal profiles, and no
+    # threshold on the number of profiles picks another DP.
+    calls = []
+
+    def visit(node, scope, source):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), source)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, 'id', None)
+                if name == '_signed_maxima':
+                    calls.append(f'{source.stem}.{".".join(scope)}')
+            visit(child, scope, source)
+
+    for source in sorted(Path(kostka.__file__).parent.glob('*.py')):
+        visit(ast.parse(source.read_text(), filename=str(source)), (), source)
+    assert calls == ['rc._signed_terms']
+    tree = ast.parse((Path(kostka.__file__).parent / 'rc.py').read_text())
+    assert not any(isinstance(node, ast.Name) and node.id == '_PACKED_FROM'
+                   for node in ast.walk(tree))
+
+
 def test_carry_has_one_transport_loop():
     # plactic.carry is the one R-matrix transport step: tail_energy folds
     # it over one path, and the paths layer runs it only inside its one
