@@ -21,13 +21,14 @@ since the energy layer keys its memos and transfer-matrix states by
 tableaux; its size is read from `shape` alone, and the hash is the one
 the dataclass would compute, hash((rows, n)).
 Input is checked at the boundaries: the constructors and `from_json`
-run every check, and `from_json` refuses a missing field (json_field) or
-a value of the wrong shape (json_list) with a BadInputError naming the
-field, so any other exception on the way in is a defect, never bad
-input.  Objects the package builds from checked ones skip them through
-a `_trusted` constructor: `Path._trusted` for enumerated and operated
-paths, `RectTableau._trusted` for the tableaux that enumerate_crystal,
-the operators and rc_to_path build and check themselves,
+run every check, the constructors and check_weight refuse a value of
+the wrong shape (json_list) and `from_json` a missing field (json_field)
+with a BadInputError naming the field, so any other exception on the way
+in is a defect, never bad input.  Objects the package builds from
+checked ones skip them through a `_trusted` constructor: `Path._trusted`
+for enumerated and operated paths, `RectTableau._trusted` for the
+tableaux that enumerate_crystal, the operators and rc_to_path build and
+check themselves,
 `CrystalSpec._trusted` for the specs the bijection's splits and merges
 make from a checked spec's factors, and, in `rc`,
 `RiggedConfiguration._trusted` and `LowerBoundTableau._trusted` for the
@@ -99,7 +100,7 @@ def json_list(value, noun: str, item: str | None = None):
 def check_weight_entries(weight) -> tuple[int, ...]:
     """The weight as a tuple of nonnegative ints, of any length but 0, or
     BadInputError."""
-    weight = tuple(weight)
+    weight = tuple(json_list(weight, 'weight'))
     if not weight:
         raise BadInputError('weight must have at least one entry')
     if any(type(x) is not int for x in weight):
@@ -121,7 +122,8 @@ class RectTableau:
     n: int
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(tuple(json_list(row, 'tableau row'))
+                     for row in json_list(self.rows, 'tableau'))
         object.__setattr__(self, 'rows', rows)
         n = json_int(self.n)
         if not rows:
@@ -182,10 +184,7 @@ class RectTableau:
 
     @classmethod
     def from_json(cls, data, n: int) -> 'RectTableau':
-        rows = json_list(json_ints(data), 'tableau')
-        for row in rows:
-            json_list(row, 'tableau row')
-        return cls(rows, n)
+        return cls(json_ints(data), n)
 
     def __str__(self):
         return '/'.join(''.join(str(x) for x in row) for row in self.rows)
@@ -199,7 +198,7 @@ class CrystalSpec:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        factors = tuple((r, s) for r, s in self.factors)
+        factors = tuple((r, s) for r, s in json_list(self.factors, 'factors', 'factor'))
         object.__setattr__(self, 'factors', factors)
         if json_int(self.n) < 2:
             raise BadInputError('alphabet size must be at least 2')
@@ -222,7 +221,7 @@ class CrystalSpec:
         """The weight as a tuple of n nonnegative ints, or BadInputError.
         The message shows n through errors.shown, as json_int shows a value,
         so a long n is cut to a few dozen characters."""
-        weight = tuple(weight)
+        weight = tuple(json_list(weight, 'weight'))
         if len(weight) != self.n:
             raise BadInputError(f'weight must have length {shown(self.n)}')
         return check_weight_entries(weight)
@@ -235,8 +234,7 @@ class CrystalSpec:
 
     @classmethod
     def from_json(cls, data) -> 'CrystalSpec':
-        return cls(json_ints(json_field(data, 'n')),
-                   json_list(json_ints(json_field(data, 'factors')), 'factors', 'factor'))
+        return cls(json_ints(json_field(data, 'n')), json_ints(json_field(data, 'factors')))
 
 
 @dataclass(frozen=True)
@@ -247,11 +245,15 @@ class Path:
     tableaux: tuple[RectTableau, ...]
 
     def __post_init__(self):
-        tableaux = tuple(self.tableaux)
+        if not isinstance(self.spec, CrystalSpec):
+            raise BadInputError('spec must be a CrystalSpec')
+        tableaux = tuple(json_list(self.tableaux, 'tableaux'))
         object.__setattr__(self, 'tableaux', tableaux)
         if len(tableaux) != len(self.spec.factors):
             raise BadInputError('one tableau per factor required')
         for t, (r, s) in zip(tableaux, self.spec.factors):
+            if not isinstance(t, RectTableau):
+                raise BadInputError('each tableau must be a RectTableau')
             if t.shape != (r, s):
                 raise BadInputError(f'tableau shape {t.shape} does not match factor '
                                     f'({r},{shown(s)})')

@@ -142,7 +142,7 @@ class LowerBoundTableau:
     weight: tuple[int, ...]
 
     def __post_init__(self):
-        cols = tuple(tuple(col) for col in self.columns)
+        cols = tuple(tuple(json_list(col, 'column')) for col in json_list(self.columns, 'columns'))
         weight = check_weight_entries(self.weight)
         object.__setattr__(self, 'columns', cols)
         object.__setattr__(self, 'weight', weight)
@@ -205,7 +205,7 @@ def bound_tableaux(weight) -> tuple[LowerBoundTableau, ...]:
     BudgetError, and one with an entry that is not a nonnegative int
     with a BadInputError.
     """
-    weight = tuple(weight)
+    weight = check_weight_entries(weight)
     count = count_bound_tableaux(weight)
     if count > DEFAULT_BOUND_CAP:
         raise BudgetError(
@@ -402,6 +402,10 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.spec, CrystalSpec):
+            raise BadInputError('spec must be a CrystalSpec')
+        for comp in json_list(self.strings, 'nu'):
+            json_list(comp, 'nu component', 'nu string')
         object.__setattr__(self, 'weight', self.spec.check_weight(self.weight))
         n = self.spec.n
         if len(self.strings) != n - 1:
@@ -471,10 +475,7 @@ class RiggedConfiguration:
     def from_json(cls, data) -> 'RiggedConfiguration':
         spec = CrystalSpec.from_json(data)
         weight = json_list(json_ints(json_field(data, 'weight')), 'weight')
-        nu = json_list(json_ints(json_field(data, 'nu')), 'nu')
-        for comp in nu:
-            json_list(comp, 'nu component', 'nu string')
-        return cls(spec, weight, nu)
+        return cls(spec, weight, json_ints(json_field(data, 'nu')))
 
     def __str__(self):
         if not any(self.strings):

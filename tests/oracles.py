@@ -447,6 +447,19 @@ def first_witness(rc):
     return tableaux[(fits & -fits).bit_length() - 1] if fits else None
 
 
+def rigging_shifts(strings, shifts):
+    """The one-rigging shifts of strings, one sequence of (length, rigging)
+    pairs per component: for each component, each string in it and each
+    shift in turn, a list of the components with that string's rigging
+    moved by the shift, the moved component as a list."""
+    for a, comp in enumerate(strings):
+        for idx, (l, x) in enumerate(comp):
+            for shift in shifts:
+                moved = list(strings)
+                moved[a] = [*comp[:idx], (l, x + shift), *comp[idx + 1:]]
+                yield moved
+
+
 def oracle_config_cc(partitions, n):
     double = 0
     for a in range(1, n):

@@ -344,6 +344,43 @@ def test_reader_refusals_are_bad_input_errors():
             refuse()
 
 
+ONE_BOXES = CrystalSpec(3, ((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize('refuse', [
+    lambda: CrystalSpec(3, ((1,),)),
+    lambda: CrystalSpec(3, 5),
+    lambda: RectTableau(5, 3),
+    lambda: RectTableau((1, 2), 3),
+    lambda: Path(ONE_BOXES, 5),
+    lambda: Path(ONE_BOXES, (1, 2)),
+    lambda: Path(5, ()),
+    lambda: RiggedConfiguration(ONE_BOXES, (1, 1, 0), [[(1,)], []]),
+    lambda: RiggedConfiguration(ONE_BOXES, (1, 1, 0), 5),
+    lambda: RiggedConfiguration(ONE_BOXES, 5, [[], []]),
+    lambda: RiggedConfiguration(5, (1, 1, 0), [[], []]),
+    lambda: rc_layer.LowerBoundTableau(5, (1, 1)),
+    lambda: rc_layer.LowerBoundTableau((5,), (1, 1)),
+    lambda: rc_layer.LowerBoundTableau(((1,),), 5),
+    lambda: ONE_BOXES.check_weight(5),
+    lambda: rc_layer.bound_tableaux(5),
+    lambda: rc_layer.count_bound_tableaux(5),
+    lambda: path_polynomial(ONE_BOXES, 5),
+    lambda: rc_layer.rc_polynomial(ONE_BOXES, 5),
+], ids=['factor-not-pair', 'factors-not-list', 'tableau-not-list', 'row-not-list',
+        'tableaux-not-list', 'tableau-not-tableau', 'path-spec-not-spec', 'string-not-pair',
+        'nu-not-list', 'weight-not-list', 'rc-spec-not-spec', 'columns-not-list', 'column-not-list', 'bound-weight-not-list',
+        'check-weight', 'bound-tableaux', 'count-bound-tableaux', 'path-polynomial',
+        'rc-polynomial'])
+def test_a_value_of_the_wrong_shape_is_refused_as_bad_input(refuse):
+    # The checked constructors and check_weight read each shape with
+    # json_list, as the readers do, so a library caller's malformed value
+    # is a BadInputError too, never a TypeError or AttributeError.
+    with pytest.raises(BadInputError) as refused:
+        refuse()
+    assert len(str(refused.value)) < 200
+
+
 DROP = object()
 
 # (arguments, input, key path into it, value put there or DROP to remove

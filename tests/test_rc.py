@@ -21,8 +21,8 @@ from kostka.rc import (DEFAULT_BOUND_CAP, LowerBoundTableau, RiggedConfiguration
 from oracles import (N5_SPECS, N6_SPEC, brute_rcs, empty_rc, first_witness,
                      full_configurations, oracle_config_cc, oracle_multiplicities,
                      oracle_rc_polynomial, oracle_sizes, oracle_vacancy, partition_table,
-                     partitions_of, signed_maxima, strings_by_length, subset_fermionic,
-                     sweep_rcs, unfiltered_fermionic)
+                     partitions_of, rigging_shifts, signed_maxima, strings_by_length,
+                     subset_fermionic, sweep_rcs, unfiltered_fermionic)
 
 SIX_BOXES = CrystalSpec(4, ((1, 1),) * 6)
 SIX_RC = RiggedConfiguration(SIX_BOXES, (2, 2, 1, 1),
@@ -386,13 +386,8 @@ def test_admissibility_matches_the_first_fit_scan():
         rcs += enumerate_rcs(spec, weight)
     verdicts = Counter()
     for rc in rcs:
-        variants = [rc]
-        for a, comp in enumerate(rc.strings, start=1):
-            for idx, (l, x) in enumerate(comp):
-                for shift in (-2, -1, 1):
-                    strings = list(rc.strings)
-                    strings[a - 1] = comp[:idx] + ((l, x + shift),) + comp[idx + 1:]
-                    variants.append(RiggedConfiguration(rc.spec, rc.weight, strings))
+        variants = [rc, *(RiggedConfiguration(rc.spec, rc.weight, strings)
+                          for strings in rigging_shifts(rc.strings, (-2, -1, 1)))]
         for variant in variants:
             expected = first_witness(variant) is not None
             assert variant.is_admissible() == expected, variant
@@ -423,14 +418,7 @@ def test_admissible_reads_the_strings_in_any_order():
             spec = CrystalSpec(rc.n, tuple(reversed(work.factors)))
             stored = [list(zip(ls, xs))
                       for ls, xs in zip(work.lengths[1:-1], work.riggings[1:-1])]
-            variants = [stored]
-            for a, comp in enumerate(stored):
-                for idx, (l, x) in enumerate(comp):
-                    for shift in (-1, 1):
-                        strings = list(stored)
-                        strings[a] = comp[:idx] + [(l, x + shift)] + comp[idx + 1:]
-                        variants.append(strings)
-            for strings in variants:
+            for strings in [stored, *rigging_shifts(stored, (-1, 1))]:
                 variant = RiggedConfiguration(spec, work.weight, strings)
                 expected = first_witness(variant) is not None
                 shuffled = [rng.sample(comp, len(comp)) for comp in strings]
@@ -449,12 +437,8 @@ def test_admissibility_reads_only_the_riggings(monkeypatch):
     variants = []
     for rc in sweep_rcs():
         variants.append(rc)
-        for a, comp in enumerate(rc.strings, start=1):
-            for idx, (l, x) in enumerate(comp):
-                for shift in (-1, 1):
-                    strings = list(rc.strings)
-                    strings[a - 1] = comp[:idx] + ((l, x + shift),) + comp[idx + 1:]
-                    variants.append(RiggedConfiguration(rc.spec, rc.weight, strings))
+        variants += (RiggedConfiguration(rc.spec, rc.weight, strings)
+                     for strings in rigging_shifts(rc.strings, (-1, 1)))
 
     def refuse(*_args):
         raise AssertionError('is_admissible read the forced sizes')
