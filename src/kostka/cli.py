@@ -33,7 +33,8 @@ from collections import Counter
 
 from . import rccrystal
 from .bijection import Working, extract_letter, insert_letter, path_to_rc, rc_to_path
-from .crystal import CrystalSpec, Path, depth_first, json_field, json_index, json_ints, json_list
+from .crystal import (CrystalSpec, Path, check_weight, depth_first, json_field, json_index,
+                      json_ints, json_list)
 from .errors import BadInputError, InvariantError
 from .paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from .plactic import tail_energy
@@ -90,7 +91,7 @@ def _spec_and_weight(data) -> tuple[CrystalSpec, tuple[int, ...]]:
     except BadInputError as exc:
         raise InputError(f'bad spec: {exc}')
     try:
-        return spec, spec.check_weight(weight)
+        return spec, check_weight(spec, weight)
     except BadInputError as exc:
         raise InputError(str(exc)) from None
 

@@ -217,15 +217,6 @@ class CrystalSpec:
         object.__setattr__(spec, 'factors', factors)
         return spec
 
-    def check_weight(self, weight) -> tuple[int, ...]:
-        """The weight as a tuple of n nonnegative ints, or BadInputError.
-        The message shows n through errors.shown, as json_int shows a value,
-        so a long n is cut to a few dozen characters."""
-        weight = tuple(json_list(weight, 'weight'))
-        if len(weight) != self.n:
-            raise BadInputError(f'weight must have length {shown(self.n)}')
-        return check_weight_entries(weight)
-
     def total_boxes(self) -> int:
         return sum(r * s for r, s in self.factors)
 
@@ -235,6 +226,20 @@ class CrystalSpec:
     @classmethod
     def from_json(cls, data) -> 'CrystalSpec':
         return cls(json_ints(json_field(data, 'n')), json_ints(json_field(data, 'factors')))
+
+
+def check_weight(spec, weight) -> tuple[int, ...]:
+    """The weight as a tuple of spec.n nonnegative ints, or BadInputError;
+    a spec that is not a CrystalSpec is refused first.  Every function
+    that takes a spec and a weight checks them here.  The message shows n
+    through errors.shown, as json_int shows a value, so a long n is cut
+    to a few dozen characters."""
+    if not isinstance(spec, CrystalSpec):
+        raise BadInputError('spec must be a CrystalSpec')
+    weight = tuple(json_list(weight, 'weight'))
+    if len(weight) != spec.n:
+        raise BadInputError(f'weight must have length {shown(spec.n)}')
+    return check_weight_entries(weight)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, attrgetter, le, sub
 
-from .crystal import CrystalSpec, Path, enumerate_crystal
+from .crystal import CrystalSpec, Path, check_weight, enumerate_crystal
 from .plactic import carry, local_energy
 from .qpoly import QPolynomial
 
@@ -119,7 +119,7 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
     are sorted back into the order of enumerate_all_paths: by each
     factor's position in its crystal, the leftmost factor slowest.
     """
-    weight = spec.check_weight(weight)
+    weight = check_weight(spec, weight)
     if spec.total_boxes() != sum(weight):
         return []
     step, _bound = _transfer(spec, weight)
@@ -164,7 +164,7 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     fill its remaining weight exactly, and the leftmost factor, which
     carries nothing, is looked up by that weight.
     """
-    weight = spec.check_weight(weight)
+    weight = check_weight(spec, weight)
     if spec.total_boxes() != sum(weight):
         return QPolynomial.zero()
     step, bound = _transfer(spec, weight)

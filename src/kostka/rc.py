@@ -50,8 +50,8 @@ from itertools import accumulate, combinations, combinations_with_replacement, p
 from math import comb, prod
 from operator import le, lshift
 
-from .crystal import (CrystalSpec, check_weight_entries, depth_first, json_field, json_index,
-                      json_int, json_ints, json_list)
+from .crystal import (CrystalSpec, check_weight, check_weight_entries, depth_first, json_field,
+                      json_index, json_int, json_ints, json_list)
 from .errors import BadInputError, BudgetError, shown
 from .qpoly import QPolynomial, _times_qbinom
 
@@ -402,11 +402,9 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.spec, CrystalSpec):
-            raise BadInputError('spec must be a CrystalSpec')
         for comp in json_list(self.strings, 'nu'):
             json_list(comp, 'nu component', 'nu string')
-        object.__setattr__(self, 'weight', self.spec.check_weight(self.weight))
+        object.__setattr__(self, 'weight', check_weight(self.spec, self.weight))
         n = self.spec.n
         if len(self.strings) != n - 1:
             raise BadInputError(f'expected {n - 1} components')
@@ -613,7 +611,7 @@ def enumerate_configurations(spec: CrystalSpec, weight):
     options of each column (_column_counts), which leaves exactly the
     minimal riggable profiles, each once (_walk_column).
     """
-    weight = spec.check_weight(weight)
+    weight = check_weight(spec, weight)
     heights = _column_heights(weight)
     sizes = _config_sizes(spec, weight, heights)
     if sizes is None:
@@ -691,7 +689,7 @@ def enumerate_rcs(spec: CrystalSpec, weight) -> list[RiggedConfiguration]:
     Configurations without a riggable profile, and every extension of a
     prefix that has none, are never built: they admit no rigging.
     """
-    weight = spec.check_weight(weight)
+    weight = check_weight(spec, weight)
     return sorted(_rcs_from(spec, weight, enumerate_configurations(spec, weight)),
                   key=lambda rc: rc.strings)
 

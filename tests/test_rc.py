@@ -227,7 +227,7 @@ def test_witness_set_refuses_the_empty_weight():
     ((1, 1, -1), 'nonnegative'),
 ])
 def test_witness_set_checks_the_weight(weight, message):
-    # Worded as CrystalSpec.check_weight words it.
+    # Worded as crystal.check_weight words it.
     with pytest.raises(ValueError, match=f'weight entries must be {message}'):
         count_bound_tableaux(weight)
     with pytest.raises(ValueError, match=f'weight entries must be {message}'):

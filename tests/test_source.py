@@ -88,7 +88,7 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_package_never_calls_int():
-    # crystal.json_ints reads integer input and CrystalSpec.check_weight
+    # crystal.json_ints reads integer input and crystal.check_weight
     # checks weights; nothing else converts values.  The one call is
     # json.load's parse_int hook in cli._load: it gets JSON digit strings
     # only, and refuses one past the interpreter's digit limit by its
