@@ -21,19 +21,19 @@ number.  Ties go to the lowest index in extraction and to the highest in
 insertion.  The merges list their blocking strings with Working.singular.
 
 Objects are checked at the boundaries.  The maps take a checked path or
-configuration, and what the steps build from it skips the constructor
-checks: `Working.freeze` builds its spec with `CrystalSpec._trusted` and
-its configuration with `RiggedConfiguration._trusted`, and `rc_to_path`
-builds its tableaux and path with `RectTableau._trusted` and
-`Path._trusted`.  The five public steps are a boundary too: a Working
-state whose leading factors do not fit the step (extract_letter,
-peel_column_rc, merge_column_rc, peel_box_rc, merge_box_rc), like a
-letter out of range in insert_letter, is a BadInputError.  Inside, a
-broken invariant raises InvariantError: a merge blocked by a singular
-string, a split that moves a vacancy number, `path_to_rc` comparing the
-image's spec and weight with the path's, and `rc_to_path` checking that
-each column's letters decrease and that each row's letters weakly
-increase.
+configuration and refuse anything else, and what the steps build from it
+skips the constructor checks: `Working.freeze` builds its spec with
+`CrystalSpec._trusted` and its configuration with
+`RiggedConfiguration._trusted`, and `rc_to_path` builds its tableaux and
+path with `RectTableau._trusted` and `Path._trusted`.  The five public
+steps are a boundary too: a Working state whose leading factors do not
+fit the step (extract_letter, peel_column_rc, merge_column_rc,
+peel_box_rc, merge_box_rc), like a letter out of range in insert_letter,
+is a BadInputError.  Inside, a broken invariant raises InvariantError: a
+merge blocked by a singular string, a split that moves a vacancy number,
+`path_to_rc` comparing the image's spec and weight with the path's, and
+`rc_to_path` checking that each column's letters decrease and that each
+row's letters weakly increase.
 """
 
 from __future__ import annotations
@@ -281,6 +281,8 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
     fused into the growing column, and each completed column beyond
     the first is fused into the growing factor.
     """
+    if not isinstance(path, Path):
+        raise BadInputError('path must be a Path')
     work = Working(path.spec.n)
     for t in reversed(path.tableaux):
         s = t.shape[1]
@@ -299,6 +301,9 @@ def path_to_rc(path: Path) -> RiggedConfiguration:
 
 def rc_to_path(rc: RiggedConfiguration) -> Path:
     """Map a rigged configuration back to its tensor path."""
+    # Before Working, which reads an int as an alphabet size.
+    if not isinstance(rc, RiggedConfiguration):
+        raise BadInputError('configuration must be a RiggedConfiguration')
     work = Working(rc)
     tableaux = []
     for r, s in rc.spec.factors:

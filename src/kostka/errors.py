@@ -19,7 +19,8 @@ class BadInputError(ValueError):
     or out-of-range input, named by its field.  The functions that refuse
     an argument's value raise it too: qbinom a negative number of parts,
     plactic's product, rmatrix and local_energy a pair of tableaux on
-    two alphabets, and the bijection's steps (insert_letter,
+    two alphabets, tail_energy, path_to_rc and rc_to_path an argument
+    of the wrong type, and the bijection's steps (insert_letter,
     extract_letter, peel_column_rc, merge_column_rc, peel_box_rc,
     merge_box_rc) a letter out of range or a Working state whose leading
     factors do not fit the step.  It is a ValueError, so a caller that

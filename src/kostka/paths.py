@@ -2,9 +2,10 @@
 generate, graded by the tail energy.
 
 Both run one right-to-left fold (`_fold`) of one transfer step
-(`_transfer`), whose states are the letters still unused and the
-multiset of factors that the tail energy carries leftward; each step is
-the `plactic.carry` that `tail_energy` folds over one path.  The fold
+(`_transfer`), whose states are the letters still unused, packed into one
+int with a guard bit per letter, and the multiset of factors that the
+tail energy carries leftward; each step is the `plactic.carry` that
+`tail_energy` folds over one path.  The fold
 keeps one level of states at a time, grouped by their carried factors,
 and merges equal states; the step runs `carry` once per group and
 element of the next factor.  The two callers differ only in what a state
@@ -18,21 +19,25 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import product, repeat
 from math import prod
-from operator import add, attrgetter, le, sub
+from operator import attrgetter, le, lshift
 
 from .crystal import CrystalSpec, Path, check_weight, enumerate_crystal
+from .errors import BadInputError
 from .plactic import carry, local_energy
 from .qpoly import QPolynomial
 
 
 def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
-    """The transfer step over the paths of a weight, and the product of
-    how many elements of each factor fit under the weight, which bounds
-    the paths and sets path_polynomial's field width.
+    """(step, bound, start): the transfer step over the paths of a weight,
+    the product of how many elements of each factor fit under the weight,
+    which bounds the paths and sets path_polynomial's field width, and the
+    packed weight the fold starts from.
 
-    The step is step(m, carried, states), as `_fold` calls it: `states`
-    maps each weight still to fill to a payload, which the step never
-    reads, for states that carry `carried` up to factor m.
+    A weight is packed into one int, letter i in field i: the bits of the
+    largest target entry plus a guard bit on top.  The step is
+    step(m, carried, states), as `_fold` calls it: `states` maps each
+    packed weight still to fill to a payload, which the step never reads,
+    for states that carry `carried` up to factor m.
     It yields (t, after, d, fits) for each element t of factor m whose
     weight leaves at least one state fillable by factors 0..m-1, with
     `after` the sorted factors carried on past t, d the energy t adds, and
@@ -42,10 +47,19 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     only its local energies: it takes no R-matrix image, whose table for
     the leftmost factor would list every pair.
 
-    Each shape's crystal is indexed by weight, keeping only the weights at
-    most the target, and reach[m] holds the weights that factors 0..m-1
-    fill exactly.
+    Each shape's crystal is indexed by packed weight, keeping only the
+    weights at most the target, compared as tuples, since a tableau may
+    hold more equal letters than a field.  reach[m] holds the weights that
+    factors 0..m-1 fill exactly; a sum u of two weights at most the target
+    has u_i <= 2 * target_i, so (target | guard) - u keeps every guard bit
+    exactly when u is at most the target.  A left weight that borrows
+    matches no member of reach: its lowest borrowing field sets its guard
+    bit, or it is negative.
     """
+    width = max(weight).bit_length() + 1
+    shifts = range(0, width * spec.n, width)
+    # The top bit of every field: the repunit sum(2^(width*i)), shifted.
+    guard = ((1 << width * spec.n) - 1) // ((1 << width) - 1) << width - 1
     by_weight = {}
     for shape in set(spec.factors):
         index = defaultdict(list)
@@ -53,28 +67,29 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
             w = t.weight()
             if all(map(le, w, weight)):
                 index[w].append(t)
-        by_weight[shape] = index
+        by_weight[shape] = {sum(map(lshift, w, shifts)): ts for w, ts in index.items()}
     indexes = [by_weight[shape] for shape in spec.factors]
     bound = prod(sum(map(len, index.values())) for index in indexes)
 
-    zero = (0,) * spec.n
-    reach = [{zero}]
+    start = sum(map(lshift, weight, shifts))
+    room = start | guard
+    reach = [{0}]
     for index in indexes[:-1]:
-        sums = {tuple(map(add, w, v)) for w in reach[-1] for v in index}
-        reach.append({w for w in sums if all(map(le, w, weight))})
+        sums = {w + v for w in reach[-1] for v in index}
+        reach.append({u for u in sums if (room - u) & guard == guard})
 
     def step(m, carried, states):
         if m == 0:
             for remaining, payload in states.items():
                 for t in indexes[0].get(remaining, ()):
-                    yield t, (), sum(map(local_energy, repeat(t), carried)), [(zero, payload)]
+                    yield t, (), sum(map(local_energy, repeat(t), carried)), [(0, payload)]
             return
         reached = reach[m]
         index = indexes[m]
         fitting = {}
         for remaining, payload in states.items():
             for v in index:
-                left = tuple(map(sub, remaining, v))
+                left = remaining - v
                 if left in reached:
                     fitting.setdefault(v, []).append((left, payload))
         for v, fits in fitting.items():
@@ -83,12 +98,13 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
                 moved.sort(key=attrgetter('rows'))
                 yield t, tuple(moved), d, fits
 
-    return step, bound
+    return step, bound, start
 
 
 def _fold(step, k: int, start, absorb) -> list:
     """The payloads left after folding the transfer step over factors
-    k-1, ..., 0, from the group of states `start` that carries nothing.
+    k-1, ..., 0, from the group of states `start` that carries nothing,
+    each state keyed by its packed weight still to fill (`_transfer`).
 
     Each level holds its states grouped by their carried factors, and
     drops a group once the step has read it.  absorb(target, t, d, fits)
@@ -122,14 +138,14 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
     weight = check_weight(spec, weight)
     if spec.total_boxes() != sum(weight):
         return []
-    step, _bound = _transfer(spec, weight)
+    step, _bound, start = _transfer(spec, weight)
 
     def absorb(target, t, d, fits):
         for left, pairs in fits:
             target.setdefault(left, []).extend([((t,) + suffix, e + d) for suffix, e in pairs])
 
-    start = {weight: [((), 0)]}
-    listed = [pair for pairs in _fold(step, len(spec.factors), start, absorb) for pair in pairs]
+    listed = [pair for pairs in _fold(step, len(spec.factors), {start: [((), 0)]}, absorb)
+              for pair in pairs]
     for i, (tableaux, energy) in enumerate(listed):
         listed[i] = Path._trusted(spec, tableaux), energy
     position = {t: i for shape in set(spec.factors)
@@ -140,6 +156,8 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
 
 def enumerate_all_paths(spec: CrystalSpec) -> list[Path]:
     """Every element of the tensor product, regardless of weight."""
+    if not isinstance(spec, CrystalSpec):
+        raise BadInputError('spec must be a CrystalSpec')
     crystals = [enumerate_crystal(r, s, spec.n) for r, s in spec.factors]
     return [Path._trusted(spec, tableaux) for tableaux in product(*crystals)]
 
@@ -154,7 +172,7 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     the multiset of carried factors.  This folds the transfer step right to
     left over those states (`_fold`), level by level, grouped by their
     carried factors, sorted so that equal states merge.  Each state keeps its
-    energies packed into one int: the count of q^e sits in bits
+    energies packed into one int, as `_transfer` packs its weight: the count of q^e sits in bits
     width*e .. width*e + width - 1, and adding d to every energy is a shift
     by width*d (d >= 0, since a local energy counts cells).  The width is
     the bit length of the product, over the factors, of how many of their
@@ -167,7 +185,7 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     weight = check_weight(spec, weight)
     if spec.total_boxes() != sum(weight):
         return QPolynomial.zero()
-    step, bound = _transfer(spec, weight)
+    step, bound, start = _transfer(spec, weight)
     if not bound:                       # some factor has no element under the weight
         return QPolynomial.zero()
     width = bound.bit_length()
@@ -177,7 +195,7 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
         for left, packed in fits:
             target[left] = target.get(left, 0) + (packed << shift)
 
-    total = sum(_fold(step, len(spec.factors), {weight: 1}, absorb))
+    total = sum(_fold(step, len(spec.factors), {start: 1}, absorb))
     mask = (1 << width) - 1
     return QPolynomial({e: total >> shift & mask
                         for e, shift in enumerate(range(0, total.bit_length(), width))})

@@ -154,6 +154,8 @@ def tail_energy(path: Path) -> int:
     factor b_k only adds its local energies; nothing is carried past it.
     This makes O(k^2) R applications in all.
     """
+    if not isinstance(path, Path):
+        raise BadInputError('path must be a Path')
     tabs = path.tableaux                # left to right: b_k, ..., b_1
     total = 0
     carried = []

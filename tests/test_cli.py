@@ -580,7 +580,8 @@ LIBRARY_REFUSALS = {
         refusal('path-polynomial', lambda: path_polynomial(ONE_BOXES, 5)),
         refusal('rc-polynomial', lambda: rc_layer.rc_polynomial(ONE_BOXES, 5)),
     ],
-    # Each function that takes a spec and a weight checks them with check_weight.
+    # Each function that takes a spec and a weight checks them with
+    # check_weight; enumerate_all_paths checks its spec alone.
     'non-specs': [
         refusal('enumerate-paths', lambda: enumerate_paths(5, (1, 1))),
         refusal('path-polynomial', lambda: path_polynomial(5, (1, 1))),
@@ -589,6 +590,13 @@ LIBRARY_REFUSALS = {
         refusal('fermionic-polynomial', lambda: fermionic_polynomial(5, (1, 1))),
         refusal('enumerate-configurations',
                 lambda: list(rc_layer.enumerate_configurations(5, (1, 1)))),
+        refusal('enumerate-all-paths', lambda: enumerate_all_paths(5)),
+    ],
+    # Each function that takes one path or configuration checks its type.
+    'non-elements': [
+        refusal('tail-energy', lambda: plactic.tail_energy(5)),
+        refusal('path-to-rc', lambda: bijection.path_to_rc(5)),
+        refusal('rc-to-path', lambda: bijection.rc_to_path(5)),
     ],
     # repr refuses an int past the digit limit with a plain ValueError;
     # each refusal names such an int by its size instead.
@@ -630,6 +638,8 @@ def library_cases(group, within=''):
 test_a_value_of_the_wrong_shape_is_refused_as_bad_input = library_cases('wrong-shapes')
 test_a_spec_that_is_not_a_crystal_spec_is_refused = library_cases(
     'non-specs', 'spec must be a CrystalSpec')
+test_an_element_that_is_not_a_path_or_configuration_is_refused = library_cases(
+    'non-elements', ' must be a ')
 # With no digit limit, a huge int is cut as a long one is.
 test_an_int_too_long_to_print_is_refused_as_bad_input = library_cases(
     'huge-ints', 'int of 16610 bits>' if LIMIT else '')

@@ -2,13 +2,13 @@ import json
 from collections import Counter
 from itertools import permutations
 from math import prod
-from operator import le
+from operator import add, le
 
 import pytest
 
 from kostka import cli, crystal, paths, plactic
 from kostka.cli import _compositions, main, sweep_specs
-from kostka.crystal import CrystalSpec, Path, enumerate_crystal
+from kostka.crystal import CrystalSpec, Path, RectTableau, enumerate_crystal
 from kostka.paths import enumerate_all_paths, enumerate_paths, path_polynomial
 from kostka.plactic import tail_energy
 from kostka.qpoly import QPolynomial
@@ -328,3 +328,78 @@ def test_each_method_is_nonzero_exactly_on_the_dominated_weights():
                 assert bool(method(spec, weight)) == expected, (method, spec, weight)
             counts[expected] += 1
     assert counts == {True: 976, False: 166}
+
+
+def _packed(w, width):
+    return sum(x << width * i for i, x in enumerate(w))
+
+
+def _transfer_sets(spec, weight):
+    """The step's index of each factor and its reach sets, read off the
+    closure that paths._transfer returns."""
+    step, _bound, start = paths._transfer(spec, weight)
+    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    return start, cells['indexes'], cells['reach']
+
+
+# Largest weight entries 1, 2, 3, 4, 7 and 8, where the field width
+# changes, with zero entries, where a subtraction borrows; the empty spec;
+# and n = 9, where the tableau 11111111 holds more equal letters than the
+# two bits of a field for weight (1^9).
+PACKING_SPECS = [
+    (CrystalSpec(4, ((1, 1),) * 4), None),
+    (CrystalSpec(3, ((1, 4), (2, 2), (1, 1))), None),
+    (CrystalSpec(2, ((1, 4), (1, 4))), None),
+    (CrystalSpec(3, ()), [(0, 0, 0)]),
+    (CrystalSpec(9, ((1, 8), (1, 1))), [(1,) * 9]),
+]
+
+
+def test_packed_weights_match_the_oracles():
+    # Each weight packed with guard bits gives the oracle's polynomial and
+    # the paths of enumerate_all_paths at that weight, in its order; at
+    # n = 9 the nine paths are listed directly, as the whole product holds
+    # 115,830.
+    largest = set()
+    for spec, weights in PACKING_SPECS:
+        weights = weights or _compositions(spec.total_boxes(), spec.n)
+        whole = spec.n < 9
+        if whole:
+            every = enumerate_all_paths(spec)
+        else:
+            every = [Path(spec, (RectTableau(((*range(1, j), *range(j + 1, 10)),), 9),
+                                 RectTableau(((j,),), 9))) for j in range(9, 0, -1)]
+        by_weight = {}
+        for p in every:
+            by_weight.setdefault(p.weight(), []).append((p, tail_energy(p)))
+        for weight in weights:
+            listed = by_weight.get(weight, [])
+            assert enumerate_paths(spec, weight) == listed, (spec, weight)
+            target = QPolynomial(Counter(e for _p, e in listed))
+            assert path_polynomial(spec, weight) == target, (spec, weight)
+            if whole:
+                assert target == oracle_path_polynomial(spec, weight)
+            largest.add(max(weight))
+    assert {0, 1, 2, 3, 4, 7, 8} <= largest
+
+
+def test_packed_sets_hold_only_weights_under_the_target():
+    # Every index key is the packed weight of its tableaux, each at most
+    # the target, and reach[m] is exactly the packed weights at most the
+    # target that factors 0..m-1 fill: each field is the bits of the
+    # largest entry plus a guard bit.
+    for spec, weight in [(CrystalSpec(9, ((1, 8), (1, 1))), (1,) * 9),
+                         (CrystalSpec(5, ((1, 4), (1, 1))), (1,) * 5),
+                         (CrystalSpec(3, ((1, 4), (2, 2), (1, 1))), (2, 0, 7)),
+                         (CrystalSpec(4, ((2, 1), (1, 2), (1, 1), (1, 2))), (3, 0, 1, 3))]:
+        width = max(weight).bit_length() + 1
+        start, indexes, reach = _transfer_sets(spec, weight)
+        assert start == _packed(weight, width)
+        fills = {(0,) * spec.n}
+        for m, ((r, s), index) in enumerate(zip(spec.factors, indexes)):
+            assert reach[m] == {_packed(w, width) for w in fills}, (spec, m)
+            under = {t for t in enumerate_crystal(r, s, spec.n) if all(map(le, t.weight(), weight))}
+            assert {t for ts in index.values() for t in ts} == under
+            assert all(_packed(t.weight(), width) == key for key, ts in index.items() for t in ts)
+            fills = {w for w in (tuple(map(add, f, t.weight())) for f in fills for t in under)
+                     if all(map(le, w, weight))}
