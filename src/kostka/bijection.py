@@ -25,12 +25,14 @@ configuration and refuse anything else, and what the steps build from it
 skips the constructor checks: `Working.freeze` builds its spec with
 `CrystalSpec._trusted` and its configuration with
 `RiggedConfiguration._trusted`, and `rc_to_path` builds its tableaux and
-path with `RectTableau._trusted` and `Path._trusted`.  The five public
-steps are a boundary too: a Working state whose leading factors do not
-fit the step (extract_letter, peel_column_rc, merge_column_rc,
-peel_box_rc, merge_box_rc), like a letter out of range in insert_letter,
-is a BadInputError.  Inside, a broken invariant raises InvariantError: a
-merge blocked by a singular string, a split that moves a vacancy number,
+path with `RectTableau._trusted` and `Path._trusted`.  The public steps
+are a boundary too: a state that is not a Working, a Working state whose
+leading factors do not fit the step (extract_letter, peel_column_rc,
+merge_column_rc, peel_box_rc, merge_box_rc), a letter out of range in
+insert_letter, and a Working built from anything but a configuration or
+an alphabet size of at least 2, are each a BadInputError.  Inside, a
+broken invariant raises InvariantError: a merge blocked by a singular
+string, a split that moves a vacancy number,
 `path_to_rc` comparing the image's spec and weight with the path's, and
 `rc_to_path` checking that each column's letters decrease and that each
 row's letters weakly increase.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from operator import gt, le
 
-from .crystal import CrystalSpec, Path, RectTableau, json_index
+from .crystal import CrystalSpec, Path, RectTableau, json_index, json_int
 from .errors import BadInputError, InvariantError
 from .rc import RiggedConfiguration, component_vacancy
 
@@ -56,11 +58,15 @@ class Working:
     empty, so a - 1 and a + 1 always index."""
 
     def __init__(self, rc: RiggedConfiguration | int):
-        """A copy of rc, or the empty configuration on rc letters if rc is an int."""
-        if isinstance(rc, int):
-            n, factors, weight, strings = rc, (), (0,) * rc, ((),) * (rc - 1)
-        else:
+        """A copy of rc, or the empty configuration on rc letters if rc is
+        an int (json_int) of at least 2, as a CrystalSpec's n; anything else
+        is a BadInputError."""
+        if isinstance(rc, RiggedConfiguration):
             n, factors, weight, strings = rc.n, rc.spec.factors, rc.weight, rc.strings
+        elif json_int(rc) < 2:
+            raise BadInputError('alphabet size must be at least 2')
+        else:
+            n, factors, weight, strings = rc, (), (0,) * rc, ((),) * (rc - 1)
         self.n = n
         self.factors = list(reversed(factors))
         self.weight = list(weight)
@@ -91,6 +97,14 @@ class Working:
             [zip(ls, xs) for ls, xs in zip(self.lengths[1:-1], self.riggings[1:-1])])
 
 
+def _checked(work) -> Working:
+    """work, if it is a Working state; each public step reads its state
+    through here first."""
+    if not isinstance(work, Working):
+        raise BadInputError('state must be a Working')
+    return work
+
+
 def extract_letter(work: Working) -> int:
     """Remove a leading single-box factor; return the removed letter.
 
@@ -107,7 +121,7 @@ def extract_letter(work: Working) -> int:
     not a single box is a BadInputError; a letter that does not occur in
     the weight is an InvariantError.
     """
-    if not work.factors or work.factors[-1] != (1, 1):
+    if not _checked(work).factors or work.factors[-1] != (1, 1):
         raise BadInputError('leftmost factor must be a single box')
     factors, lengths, riggings = work.factors, work.lengths, work.riggings
     chosen: list[tuple[int, int]] = []
@@ -158,7 +172,7 @@ def insert_letter(work: Working, letter: int) -> None:
     One pass over each component keeps the pick so far and reads a
     vacancy number only for a string longer than it.
     """
-    json_index(letter, work.n, 'letter')
+    json_index(letter, _checked(work).n, 'letter')
     factors, lengths, riggings = work.factors, work.lengths, work.riggings
     grown: list[tuple[int, int]] = []
     ceiling = None      # the first component walked has no previous pick
@@ -199,7 +213,7 @@ def peel_column_rc(work: Working) -> None:
     factor, or whose leftmost factor is a single column, is a
     BadInputError.
     """
-    if not work.factors:
+    if not _checked(work).factors:
         raise BadInputError('no factors to split')
     r, s = work.factors[-1]
     if s < 2:
@@ -215,7 +229,7 @@ def merge_column_rc(work: Working) -> None:
     is an InvariantError.  Leading factors of any other shapes are a
     BadInputError.
     """
-    factors = work.factors
+    factors = _checked(work).factors
     if len(factors) < 2 or factors[-1][1] != 1 or factors[-2][0] != factors[-1][0]:
         raise BadInputError('leading factors must be (r, 1), (r, w)')
     r, w = factors[-2]
@@ -233,7 +247,7 @@ def peel_box_rc(work: Working) -> None:
     an InvariantError.  A state with no factor, or whose leftmost factor
     is not a column of height at least 2, is a BadInputError.
     """
-    if not work.factors:
+    if not _checked(work).factors:
         raise BadInputError('no factors to split')
     r, s = work.factors[-1]
     if s != 1 or r < 2:
@@ -254,7 +268,7 @@ def merge_box_rc(work: Working) -> None:
     1..r; a missing one is an InvariantError.  Leading factors of any
     other shapes are a BadInputError.
     """
-    factors = work.factors
+    factors = _checked(work).factors
     if len(factors) < 2 or factors[-1] != (1, 1) or factors[-2][1] != 1:
         raise BadInputError('leading factors must be (1, 1), (r, 1)')
     r = factors[-2][0]

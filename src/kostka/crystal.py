@@ -16,10 +16,12 @@ the ValueError that the readers and the checked constructors raise for a
 value they refuse (`errors`).
 A tableau's entries, alphabet size and a spec's fields must be ints too,
 and a weight is a nonempty tuple of nonnegative ints (the empty weight
-is refused).  A tableau stores its shape and its hash when it is built,
-since the energy layer keys its memos and transfer-matrix states by
-tableaux; its size is read from `shape` alone, and the hash is the one
-the dataclass would compute, hash((rows, n)).
+is refused).  A tableau stores its shape, its letter counts and its hash
+when it is built, all through one setter, since the energy layer keys its
+memos and transfer-matrix states by tableaux and indexes each crystal by
+weight; its size is read from `shape` alone, a path's weight sums its
+tableaux's counts, and the hash is the one the dataclass would compute,
+hash((rows, n)).
 Input is checked at the boundaries: the constructors and `from_json`
 run every check, the constructors and check_weight refuse a value of
 the wrong shape (json_list) and `from_json` a missing field (json_field)
@@ -114,8 +116,9 @@ def check_weight_entries(weight) -> tuple[int, ...]:
 class RectTableau:
     """A column-strict rectangular tableau over {1..n}.
 
-    Construction also stores `shape`, the pair (rows, columns), and the
-    hash, so neither is recomputed when the tableau is read or looked up.
+    Construction also stores `shape`, the pair (rows, columns), the
+    letter counts that weight() returns, and the hash, so none is
+    recomputed when the tableau is read or looked up.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -124,7 +127,6 @@ class RectTableau:
     def __post_init__(self):
         rows = tuple(tuple(json_list(row, 'tableau row'))
                      for row in json_list(self.rows, 'tableau'))
-        object.__setattr__(self, 'rows', rows)
         n = json_int(self.n)
         if not rows:
             raise BadInputError('tableau needs at least one row')
@@ -143,21 +145,31 @@ class RectTableau:
         for upper, lower in zip(rows, rows[1:]):
             if not all(map(lt, upper, lower)):
                 raise BadInputError('columns must strictly increase')
-        object.__setattr__(self, 'shape', (len(rows), s))
-        object.__setattr__(self, '_hash', hash((rows, n)))
+        self._store(rows, n)
 
     @classmethod
     def _trusted(cls, rows: tuple, n: int) -> 'RectTableau':
         """A tableau from a nonempty tuple of equal-length, nonempty row
         tuples over 1..n whose rows and columns the caller has checked,
-        built without re-running the checks; shape and hash are stored as
-        the constructor stores them."""
+        built without re-running the checks; its fields are stored as the
+        constructor stores them."""
         t = object.__new__(cls)
-        object.__setattr__(t, 'rows', rows)
-        object.__setattr__(t, 'n', n)
-        object.__setattr__(t, 'shape', (len(rows), len(rows[0])))
-        object.__setattr__(t, '_hash', hash((rows, n)))
+        t._store(rows, n)
         return t
+
+    def _store(self, rows: tuple, n: int) -> None:
+        """Set rows and n, and what construction derives from them: the
+        shape, the letter counts that weight() returns, and the hash."""
+        counts = [0] * n
+        for row in rows:
+            for x in row:
+                counts[x - 1] += 1
+        set_field = object.__setattr__
+        set_field(self, 'rows', rows)
+        set_field(self, 'n', n)
+        set_field(self, 'shape', (len(rows), len(rows[0])))
+        set_field(self, '_weight', tuple(counts))
+        set_field(self, '_hash', hash((rows, n)))
 
     def __hash__(self):
         return self._hash
@@ -173,11 +185,7 @@ class RectTableau:
         return tuple(out)
 
     def weight(self) -> tuple[int, ...]:
-        w = [0] * self.n
-        for row in self.rows:
-            for x in row:
-                w[x - 1] += 1
-        return tuple(w)
+        return self._weight
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -281,11 +289,7 @@ class Path:
         return tuple(out)
 
     def weight(self) -> tuple[int, ...]:
-        w = [0] * self.spec.n
-        for t in self.tableaux:
-            for wi, x in enumerate(t.weight()):
-                w[wi] += x
-        return tuple(w)
+        return tuple(map(sum, zip((0,) * self.spec.n, *[t.weight() for t in self.tableaux])))
 
     def f(self, i: int) -> 'Path | None':
         return _apply(self, i, lowering=True)

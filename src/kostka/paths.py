@@ -3,12 +3,15 @@ generate, graded by the tail energy.
 
 Both run one right-to-left fold (`_fold`) of one transfer step
 (`_transfer`), whose states are the letters still unused, packed into one
-int with a guard bit per letter, and the multiset of factors that the
-tail energy carries leftward; each step is the `plactic.carry` that
-`tail_energy` folds over one path.  The fold
-keeps one level of states at a time, grouped by their carried factors,
-and merges equal states; the step runs `carry` once per group and
-element of the next factor.  The two callers differ only in what a state
+int with a guard bit per letter (`qpoly._fields`), and the multiset of
+factors that the tail energy carries leftward; each step is the
+`plactic.carry` that `tail_energy` folds over one path.  The step indexes
+each crystal by the letter counts its tableaux store.  The fold keeps one
+level of states at a time, grouped by their carried factors, and merges
+equal states; the step runs `carry` once per group and element of the
+next factor.  It returns only states with nothing left to fill, so a
+weight that no path has, by its total or otherwise, yields nothing
+without a check of its own.  The two callers differ only in what a state
 carries: `path_polynomial` packs its energies into one int, so it builds
 no path, and `enumerate_paths` keeps its list of (tableaux suffix,
 energy) pairs, so it lists each path with its energy.
@@ -24,7 +27,7 @@ from operator import attrgetter, le, lshift
 from .crystal import CrystalSpec, Path, check_weight, enumerate_crystal
 from .errors import BadInputError
 from .plactic import carry, local_energy
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, _fields
 
 
 def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
@@ -33,8 +36,9 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     which bounds the paths and sets path_polynomial's field width, and the
     packed weight the fold starts from.
 
-    A weight is packed into one int, letter i in field i: the bits of the
-    largest target entry plus a guard bit on top.  The step is
+    A weight is packed into one int, letter i in field i (the layout of
+    qpoly._fields): the bits of the largest target entry plus a guard bit
+    on top.  The step is
     step(m, carried, states), as `_fold` calls it: `states` maps each
     packed weight still to fill to a payload, which the step never reads,
     for states that carry `carried` up to factor m.
@@ -47,9 +51,10 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     only its local energies: it takes no R-matrix image, whose table for
     the leftmost factor would list every pair.
 
-    Each shape's crystal is indexed by packed weight, keeping only the
-    weights at most the target, compared as tuples, since a tableau may
-    hold more equal letters than a field.  reach[m] holds the weights that
+    Each shape's crystal is indexed by packed weight, read off the
+    letter counts each tableau stores, keeping only the weights at most
+    the target, compared as tuples, since a tableau may hold more equal
+    letters than a field.  reach[m] holds the weights that
     factors 0..m-1 fill exactly; a sum u of two weights at most the target
     has u_i <= 2 * target_i, so (target | guard) - u keeps every guard bit
     exactly when u is at most the target.  A left weight that borrows
@@ -57,9 +62,8 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     bit, or it is negative.
     """
     width = max(weight).bit_length() + 1
-    shifts = range(0, width * spec.n, width)
-    # The top bit of every field: the repunit sum(2^(width*i)), shifted.
-    guard = ((1 << width * spec.n) - 1) // ((1 << width) - 1) << width - 1
+    shifts, unit = _fields(spec.n, width)
+    guard = unit << width - 1           # the top bit of every field
     by_weight = {}
     for shape in set(spec.factors):
         index = defaultdict(list)
@@ -110,8 +114,10 @@ def _fold(step, k: int, start, absorb) -> list:
     drops a group once the step has read it.  absorb(target, t, d, fits)
     merges the states in fits, reached through the element t that adds
     energy d, into target, the next level's group for the factors carried
-    past t.  After factor 0 the one state left carries nothing and has
-    nothing left to fill, so at most one payload is returned.
+    past t.  Only the payload of a state with nothing left to fill is
+    returned: after factor 0 at most one state is left, and none when no
+    path has the weight; with no factor, the start state, if its weight
+    is zero.  So no caller checks the weight's total first.
     """
     groups = {(): start}
     for m in range(k - 1, -1, -1):
@@ -121,7 +127,7 @@ def _fold(step, k: int, start, absorb) -> list:
             for t, after, d, fits in step(m, carried, states):
                 absorb(merged[after], t, d, fits)
         groups = merged
-    return [payload for states in groups.values() for payload in states.values()]
+    return [states[0] for states in groups.values() if 0 in states]
 
 
 def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
@@ -136,8 +142,6 @@ def enumerate_paths(spec: CrystalSpec, weight) -> list[tuple[Path, int]]:
     factor's position in its crystal, the leftmost factor slowest.
     """
     weight = check_weight(spec, weight)
-    if spec.total_boxes() != sum(weight):
-        return []
     step, _bound, start = _transfer(spec, weight)
 
     def absorb(target, t, d, fits):
@@ -171,24 +175,22 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     the rest of the energy depends only on the letters still unused and on
     the multiset of carried factors.  This folds the transfer step right to
     left over those states (`_fold`), level by level, grouped by their
-    carried factors, sorted so that equal states merge.  Each state keeps its
-    energies packed into one int, as `_transfer` packs its weight: the count of q^e sits in bits
-    width*e .. width*e + width - 1, and adding d to every energy is a shift
-    by width*d (d >= 0, since a local energy counts cells).  The width is
-    the bit length of the product, over the factors, of how many of their
-    elements fit under the weight; that product bounds every count of
-    every state, so no field overflows into the next.  Two prunings keep
-    the states few: a state is kept only if the factors left of it can
-    fill its remaining weight exactly, and the leftmost factor, which
-    carries nothing, is looked up by that weight.
+    carried factors, sorted so that equal states merge.  Each state keeps
+    its energies packed into one int, as `_transfer` packs its weight: the
+    count of q^e sits in bits width*e .. width*e + width - 1, and adding d
+    to every energy is a shift by width*d (d >= 0, since a local energy
+    counts cells).  The width is the bit length of the product, over the
+    factors, of how many of their elements fit under the weight, and at
+    least 1; that product bounds every count of every state, so no field
+    overflows into the next.  A weight that no path has leaves no state
+    (`_fold`), and the sum is 0.  Two prunings keep the states few: a
+    state is kept only if the factors left of it can fill its remaining
+    weight exactly, and the leftmost factor, which carries nothing, is
+    looked up by that weight.
     """
     weight = check_weight(spec, weight)
-    if spec.total_boxes() != sum(weight):
-        return QPolynomial.zero()
     step, bound, start = _transfer(spec, weight)
-    if not bound:                       # some factor has no element under the weight
-        return QPolynomial.zero()
-    width = bound.bit_length()
+    width = bound.bit_length() or 1     # bound is 0 when a factor has no element under it
 
     def absorb(target, _t, d, fits):
         shift = width * d

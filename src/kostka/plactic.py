@@ -58,10 +58,13 @@ def insert_word(rows: tuple, word) -> tuple[tuple[int, ...], ...]:
 def product(b: RectTableau, b2: RectTableau) -> tuple[tuple[int, ...], ...]:
     """Schensted product: insert the row word of b2 into b.
 
-    Returns the product's rows, top row first.  The factors must share
-    an alphabet, or BadInputError is raised; `rmatrix` and `local_energy`
-    read every pair through here, so they refuse the same pairs.
+    Returns the product's rows, top row first.  The factors must be
+    RectTableaux on one alphabet, or BadInputError is raised; `rmatrix`
+    and `local_energy` read every pair through here first, so they refuse
+    the same pairs.
     """
+    if not (isinstance(b, RectTableau) and isinstance(b2, RectTableau)):
+        raise BadInputError('each factor must be a RectTableau')
     if b.n != b2.n:
         raise BadInputError('factors must share an alphabet')
     return insert_word(b.rows, b2.word())
@@ -73,12 +76,14 @@ def _rmatrix_table(r: int, s: int, r2: int, s2: int, n: int):
     preimage in B^{r2,s2} x B^{r,s}.
 
     Uniqueness of the preimage is exactly the defining property of the
-    R-matrix; a collision here would be an implementation bug.
+    R-matrix; a collision here would be an implementation bug.  Both
+    factors are listed on one alphabet, so the pair loop inserts without
+    the checks of `product`.
     """
     table: dict[tuple, tuple[RectTableau, RectTableau]] = {}
     for left in enumerate_crystal(r2, s2, n):
         for right in enumerate_crystal(r, s, n):
-            key = product(left, right)
+            key = insert_word(left.rows, right.word())
             if key in table:
                 raise InvariantError(
                     f'plactic product not injective on B^{r2},{s2} x B^{r},{s}')
@@ -113,10 +118,11 @@ def local_energy(b: RectTableau, b2: RectTableau) -> int:
     reference shape has k-th row of length s*(k<=r) + s2*(k<=r2) for
     the input shapes (s^r) and (s2^r2).
     """
+    rows = product(b, b2)
     r, s = b.shape
     r2, s2 = b2.shape
     outside = 0
-    for k, row in enumerate(product(b, b2), start=1):
+    for k, row in enumerate(rows, start=1):
         ref = (s if k <= r else 0) + (s2 if k <= r2 else 0)
         outside += max(0, len(row) - ref)
     return outside

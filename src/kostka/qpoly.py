@@ -121,6 +121,16 @@ class QPolynomial:
         return f'QPolynomial({self.coeffs!r})'
 
 
+def _fields(count: int, width: int) -> tuple[range, int]:
+    """(shifts, unit) for count fields of width >= 1 bits packed into one
+    int, field i at bits width*i .. width*i + width - 1: the shift of each
+    field, and the repunit sum(2^(width*i)), a 1 at the bottom of every
+    field.  The one owner of the layout that the path fold packs its
+    weights in and the fermionic sum its profiles."""
+    shifts = range(0, width * count, width)
+    return shifts, ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
 def _times_qbinom(coeffs: list, m: int, p: int) -> None:
     """Multiply the ascending coefficient list coeffs, in place, by the
     Gaussian binomial [m+p choose m]_q, for m >= 0 and p >= 0: m steps,

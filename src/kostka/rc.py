@@ -53,7 +53,7 @@ from operator import le, lshift
 from .crystal import (CrystalSpec, check_weight, check_weight_entries, depth_first, json_field,
                       json_index, json_int, json_ints, json_list)
 from .errors import BadInputError, BudgetError, shown
-from .qpoly import QPolynomial, _times_qbinom
+from .qpoly import QPolynomial, _fields, _times_qbinom
 
 DEFAULT_BOUND_CAP = 10 ** 6
 
@@ -784,14 +784,13 @@ def _signed_maxima(profiles) -> tuple[dict[int, int], int, int]:
     guard bits, less themselves shifted down to the bottom of the field,
     fill the fields where u wins, and the maximum takes u there and v
     elsewhere.  The offset and the guard bits are multiples of the
-    repunit sum(2^(width*i)), so neither takes a loop per field.
+    repunit of qpoly._fields, so neither takes a loop per field.
     """
     low = min(map(min, profiles))
     width = (max(map(max, profiles)) - low).bit_length() + 1
-    unit = ((1 << width * len(profiles[0])) - 1) // ((1 << width) - 1)
+    shifts, unit = _fields(len(profiles[0]), width)
     top = width - 1
     guard = unit << top
-    shifts = range(0, width * len(profiles[0]), width)
     signed: dict[int, int] = {}
     for profile in profiles:
         # Packing is linear: offsetting every entry by low subtracts low * unit.
@@ -817,7 +816,7 @@ def _signed_terms(profiles):
         return ((profiles[0], 1),)
     packed, least, width = _signed_maxima(profiles)
     mask = (1 << width) - 1
-    fields = range(0, width * len(profiles[0]), width)
+    fields, _unit = _fields(len(profiles[0]), width)
     return [([((key >> s) & mask) + least for s in fields], count)
             for key, count in packed.items()]
 

@@ -18,8 +18,17 @@ result is admissible, as an internal invariant.
 from __future__ import annotations
 
 from .crystal import json_index
-from .errors import InvariantError
+from .errors import BadInputError, InvariantError
 from .rc import RiggedConfiguration
+
+
+def _check(rc, a) -> None:
+    """Refuse rc if it is not a RiggedConfiguration, and a if json_index
+    refuses it as a component of rc; e and epsilon, which f and phi call
+    first, read their arguments here."""
+    if not isinstance(rc, RiggedConfiguration):
+        raise BadInputError('configuration must be a RiggedConfiguration')
+    json_index(a, rc.n - 1, 'component')
 
 
 def _rebuild(rc: RiggedConfiguration, a: int, sel_index: int | None,
@@ -76,7 +85,7 @@ def e(rc: RiggedConfiguration, a: int) -> RiggedConfiguration | None:
     shorter strings.  The target loses a box and its rigging rises by
     one more; a length-zero string disappears.
     """
-    json_index(a, rc.n - 1, 'component')
+    _check(rc, a)
     comp = rc.strings[a - 1]
     negative = [(x, l, idx) for idx, (l, x) in enumerate(comp) if x < 0]
     if not negative:
@@ -106,5 +115,5 @@ def epsilon(rc: RiggedConfiguration, a: int) -> int:
     Closed form: minus the smallest rigging of the component, zero when
     none is negative.
     """
-    json_index(a, rc.n - 1, 'component')
+    _check(rc, a)
     return -min(0, min((x for _, x in rc.strings[a - 1]), default=0))

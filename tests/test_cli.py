@@ -592,11 +592,27 @@ LIBRARY_REFUSALS = {
                 lambda: list(rc_layer.enumerate_configurations(5, (1, 1)))),
         refusal('enumerate-all-paths', lambda: enumerate_all_paths(5)),
     ],
-    # Each function that takes one path or configuration checks its type.
+    # Each function that takes one path or configuration, a Working state
+    # or a pair of tableaux checks its type where it first reads it.
     'non-elements': [
         refusal('tail-energy', lambda: plactic.tail_energy(5)),
         refusal('path-to-rc', lambda: bijection.path_to_rc(5)),
         refusal('rc-to-path', lambda: bijection.rc_to_path(5)),
+        refusal('insert-letter', lambda: bijection.insert_letter(5, 1)),
+        *[refusal(step.__name__.replace('_', '-'), lambda step=step: step(5))
+          for step in (bijection.extract_letter, bijection.peel_column_rc,
+                       bijection.merge_column_rc, bijection.peel_box_rc,
+                       bijection.merge_box_rc)],
+        *[refusal(f'rccrystal-{op.__name__}', lambda op=op: op(5, 1))
+          for op in (rccrystal.f, rccrystal.e, rccrystal.phi, rccrystal.epsilon)],
+        *[refusal(f.__name__.replace('_', '-'), lambda f=f: f(5, 5))
+          for f in (plactic.product, plactic.rmatrix, plactic.local_energy)],
+    ],
+    # A Working state is a configuration's copy or the empty state on an
+    # alphabet size that CrystalSpec would take.
+    'working-sizes': [
+        refusal(f'working-{size!r}', lambda size=size: bijection.Working(size))
+        for size in ('x', True, 1, -1)
     ],
     # repr refuses an int past the digit limit with a plain ValueError;
     # each refusal names such an int by its size instead.
@@ -640,6 +656,7 @@ test_a_spec_that_is_not_a_crystal_spec_is_refused = library_cases(
     'non-specs', 'spec must be a CrystalSpec')
 test_an_element_that_is_not_a_path_or_configuration_is_refused = library_cases(
     'non-elements', ' must be a ')
+test_a_working_state_needs_an_alphabet_size_of_two_or_more = library_cases('working-sizes')
 # With no digit limit, a huge int is cut as a long one is.
 test_an_int_too_long_to_print_is_refused_as_bad_input = library_cases(
     'huge-ints', 'int of 16610 bits>' if LIMIT else '')

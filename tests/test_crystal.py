@@ -237,6 +237,12 @@ def test_enumeration_is_deduplicated():
     assert len(set(tabs)) == len(tabs)
 
 
+def letter_count(t):
+    # The weight of t counted off its rows, letters 1..n.
+    letters = [x for row in t.rows for x in row]
+    return tuple(map(letters.count, range(1, t.n + 1)))
+
+
 def test_tableau_hash_and_shape_are_stored():
     shapes = [(r, s) for r in (1, 2, 3) for s in (1, 2)]
     crystal = {t: t for shape in shapes for t in enumerate_crystal(*shape, 4)}
@@ -246,6 +252,7 @@ def test_tableau_hash_and_shape_are_stored():
         copy = RectTableau.from_json(t.to_json(), t.n)
         assert copy == t and copy is not t and hash(copy) == hash(t)
         assert crystal[copy] is t
+        assert t.weight() == copy.weight() == letter_count(t)
     for shape in shapes:
         assert all(t.shape == shape for t in enumerate_crystal(*shape, 4))
     t = enumerate_crystal(2, 2, 4)[0]
@@ -267,6 +274,7 @@ def test_tableaux_from_operators_and_bijection_hash_as_enumerated():
                 assert t.shape == (r, s)
                 assert hash(t) == hash(crystals[t]) == hash((t.rows, t.n))
                 assert crystals[t] == t
+                assert t.weight() == letter_count(t)
 
 
 def family_and_sweep_paths():

@@ -245,6 +245,8 @@ def test_polynomial_edge_cases():
     two = CrystalSpec(3, ((1, 1), (2, 1)))
     assert path_polynomial(two, (1, 1, 0)) == QPolynomial.zero()   # box count mismatch
     assert path_polynomial(two, (3, 0, 0)) == QPolynomial.zero()   # no path of the weight
+    assert enumerate_paths(two, (1, 1, 0)) == []
+    assert enumerate_paths(two, (3, 0, 0)) == []
 
 
 def test_polynomial_builds_no_path(monkeypatch):
