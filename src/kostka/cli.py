@@ -270,9 +270,12 @@ def check_spec(spec: CrystalSpec) -> str | None:
     compares the images with the weight's configurations as sets, in no
     order.  Symmetry in the weight is checked on the listed energies
     before any method is compared with them, so a fault in the energies
-    alone is reported as broken symmetry.  Each weight's configurations
-    are built once, into one list that the image check and the rc-side
-    methods read.  The letter pass freezes no configuration: it tests the
+    alone is reported as broken symmetry.  The energies are summed in the
+    spec's order of factors, and the paths method folds the factors by
+    decreasing crystal size, so on a spec not listed in that order its
+    agreement also checks that the energy is invariant under the
+    R-matrix.  Each weight's configurations are built once, into one
+    list that the image check and the rc-side methods read.  The letter pass freezes no configuration: it tests the
     state after each insertion with rc._admissible, the package's one
     admissibility rule, on the Working lists as they stand, and compares
     the state after each extraction with rc by its restored lists

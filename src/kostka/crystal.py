@@ -32,7 +32,8 @@ for enumerated and operated paths, `RectTableau._trusted` for the
 tableaux that enumerate_crystal, the operators and rc_to_path build and
 check themselves,
 `CrystalSpec._trusted` for the specs the bijection's splits and merges
-make from a checked spec's factors, and, in `rc`,
+make from a checked spec's factors and for the reordered copy that
+`path_polynomial` folds, and, in `rc`,
 `RiggedConfiguration._trusted` and `LowerBoundTableau._trusted` for the
 witness tableaux that bound_tableaux builds.  The CLI calls none of
 them.  A tableau that an operator breaks is an InvariantError, checked
@@ -219,7 +220,8 @@ class CrystalSpec:
     def _trusted(cls, n: int, factors: tuple) -> 'CrystalSpec':
         """A spec built without re-running the checks, from a checked
         spec's alphabet size and a tuple of (height, width) tuples that the
-        bijection's splits and merges made from its factors."""
+        bijection's splits and merges, or path_polynomial's reorder, made
+        from its factors."""
         spec = object.__new__(cls)
         object.__setattr__(spec, 'n', n)
         object.__setattr__(spec, 'factors', factors)
@@ -414,6 +416,19 @@ def enumerate_crystal(r: int, s: int, n: int) -> tuple[RectTableau, ...]:
 
     return tuple(RectTableau._trusted(tuple(zip(*cols)), n)
                  for cols in depth_first((0,) * r, s, step))
+
+
+@lru_cache(maxsize=None)
+def _weight_classes(r: int, s: int, n: int) -> dict[tuple[int, ...], tuple[RectTableau, ...]]:
+    """enumerate_crystal(r, s, n) grouped by letter counts: each weight
+    of the crystal maps to its tableaux, in the listing's order.  The
+    path fold reads it for each factor shape at each weight, so a crystal
+    is grouped once per process, not once per weight; the listing checks
+    the arguments."""
+    classes: dict[tuple[int, ...], list[RectTableau]] = {}
+    for t in enumerate_crystal(r, s, n):
+        classes.setdefault(t.weight(), []).append(t)
+    return {w: tuple(ts) for w, ts in classes.items()}
 
 
 def depth_first(root, depth: int, step):

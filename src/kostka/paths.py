@@ -5,16 +5,29 @@ Both run one right-to-left fold (`_fold`) of one transfer step
 (`_transfer`), whose states are the letters still unused, packed into one
 int with a guard bit per letter (`qpoly._fields`), and the multiset of
 factors that the tail energy carries leftward; each step is the
-`plactic.carry` that `tail_energy` folds over one path.  The step indexes
-each crystal by the letter counts its tableaux store.  The fold keeps one
-level of states at a time, grouped by their carried factors, and merges
-equal states; the step runs `carry` once per group and element of the
-next factor.  It returns only states with nothing left to fill, so a
-weight that no path has, by its total or otherwise, yields nothing
-without a check of its own.  The two callers differ only in what a state
-carries: `path_polynomial` packs its energies into one int, so it builds
-no path, and `enumerate_paths` keeps its list of (tableaux suffix,
+`plactic.carry` that `tail_energy` folds over one path.  The step reads
+each crystal grouped by letter counts (`crystal._weight_classes`, built
+once per crystal) and packs only the weights under the target.  The fold
+keeps one level of states at a time, grouped by their carried factors,
+and merges equal states; the step runs `carry` once per group and
+element of the next factor.  It returns only states with nothing left to
+fill, so a weight that no path has, by its total or otherwise, yields
+nothing without a check of its own.  The two callers differ only in what
+a state carries: `path_polynomial` packs its energies into one int, so it
+builds no path, and `enumerate_paths` keeps its list of (tableaux suffix,
 energy) pairs, so it lists each path with its energy.
+
+`enumerate_paths` folds the factors in the order the spec lists them.
+`path_polynomial` folds them in its own order, by decreasing crystal
+size |B^{r,s}|, then by decreasing shape (r, s).  The combinatorial
+R-matrix is an affine crystal isomorphism between the orders that keeps
+the energy (Kang-Kashiwara-Misra-Miwa-Nakashima-Nakayashiki, "Affine
+crystals and vertex models"; Shimozono, "Affine type A crystal structure
+on tensor products of rectangles"), so the polynomial does not depend on
+the order.  The largest crystal then sits leftmost, where the step looks
+it up by weight and takes no R-matrix image of it, and the smallest
+crystals are carried the farthest, which keeps the R-matrix tables and
+the carried states few.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from itertools import product, repeat
 from math import prod
 from operator import attrgetter, le, lshift
 
-from .crystal import CrystalSpec, Path, check_weight, enumerate_crystal
+from .crystal import CrystalSpec, Path, _weight_classes, check_weight, enumerate_crystal
 from .errors import BadInputError
 from .plactic import carry, local_energy
 from .qpoly import QPolynomial, _fields
@@ -51,10 +64,10 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     only its local energies: it takes no R-matrix image, whose table for
     the leftmost factor would list every pair.
 
-    Each shape's crystal is indexed by packed weight, read off the
-    letter counts each tableau stores, keeping only the weights at most
-    the target, compared as tuples, since a tableau may hold more equal
-    letters than a field.  reach[m] holds the weights that
+    Each shape's crystal is indexed by packed weight: of its weight
+    classes (`crystal._weight_classes`), only the weights at most the
+    target are packed, compared as tuples, since a tableau may hold more
+    equal letters than a field.  reach[m] holds the weights that
     factors 0..m-1 fill exactly; a sum u of two weights at most the target
     has u_i <= 2 * target_i, so (target | guard) - u keeps every guard bit
     exactly when u is at most the target.  A left weight that borrows
@@ -64,14 +77,10 @@ def _transfer(spec: CrystalSpec, weight: tuple[int, ...]):
     width = max(weight).bit_length() + 1
     shifts, unit = _fields(spec.n, width)
     guard = unit << width - 1           # the top bit of every field
-    by_weight = {}
-    for shape in set(spec.factors):
-        index = defaultdict(list)
-        for t in enumerate_crystal(*shape, spec.n):
-            w = t.weight()
-            if all(map(le, w, weight)):
-                index[w].append(t)
-        by_weight[shape] = {sum(map(lshift, w, shifts)): ts for w, ts in index.items()}
+    by_weight = {shape: {sum(map(lshift, w, shifts)): ts
+                         for w, ts in _weight_classes(*shape, spec.n).items()
+                         if all(map(le, w, weight))}
+                 for shape in set(spec.factors)}
     indexes = [by_weight[shape] for shape in spec.factors]
     bound = prod(sum(map(len, index.values())) for index in indexes)
 
@@ -187,8 +196,22 @@ def path_polynomial(spec: CrystalSpec, weight) -> QPolynomial:
     state is kept only if the factors left of it can fill its remaining
     weight exactly, and the leftmost factor, which carries nothing, is
     looked up by that weight.
+
+    The weight is checked on the given spec, and the fold runs on a copy
+    of it with the factors sorted by decreasing crystal size, then by
+    decreasing shape (r, s), so the largest crystal is the leftmost
+    factor and the cost does not depend on the order the factors are
+    listed in.  The energy is invariant under the R-matrix, an affine
+    crystal isomorphism between any two orders of the factors
+    (Kang-Kashiwara-Misra-Miwa-Nakashima-Nakayashiki; Shimozono), so the
+    sum is the given order's.  A spec with fewer than two distinct shapes
+    is folded as it is.
     """
     weight = check_weight(spec, weight)
+    n, factors = spec.n, spec.factors
+    if len(set(factors)) > 1:
+        order = sorted(factors, key=lambda f: (len(enumerate_crystal(*f, n)), f), reverse=True)
+        spec = CrystalSpec._trusted(n, tuple(order))
     step, bound, start = _transfer(spec, weight)
     width = bound.bit_length() or 1     # bound is 0 when a factor has no element under it
 

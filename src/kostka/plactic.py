@@ -12,7 +12,10 @@ memoized per ordered pair of tableaux, so each runs one Schensted product
 per distinct pair for the life of the process.  A tableau carries its
 shape and its hash from construction, so a memo lookup reads both
 without rehashing the rows.  Like the tables, the memos hold at most
-sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of shapes met.
+sum |B^{r,s}| * |B^{r',s'}| entries over the pairs of shapes met.  The
+table for a pair lists one entry per element pair, and `path_polynomial`
+folds with the largest crystal leftmost, so it builds no table that
+carries the largest crystal past another factor.
 
 `carry` is the one transport step: a factor meets the factors carried
 up to it, adds their local energies and lets them pass.  `tail_energy`
@@ -20,9 +23,10 @@ folds it over one path; `kostka check` calls it on every path it
 checks.  The `paths` module never calls `tail_energy`: its one transfer
 step folds the same `carry` over all the paths of a weight at once, once
 per group of states that carry the same factors and element of the next
-factor.  `path_polynomial` packs each state's energies into one int, and
-`enumerate_paths` keeps each state's tableaux suffixes with their
-energies, so it lists each path with its energy.
+factor.  `path_polynomial` folds with the factors reordered, since the
+energy is invariant under the R-matrix, and packs each state's energies
+into one int; `enumerate_paths` keeps each state's tableaux suffixes
+with their energies, so it lists each path with its energy.
 """
 
 from __future__ import annotations

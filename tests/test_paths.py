@@ -299,22 +299,63 @@ def test_one_box_paths_match_macmahon_at_larger_weights(weight):
 
 
 def test_polynomial_does_not_depend_on_the_factor_order():
-    # The R-matrix makes every order of the factors an isomorphic
-    # crystal with the same energy: each multi-shape spec of
-    # sweep_specs(4, 5) at each partition weight, in every other order.
+    # The R-matrix makes every order of the factors an isomorphic crystal
+    # with the same energy.  path_polynomial folds every order in one order
+    # of its own, so each order is checked against sums taken in that
+    # order: the per-path oracle, and the energies that enumerate_paths
+    # lists, as it folds in the given order.  Each multi-shape spec of
+    # sweep_specs(4, 5) at each partition weight, in every order; the
+    # count is of the orders other than the listed one.
     cases = 0
     for spec in sweep_specs(4, 5):
         if len(set(spec.factors)) < 2:
             continue
-        for weight in _compositions(spec.total_boxes(), spec.n):
-            if any(a < b for a, b in zip(weight, weight[1:])):
-                continue
-            target = path_polynomial(spec, weight)
-            for order in set(permutations(spec.factors)) - {spec.factors}:
-                assert path_polynomial(CrystalSpec(spec.n, order), weight) == target, \
-                    (spec, order, weight)
-                cases += 1
+        weights = [w for w in _compositions(spec.total_boxes(), spec.n)
+                   if all(a >= b for a, b in zip(w, w[1:]))]
+        targets = {w: path_polynomial(spec, w) for w in weights}
+        for order in set(permutations(spec.factors)):
+            reordered = CrystalSpec(spec.n, order)
+            for weight in weights:
+                target = path_polynomial(reordered, weight)
+                assert target == targets[weight], (spec, order, weight)
+                assert target == oracle_path_polynomial(reordered, weight), (order, weight)
+                listed = enumerate_paths(reordered, weight)
+                assert QPolynomial(Counter(e for _p, e in listed)) == target, (order, weight)
+                cases += order != spec.factors
     assert cases == 1230
+
+
+def test_the_fold_carries_no_factor_past_the_largest_crystal(monkeypatch):
+    # path_polynomial folds with the largest crystal leftmost, so it never
+    # takes an R-matrix image of it, though the spec lists it last;
+    # enumerate_paths folds in the given order and carries it past (2,1).
+    spec = CrystalSpec(5, ((1, 1), (2, 1), (2, 2)))
+    weight = (2, 2, 1, 1, 1)
+    tables = []
+    built = plactic._rmatrix_table
+
+    def recording(*key):
+        tables.append(key)
+        return built(*key)
+
+    def passed_shapes(fold):
+        for memo in (plactic.rmatrix, plactic.local_energy, built):
+            memo.cache_clear()
+        tables.clear()
+        fold(spec, weight)
+        return {(r2, s2) for _r, _s, r2, s2, _n in tables}
+
+    monkeypatch.setattr(plactic, '_rmatrix_table', recording)
+    assert passed_shapes(path_polynomial) == {(1, 1)}
+    assert passed_shapes(enumerate_paths) == {(2, 2)}
+    assert path_polynomial(spec, weight) == oracle_path_polynomial(spec, weight)
+
+
+def test_polynomial_matches_fermionic_with_the_largest_crystal_last():
+    spec = CrystalSpec(7, ((4, 1), (2, 2), (3, 2)))
+    target = path_polynomial(spec, (2,) * 7)
+    assert target(1) == 7875
+    assert fermionic_polynomial(spec, (2,) * 7) == target
 
 
 def test_each_method_is_nonzero_exactly_on_the_dominated_weights():

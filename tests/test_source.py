@@ -198,6 +198,7 @@ def test_process_wide_caches_are_declared():
     # behind @cache or @lru_cache, each with what bounds its entries; a
     # new one is a declared change.
     expected = [
+        'crystal.py _weight_classes',     # one grouping per crystal met, of its listing
         'crystal.py enumerate_crystal',   # one tuple per (height, width, alphabet) met
         'plactic.py _rmatrix_table',      # one table per pair of shapes met on one alphabet
         'plactic.py local_energy',        # one int per pair of tableaux met, inside those crystals
